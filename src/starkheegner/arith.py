@@ -62,6 +62,10 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def primes_up_to(n: int):
     if n < 2:
         return []
@@ -71,6 +75,33 @@ def primes_up_to(n: int):
         if sieve[p]:
             sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
     return [i for i, fl in enumerate(sieve) if fl]
+
+
+def sqrt_mod_prime(n: int, p: int) -> int:
+    """A square root of n modulo the prime p, by Tonelli-Shanks.
+
+    Raises ValueError if n is not a nonzero square mod p.
+    """
+    n %= p
+    if n == 0 or pow(n, (p - 1) // 2, p) != 1:
+        raise ValueError("%d is not a quadratic residue mod %d" % (n, p))
+    if p % 4 != 1:  # p = 2 or p = 3 mod 4: one power suffices
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def kronecker(a: int, n: int) -> int:

@@ -16,7 +16,14 @@ from fractions import Fraction
 
 from scipy.special import exp1
 
-from .arith import factorize, is_fundamental_discriminant, kronecker, prime_divisors
+from .arith import (
+    factorize,
+    is_fundamental_discriminant,
+    is_squarefree,
+    kronecker,
+    prime_divisors,
+    primes_up_to,
+)
 
 
 class CurveError(ValueError):
@@ -92,18 +99,13 @@ class EllipticCurveData:
             self._w_fricke = _fricke_sign(self)
         return self._w_fricke
 
-    @property
-    def w_m(self) -> int:
-        # w_N = w_M * w_p
-        return self.w_fricke * self.w_p
-
     def an_list(self, length: int):
         """[a_0..a_length] with a_0 = 0, filled multiplicatively."""
         if len(self._an_list) > length:
             return self._an_list[: length + 1]
         a = [0] * (length + 1)
         a[1] = 1
-        for ell in _primes(length):
+        for ell in primes_up_to(length):
             ap = self.ap(ell)
             good = self.conductor % ell != 0
             # powers
@@ -131,11 +133,6 @@ class EllipticCurveData:
 
     def rhs(self, x):
         return (x * x + self.a2 * x + self.a4) * x + self.a6
-
-
-def _primes(n: int):
-    from .arith import primes_up_to
-    return primes_up_to(n)
 
 
 def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
@@ -228,7 +225,6 @@ def check_sh_hypothesis(E: EllipticCurveData, D: int, c: int):
         fails.append("c not coprime to DN")
     if c % 2 == 0:
         fails.append("c must be odd")
-    from .arith import is_squarefree
     if not is_squarefree(c):
         fails.append("c must be squarefree")
     if not fails:
@@ -294,17 +290,6 @@ def _agm_real(a: float, b: float) -> float:
     return a
 
 
-def _agm_complex(a: complex, b: complex) -> complex:
-    for _ in range(200):
-        if abs(a - b) < 1e-15 * abs(a):
-            break
-        s = cmath.sqrt(a * b)
-        if abs(a + b) < 2 * abs(s):  # optimal choice: |a1 - b1| <= |a1 + b1|
-            s = -s
-        a, b = (a + b) / 2, s
-    return a
-
-
 def real_periods(E: EllipticCurveData):
     """(Omega+, Omega-): the fundamental real period (one loop of the real
     locus) and the imaginary period magnitude, by AGM."""
@@ -367,9 +352,6 @@ class QuadRat:
     def __eq__(self, o):
         o = self._co(o)
         return self.a == o.a and self.b == o.b
-
-    def is_rational(self):
-        return self.b == 0
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 from .arith import (
     divisors,
     is_fundamental_discriminant,
+    is_prime,
     is_squarefree,
     kronecker,
     prime_discriminant_factors,
-    prime_divisors,
+    sqrt_mod_prime,
+    xgcd,
 )
-from .padics import _tonelli
 from .quadforms import BQF, NarrowClassGroup, sqrtD_class
 
 
@@ -111,18 +112,12 @@ def _represent_coprime(Q: BQF, moduli: int):
                 a = Q(x0, y0)
                 if a % 2 != 0 and math.gcd(a, moduli) == 1:
                     # complete (x0, y0) to a determinant-one matrix
-                    g0, u, v = math.gcd(x0, y0), *_bezout(x0, y0)
+                    g0, u, v = xgcd(x0, y0)
                     assert g0 == 1
                     g = (x0, -v, y0, u)
                     assert g[0] * g[3] - g[1] * g[2] == 1
                     return a, Q.apply(g)
     raise RuntimeError("no coprime representation found")  # pragma: no cover
-
-
-def _bezout(a, b):
-    from .arith import xgcd
-    _, u, v = xgcd(a, b)
-    return u, v
 
 
 def pushforward_class(group_c: NarrowClassGroup, group_f: NarrowClassGroup, idx: int) -> int:
@@ -188,7 +183,7 @@ def frobenius_class(group: NarrowClassGroup, ell: int) -> int:
     disc = group.disc
     if kronecker(disc, ell) != 1:
         raise ValueError("%d is not split" % ell)
-    b = _tonelli(disc % ell, ell)
+    b = sqrt_mod_prime(disc, ell)
     if (b - disc) % 2 != 0:
         b += ell
     assert (b * b - disc) % (4 * ell) == 0
@@ -201,20 +196,11 @@ def split_primes(group: NarrowClassGroup, avoid: int, count: int, skip: int = 0)
     ell = 1
     while len(out) < count + skip:
         ell += 2
-        if avoid % ell == 0 or not _is_prime(ell):
+        if avoid % ell == 0 or not is_prime(ell):
             continue
         if kronecker(group.D, ell) == 1:
             out.append(ell)
     return out[skip:]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def genus_decompose(chi: RingClassCharacter, samples: int = 25):

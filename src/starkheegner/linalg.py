@@ -49,5 +49,11 @@ def matvec(rows, v):
     return [sum(a * b for a, b in zip(r, v) if a) for r in rows]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
+def lincomb(coeffs, vecs):
+    """sum of c * v over the pairs (c, v); vecs must be non-empty."""
+    out = [Fraction(0)] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for k in range(len(out)):
+                out[k] += c * v[k]
+    return out

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import mat_inv, mat_mul
+from .arith import is_prime, kronecker, prime_divisors, xgcd
 from .curves import EllipticCurveData
-from .linalg import kernel_basis, rref
+from .linalg import kernel_basis, lincomb, matvec, rref
 from .quadforms import HeegnerSystem, stabilizer_gamma, totally_positive_unit
 
 
@@ -60,7 +60,9 @@ def segments_to_cusp(x):
         qk1, qk = qk, digits[k] * qk + qk1
         s = (-1) ** (k - 1)
         segs.append(((pk, s * pk1, qk, s * qk1), 1))
-    assert Fraction(pk, qk) == x
+    if Fraction(pk, qk) != x:
+        raise ArithmeticError("last convergent %d/%d of %s is not %s"
+                              % (pk, qk, digits, x))
     return segs
 
 
@@ -114,9 +116,10 @@ class P1List:
                 if math.gcd(c, d + t * self.N) == 1:
                     d += t * self.N
                     break
-        from .arith import xgcd
         g, u, v = xgcd(c, d)
-        assert g == 1
+        if g != 1:
+            raise ArithmeticError("no coprime lift of (%d : %d) mod %d: gcd %d"
+                                  % (c, d, self.N, g))
         return (v, -u, c, d)
 
 
@@ -161,16 +164,6 @@ class ManinSymbolSpace:
         """Coordinates in the rref basis (values at the pivot indices)."""
         return [full_vector[c] for c in self.pivots]
 
-    def from_coordinates(self, coords):
-        n = len(self.p1)
-        out = [Fraction(0)] * n
-        for x, b in zip(coords, self.basis):
-            if x:
-                for k in range(n):
-                    if b[k]:
-                        out[k] += x * b[k]
-        return out
-
     # ------------------------------------------------------------- operators
 
     def _op_full(self, vec, paths_for):
@@ -203,14 +196,15 @@ class ManinSymbolSpace:
 
         return paths
 
+    def _operator_matrix(self, paths_for):
+        """Matrix of a path-defined operator on rref coordinates."""
+        cols = [self.coordinates(self._op_full(b, paths_for)) for b in self.basis]
+        return [list(row) for row in zip(*cols)]
+
     def hecke_matrix(self, ell: int):
         """Matrix of T_ell (or U_ell for ell | N) on the space, acting on
         rref coordinates."""
-        cols = []
-        for b in self.basis:
-            img = self._op_full(b, self.hecke_paths(ell))
-            cols.append(self.coordinates(img))
-        return [list(row) for row in zip(*cols)]
+        return self._operator_matrix(self.hecke_paths(ell))
 
     def atkin_lehner_infinity_matrix(self):
         def paths(r, s):
@@ -218,11 +212,7 @@ class ManinSymbolSpace:
             ss = INF if s is INF else -s
             return [(rr, ss, 1)]
 
-        cols = []
-        for b in self.basis:
-            img = self._op_full(b, paths)
-            cols.append(self.coordinates(img))
-        return [list(row) for row in zip(*cols)]
+        return self._operator_matrix(paths)
 
     def cuspidal_dimension(self) -> int:
         """Rank of T_ell - (ell + 1) for the first good ell: the Eisenstein
@@ -253,69 +243,49 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
     """The normalized eigensymbol of E with the given sign at infinity."""
     if space is None:
         space = ManinSymbolSpace(E.conductor)
-    # current subspace, as coordinate-column basis (identity at the start)
+    # basis of the current subspace, as coordinate vectors (all of it at first)
     dim = space.dim
-    sub = [[Fraction(1 if i == j else 0) for j in range(dim)]
-           for i in range(dim)]  # columns spanning rows? store as list of vecs
-    sub = [list(col) for col in zip(*sub)]
+    sub = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     ell = 1
     while len(sub) > 2:
         ell += 1
         if ell > max_ell:
             raise RuntimeError("eigenspace did not shrink to dimension 2")
-        if E.conductor % ell == 0 or not _is_prime(ell):
+        if E.conductor % ell == 0 or not is_prime(ell):
             continue
         a = E.ap(ell)
         m = space.hecke_matrix(ell)
         # restrict m to the span of sub and take kernel of (m - a)
         rows = []
         for v in sub:
-            w = _matvec(m, v)
+            w = matvec(m, v)
             rows.append([w[k] - a * v[k] for k in range(dim)])
         ker = kernel_basis([list(r) for r in zip(*rows)], len(sub))
-        sub = [_lincomb(ker_vec, sub) for ker_vec in ker]
+        sub = [lincomb(ker_vec, sub) for ker_vec in ker]
     if len(sub) != 2:
         raise RuntimeError("multiplicity-one failure: dim %d" % len(sub))
     # check U_q eigenvalue for q | N on the 2-dim space (consistency)
-    for q in _prime_divisors(E.conductor):
+    for q in prime_divisors(E.conductor):
         m = space.hecke_matrix(q)
         aq = E.ap(q)
         for v in sub:
-            w = _matvec(m, v)
-            assert all(w[k] == aq * v[k] for k in range(dim)), \
-                "U_%d eigenvalue mismatch" % q
+            w = matvec(m, v)
+            if w != [aq * x for x in v]:
+                raise ValueError("U_%d eigenvalue mismatch: a_%d = %d, but "
+                                 "U_%d v = %s for v = %s" % (q, q, aq, q, w, v))
     w = space.atkin_lehner_infinity_matrix()
     eig = []
     for v in sub:
-        img = _matvec(w, v)
+        img = matvec(w, v)
         cand = [img[k] + sign * v[k] for k in range(dim)]  # (W + sign) v
         if any(cand):
             eig.append(cand)
     red, _ = rref(eig)
-    assert len(red) == 1, "sign eigenspace has dimension %d" % len(red)
-    full = space.from_coordinates(red[0])
+    if len(red) != 1:
+        raise RuntimeError("sign %d eigenspace has dimension %d, not 1"
+                           % (sign, len(red)))
+    full = lincomb(red[0], space.basis)
     return RationalModularSymbol(space, _normalize_content(full), sign)
-
-
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
-
-
-def _prime_divisors(n):
-    return [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
-
-
-def _matvec(m, v):
-    return [sum(a * b for a, b in zip(row, v) if a) for row in m]
-
-
-def _lincomb(coeffs, vecs):
-    out = [Fraction(0)] * len(vecs[0])
-    for c, v in zip(coeffs, vecs):
-        if c:
-            for k in range(len(out)):
-                out[k] += c * v[k]
-    return out
 
 
 def _normalize_content(vec):
@@ -340,7 +310,6 @@ def _normalize_content(vec):
 
 def birch_sum(symbol: RationalModularSymbol, delta: int) -> Fraction:
     """sum_a (delta|a) I{oo -> a/m}, m = |delta|; the twisted-L rational."""
-    from .arith import kronecker
     m = abs(delta)
     if math.gcd(m, symbol.space.N) != 1:
         raise ValueError("twist modulus must be coprime to the level")

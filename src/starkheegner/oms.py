@@ -2,13 +2,14 @@
 
 A distribution is a finite moment vector against the chart coordinate
 t = x/y on Z_p, plus a parallel vector of moments against log<u> in the
-scaling direction (the weight-direction jet, needed for the kappa-derivative
-and the log kernels).  Moment j is carried modulo p^(n_mom - j); the monoid
-action preserves this filtration.  On the t-moments, a_p^{-1} U_p fixes the
-zeroth layer of an eigenlift and contracts everything above it, which is
-why the naive lift-and-iterate construction converges to a unique lift.  The
-jet's zeroth layer is not contracted (U_p fixes a subspace of it), so the
-jet is not part of the lift.
+scaling direction (the weight-direction jet).  Moment j is carried modulo
+p^(n_mom - j); the monoid action preserves this filtration.  On the
+t-moments, a_p^{-1} U_p fixes the zeroth layer of an eigenlift and contracts
+everything above it, which is why the naive lift-and-iterate construction
+converges to a unique lift.  The jet's zeroth layer is not contracted (U_p
+fixes a subspace of it), so the jet is not part of the lift: lift_to_oms
+returns it as zero, and no result of this package depends on it.  The jet
+stays only until the benchmark in bench/ stops seeding it.
 
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
 through t -> (a t + b)/(c t + d) and u -> u * (c t + d).
@@ -28,7 +29,7 @@ from .modsym import (
     segments_between,
 )
 from .padics import PadicScalar, PrecisionError, iwasawa_log
-from .arith import mat_inv, mat_mul
+from .arith import MAT_ID, mat_inv, mat_mul
 
 
 class Distribution:
@@ -64,14 +65,8 @@ class Distribution:
         return Distribution(self.p, self.n,
                             [k * a for a in self.m], [k * a for a in self.lam])
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.m) and all(x == 0 for x in self.lam)
-
     def moment(self, j: int) -> PadicScalar:
         return PadicScalar.from_int(self.p, self.m[j], self.n - j)
-
-    def lam_moment(self, j: int) -> PadicScalar:
-        return PadicScalar.from_int(self.p, self.lam[j], self.n - j)
 
     def mass(self) -> int:
         return self.m[0]
@@ -231,7 +226,6 @@ class OMSymbol:
             raise ValueError("p = %d must divide N = %d exactly once" % (p, self.N))
         if a_p % p == 0:
             raise ValueError("a_p = %d is not a %d-adic unit" % (a_p, p))
-        self.level_m = self.N // p
         self.n = n_mom
         self.a_p = a_p
         self._ap_inv = pow(a_p, -1, p ** n_mom)
@@ -243,28 +237,30 @@ class OMSymbol:
 
     # ---------------------------------------------------------- evaluation
 
-    def eval_segment(self, g) -> Distribution:
-        """Phi on the unimodular path g{0 -> oo}."""
+    def _generator_of(self, g):
+        """(idx, gamma) for the unimodular path g{0 -> oo}: the generator
+        lifts[idx] with g = gamma * lifts[idx], gamma in Gamma0(N), so that
+        Phi(g{0 -> oo}) is values[idx] transported by gamma."""
         idx = self.space.p1.index_of_matrix(g)
         gamma = mat_mul(g, mat_inv(self.lifts[idx]))
         if gamma[2] % self.N:
             raise ValueError("segment %r is not unimodular" % (g,))
+        return idx, gamma
+
+    def eval_segment(self, g) -> Distribution:
+        """Phi on the unimodular path g{0 -> oo}."""
+        idx, gamma = self._generator_of(g)
         return self.cache.transport(self.values[idx], gamma)
 
     def eval_path(self, r, s) -> Distribution:
-        total = Distribution(self.p, self.n)
-        for g, sign in segments_between(r, s):
-            d = self.eval_segment(g)
-            total = total + (d if sign > 0 else d.scale(-1))
-        return total
+        return self.eval_path_transported(r, s, MAT_ID)
 
     def eval_path_transported(self, r, s, outer) -> Distribution:
-        """transport(Phi{r -> s}, outer), fused for the U_p plan."""
+        """transport(Phi{r -> s}, outer), one transport per segment."""
         total = Distribution(self.p, self.n)
         for g, sign in segments_between(r, s):
-            idx = self.space.p1.index_of_matrix(g)
-            gamma = mat_mul(outer, mat_mul(g, mat_inv(self.lifts[idx])))
-            d = self.cache.transport(self.values[idx], gamma)
+            idx, gamma = self._generator_of(g)
+            d = self.cache.transport(self.values[idx], mat_mul(outer, gamma))
             total = total + (d if sign > 0 else d.scale(-1))
         return total
 
@@ -283,10 +279,9 @@ class OMSymbol:
                 ra = apply_moebius(path_mat, r)
                 sa = apply_moebius(path_mat, s)
                 for seg, sgn in segments_between(ra, sa):
-                    idx = self.space.p1.index_of_matrix(seg)
-                    gamma = mat_mul(value_mat,
-                                    mat_mul(seg, mat_inv(self.lifts[idx])))
-                    entries.append((idx, self.cache._key(gamma), sgn))
+                    idx, gamma = self._generator_of(seg)
+                    key = self.cache._key(mat_mul(value_mat, gamma))
+                    entries.append((idx, key, sgn))
             plan.append(entries)
         return plan
 
@@ -312,16 +307,6 @@ class OMSymbol:
         if self._up_plan is None:
             self._up_plan = self._plan_operator(self.up_pieces())
         self.values = self._apply_plan(self._up_plan, self._ap_inv)
-
-    def hecke_jet(self, ell: int):
-        """The values of Phi | T_ell (good ell != p), as a new value list;
-        the pieces follow the adjoint rule of up_pieces."""
-        if self.N % ell == 0:
-            raise ValueError("T_%d needs ell prime to N = %d" % (ell, self.N))
-        pieces = [((1, j, 0, ell), (ell, -j, 0, 1)) for j in range(ell)]
-        pieces.append(((ell, 0, 0, 1), (1, 0, 0, ell)))
-        plan = self._plan_operator(pieces)
-        return self._apply_plan(plan, 1)
 
     # ------------------------------------------------------------- checks
 

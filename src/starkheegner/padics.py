@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .arith import sqrt_mod_prime
+
 
 class PrecisionError(ArithmeticError):
     """Requested digits exceed what the inputs can justify."""
@@ -414,9 +416,7 @@ def _sqrt_int(n: int, p: int, N: int) -> int:
     """Hensel-lifted square root of a quadratic-residue unit mod p^N."""
     m = p ** N
     n %= m
-    x = pow(n, (p + 1) // 4, p) if p % 4 == 3 else _tonelli(n % p, p)
-    if (x * x - n) % p != 0:
-        raise ValueError("not a quadratic residue")
+    x = sqrt_mod_prime(n, p)
     inv2 = pow(2, -1, m)
     k = 1
     while k < N:
@@ -424,26 +424,6 @@ def _sqrt_int(n: int, p: int, N: int) -> int:
         k *= 2
     assert (x * x - n) % m == 0
     return x
-
-
-def _tonelli(n: int, p: int) -> int:
-    if pow(n, (p - 1) // 2, p) != 1:
-        raise ValueError("not a quadratic residue")
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # -- Teichmueller / exp / log ------------------------------------------------
@@ -571,14 +551,6 @@ class LogBranch:
         if isinstance(base, QuadExtScalar) and isinstance(corr, PadicScalar):
             corr = base.ctx.embed(corr)
         return base - corr
-
-    def log_principal(self, x):
-        """log_q of the principal-unit part <x>.
-
-        Since L0 already kills p-powers and Teichmueller torsion this is just
-        the Iwasawa logarithm; kept separate so callers state their intent.
-        """
-        return iwasawa_log(x)
 
 
 def rational_reconstruct(x: int, modulus: int, bound: int):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .arith import (
     MAT_ID,
     divisors,
-    factorize,
     is_fundamental_discriminant,
     is_square,
     kronecker,
@@ -103,10 +102,6 @@ class BQF:
             out.append(cur)
             cur, _ = cur.reduction_step()
         return out
-
-    def content_root(self) -> tuple:
-        """Exact surd data of tau = (-B + sqrt(disc)) / (2A)."""
-        return (-self.B, 1, self.disc, 2 * self.A)
 
 
 def principal_form(disc: int) -> BQF:
@@ -341,13 +336,6 @@ class NarrowClassGroup:
             out = self.compose(out, i)
         return out
 
-    def element_order(self, i: int) -> int:
-        n, cur = 1, i
-        while cur != self.identity:
-            cur = self.compose(cur, i)
-            n += 1
-        return n
-
     def check_group_axioms(self) -> bool:
         """Exhaustive closure/associativity/identity/inverse check."""
         h = self.order
@@ -495,10 +483,6 @@ class StabilizerData:
     unit: tuple          # (x, y): eps_c = (x + y*sqrt(Dc^2))/2
     gamma: tuple         # SL2(Z) matrix fixing tau_Q, in Gamma0(M)
     level: int
-
-    @property
-    def tau_surd(self):
-        return self.form.content_root()
 
 
 def stabilizer_gamma(Q: HeegnerForm, unit_xy) -> StabilizerData:

@@ -64,7 +64,6 @@ def discriminant_series(length: int):
             if base[i]:
                 nxt[i + n] -= base[i]
         base = nxt
-    pw = base
     out = [1] + [0] * length
     for _ in range(24):
         out = _poly_mul(out, base, length)

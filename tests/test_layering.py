@@ -1,0 +1,72 @@
+"""Import discipline of the package, read from the source with ast.
+
+No module imports a private name (one starting with "_") from another
+package module, and the package modules import one another without a
+cycle, function-level imports included.
+"""
+
+import ast
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "starkheegner"
+MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__init__")
+
+
+def _package_imports(mod):
+    """(imported module, imported names) for each package import in mod."""
+    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node.module, [a.name for a in node.names]
+            elif node.level == 1:
+                for a in node.names:
+                    yield a.name, []
+            elif node.module and node.module.startswith("starkheegner."):
+                yield node.module.split(".")[1], [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("starkheegner."):
+                    yield a.name.split(".")[1], []
+
+
+def _graph():
+    """{module: {imported module: [imported names]}}."""
+    graph = {m: {} for m in MODULES}
+    for m in MODULES:
+        for target, names in _package_imports(m):
+            graph[m].setdefault(target, []).extend(names)
+    return graph
+
+
+GRAPH = _graph()
+
+
+def test_no_private_names_across_modules():
+    bad = ["%s imports %s.%s" % (m, target, name)
+           for m, targets in GRAPH.items()
+           for target, names in targets.items() if target != m
+           for name in names if name.startswith("_")]
+    assert not bad, bad
+
+
+def test_no_import_cycles():
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            return path[path.index(m):] + [m]
+        if m in done:
+            return None
+        path.append(m)
+        for target in GRAPH.get(m, {}):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(m)
+        return None
+
+    for m in MODULES:
+        cycle = visit(m)
+        assert cycle is None, " -> ".join(cycle)

@@ -94,6 +94,20 @@ def test_eigensymbol_11a():
         assert img == [a * x for x in plus.vector], ell
 
 
+class _E15WrongA3(EllipticCurveData):
+    """15x reporting -a_3: inconsistent with the U_3 eigenvalue of its symbol."""
+
+    def ap(self, ell):
+        a = super().ap(ell)
+        return -a if ell == 3 else a
+
+
+def test_eigensymbol_rejects_wrong_a3():
+    E = _E15WrongA3(1, 1, 1, -10, -10, conductor=15, p=5, label="15x")
+    with pytest.raises(ValueError, match="U_3 eigenvalue mismatch"):
+        build_eigensymbol(E, 1, ManinSymbolSpace(15))
+
+
 def test_eigensymbol_integral_content_one():
     plus = build_eigensymbol(E11(), 1)
     vals = [x for x in plus.vector if x != 0]
