@@ -21,6 +21,17 @@ def xgcd(a: int, b: int):
     return old_r, old_u, old_v
 
 
+def valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the integer n; ValueError for n = 0."""
+    if n == 0:
+        raise ValueError("exact zero has no finite valuation")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -196,13 +207,17 @@ def mat_mul(g, h):
             g[2] * h[0] + g[3] * h[2], g[2] * h[1] + g[3] * h[3])
 
 
-def mat_inv(g):
-    """Inverse of an SL2(Z) matrix (a, b, c, d)."""
+def mat_adj(g):
+    """Adjugate (d, -b; -c, a) of (a, b; c, d): g * mat_adj(g) = det(g) * I."""
     a, b, c, d = g
-    det = a * d - b * c
-    if det != 1:
-        raise ValueError("not in SL2(Z)")
     return (d, -b, -c, a)
+
+
+def mat_inv(g):
+    """Inverse of an SL2(Z) matrix: its adjugate, the determinant-1 case."""
+    if g[0] * g[3] - g[1] * g[2] != 1:
+        raise ValueError("not in SL2(Z)")
+    return mat_adj(g)
 
 
 MAT_ID = (1, 0, 0, 1)

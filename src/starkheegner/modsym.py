@@ -2,7 +2,7 @@
 
 A symbol is stored as its vector of values on unimodular paths, indexed by
 P^1(Z/N) (Manin's presentation); the two- and three-term relations cut out
-the space, Hecke operators act through cusp-path formulas and the Manin
+the space, Hecke operators act through path matrices and the Manin
 trick, and the eigensymbols of a curve are found by exact kernel
 intersections.
 """
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, kronecker, prime_divisors, xgcd
+from .arith import is_prime, kronecker, mat_inv, mat_mul, prime_divisors, xgcd
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
 from .quadforms import HeegnerSystem, stabilizer_gamma, totally_positive_unit
@@ -150,6 +150,7 @@ class ManinSymbolSpace:
             rows.append(row)
         self.basis, self.pivots = rref(kernel_basis(rows, n))
         self.dim = len(self.basis)
+        self.lifts = [self.p1.lift(i) for i in range(n)]
 
     # ------------------------------------------------------------ evaluation
 
@@ -164,42 +165,57 @@ class ManinSymbolSpace:
         """Coordinates in the rref basis (values at the pivot indices)."""
         return [full_vector[c] for c in self.pivots]
 
-    # ------------------------------------------------------------- operators
+    def generator_of(self, g):
+        """(idx, gamma) for the unimodular path g{0 -> oo}: g = gamma *
+        lifts[idx] with gamma in Gamma0(N), so that the path is the
+        generator lifts[idx]{0 -> oo} moved by gamma."""
+        idx = self.p1.index_of_matrix(g)
+        gamma = mat_mul(g, mat_inv(self.lifts[idx]))
+        if gamma[2] % self.N:
+            raise ValueError("segment %r is not unimodular" % (g,))
+        return idx, gamma
 
-    def _op_full(self, vec, paths_for):
-        """Apply a path-defined operator: paths_for(r, s) yields (r', s', w)."""
-        n = len(self.p1)
-        out = []
-        for i in range(n):
-            g = self.p1.lift(i)
-            r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
-            acc = Fraction(0)
-            for r2, s2, w in paths_for(r, s):
-                acc += w * self.value(vec, r2, s2)
-            out.append(acc)
-        return out
+    # ------------------------------------------------------------- operators
+    #
+    # An operator is a list of path matrices m: it sends the path {r -> s}
+    # to the sum of the paths {m r -> m s}.
 
     def hecke_paths(self, ell: int):
-        good = self.N % ell != 0
-
-        def paths(r, s):
-            out = []
-            if good:
-                rr = INF if r is INF else ell * r
-                ss = INF if s is INF else ell * s
-                out.append((rr, ss, 1))
-            for j in range(ell):
-                rr = INF if r is INF else Fraction(r + j, ell)
-                ss = INF if s is INF else Fraction(s + j, ell)
-                out.append((rr, ss, 1))
-            return out
-
+        """T_ell (U_ell for ell | N): (1, j; 0, ell) for j < ell, and
+        (ell, 0; 0, 1) when ell does not divide N."""
+        paths = [(1, j, 0, ell) for j in range(ell)]
+        if self.N % ell:
+            paths.append((ell, 0, 0, 1))
         return paths
 
-    def _operator_matrix(self, paths_for):
-        """Matrix of a path-defined operator on rref coordinates."""
-        cols = [self.coordinates(self._op_full(b, paths_for)) for b in self.basis]
-        return [list(row) for row in zip(*cols)]
+    def _rows(self, paths, gens):
+        """For each generator index i in gens, the image of the path
+        lifts[i]{0 -> oo} as integer coefficients {idx: coeff} on the
+        generators (Manin trick on each segment)."""
+        rows = []
+        for i in gens:
+            g = self.lifts[i]
+            r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
+            row = {}
+            for m in paths:
+                for seg, sign in segments_between(apply_moebius(m, r),
+                                                  apply_moebius(m, s)):
+                    idx = self.p1.index_of_matrix(seg)
+                    row[idx] = row.get(idx, 0) + sign
+            rows.append(row)
+        return rows
+
+    def _op_full(self, vec, paths):
+        """The operator applied to the full P^1-indexed vector vec."""
+        return [sum((c * vec[idx] for idx, c in row.items()), Fraction(0))
+                for row in self._rows(paths, range(len(self.p1)))]
+
+    def _operator_matrix(self, paths):
+        """Matrix of the operator on rref coordinates.  coordinates reads
+        only the pivot rows, so only those are decomposed."""
+        return [[sum((c * b[idx] for idx, c in row.items()), Fraction(0))
+                 for b in self.basis]
+                for row in self._rows(paths, self.pivots)]
 
     def hecke_matrix(self, ell: int):
         """Matrix of T_ell (or U_ell for ell | N) on the space, acting on
@@ -207,12 +223,8 @@ class ManinSymbolSpace:
         return self._operator_matrix(self.hecke_paths(ell))
 
     def atkin_lehner_infinity_matrix(self):
-        def paths(r, s):
-            rr = INF if r is INF else -r
-            ss = INF if s is INF else -s
-            return [(rr, ss, 1)]
-
-        return self._operator_matrix(paths)
+        """Matrix of the involution {r -> s} -> {-r -> -s}."""
+        return self._operator_matrix([(-1, 0, 0, 1)])
 
     def cuspidal_dimension(self) -> int:
         """Rank of T_ell - (ell + 1) for the first good ell: the Eisenstein

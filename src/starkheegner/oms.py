@@ -29,7 +29,7 @@ from .modsym import (
     segments_between,
 )
 from .padics import PadicScalar, PrecisionError, iwasawa_log
-from .arith import MAT_ID, mat_inv, mat_mul
+from .arith import MAT_ID, mat_adj, mat_mul, valuation
 
 
 class Distribution:
@@ -88,11 +88,7 @@ def _filtration_valuation(p: int, n: int, xs, ys) -> int:
     for j, (x, y) in enumerate(zip(xs, ys)):
         d = (x - y) % p ** (n - j)
         if d:
-            v = 0
-            while d % p == 0:
-                d //= p
-                v += 1
-            out = min(out, v + j)
+            out = min(out, valuation(d, p) + j)
     return out
 
 
@@ -156,10 +152,8 @@ class TransportCache:
         xk = 1
         for k in range(1, n):
             xk = xk * x % work
-            e, kk = 0, k
-            while kk % p == 0:
-                kk //= p
-                e += 1
+            e = valuation(k, p)
+            kk = k // p ** e
             if xk % p ** e:
                 raise ArithmeticError("log coefficient %d of %r is not integral"
                                       % (k, g))
@@ -231,25 +225,16 @@ class OMSymbol:
         self._ap_inv = pow(a_p, -1, p ** n_mom)
         self.sign = sign
         self.cache = TransportCache(p, n_mom)
-        self.lifts = [space.p1.lift(i) for i in range(len(space.p1))]
+        self.lifts = space.lifts
         self.values = [Distribution(p, n_mom) for _ in range(len(space.p1))]
         self._up_plan = None
 
     # ---------------------------------------------------------- evaluation
 
-    def _generator_of(self, g):
-        """(idx, gamma) for the unimodular path g{0 -> oo}: the generator
-        lifts[idx] with g = gamma * lifts[idx], gamma in Gamma0(N), so that
-        Phi(g{0 -> oo}) is values[idx] transported by gamma."""
-        idx = self.space.p1.index_of_matrix(g)
-        gamma = mat_mul(g, mat_inv(self.lifts[idx]))
-        if gamma[2] % self.N:
-            raise ValueError("segment %r is not unimodular" % (g,))
-        return idx, gamma
-
     def eval_segment(self, g) -> Distribution:
-        """Phi on the unimodular path g{0 -> oo}."""
-        idx, gamma = self._generator_of(g)
+        """Phi on the unimodular path g{0 -> oo}: values[idx] transported by
+        gamma, for (idx, gamma) = space.generator_of(g)."""
+        idx, gamma = self.space.generator_of(g)
         return self.cache.transport(self.values[idx], gamma)
 
     def eval_path(self, r, s) -> Distribution:
@@ -259,27 +244,33 @@ class OMSymbol:
         """transport(Phi{r -> s}, outer), one transport per segment."""
         total = Distribution(self.p, self.n)
         for g, sign in segments_between(r, s):
-            idx, gamma = self._generator_of(g)
+            idx, gamma = self.space.generator_of(g)
             d = self.cache.transport(self.values[idx], mat_mul(outer, gamma))
             total = total + (d if sign > 0 else d.scale(-1))
         return total
 
     # ---------------------------------------------------------------- U_p
 
-    def _plan_operator(self, pieces):
-        """Transport plan for an operator given by (path_mat, value_mat)
-        pieces: for each generator coset, a list of (idx, matrix-key, sign)."""
+    def _plan_operator(self, paths):
+        """Transport plan for the operator given by the path matrices
+        ``paths`` (as from space.hecke_paths): for each generator, a list of
+        (idx, matrix-key, sign).
+
+        Each path is paired with its value transport by the adjoint rule:
+        the path matrix m carries the value transport mat_adj(m), so that
+        m * mat_adj(m) = det(m) * I.  For U_p, the path r -> (r + a)/p, by
+        (1, a; 0, p), carries the value transport (p, -a; 0, 1)."""
         plan = []
-        for i in range(len(self.space.p1)):
-            g = self.lifts[i]
+        for g in self.lifts:
             r = apply_moebius(g, Fraction(0))
             s = apply_moebius(g, INF)
             entries = []
-            for path_mat, value_mat in pieces:
+            for path_mat in paths:
+                value_mat = mat_adj(path_mat)
                 ra = apply_moebius(path_mat, r)
                 sa = apply_moebius(path_mat, s)
                 for seg, sgn in segments_between(ra, sa):
-                    idx, gamma = self._generator_of(seg)
+                    idx, gamma = self.space.generator_of(seg)
                     key = self.cache._key(mat_mul(value_mat, gamma))
                     entries.append((idx, key, sgn))
             plan.append(entries)
@@ -295,17 +286,10 @@ class OMSymbol:
             new_values.append(total.scale(scale))
         return new_values
 
-    def up_pieces(self):
-        """U_p as (path_mat, value_mat) pieces, paired by the adjoint rule:
-        the path r -> (r + a)/p, by (1, a; 0, p), carries the value
-        transport (p, -a; 0, 1), so that path_mat * value_mat = p * I."""
-        p = self.p
-        return [((1, a, 0, p), (p, -a, 0, 1)) for a in range(p)]
-
     def apply_up(self):
         """One sweep Phi <- a_p^{-1} * (Phi | U_p)."""
         if self._up_plan is None:
-            self._up_plan = self._plan_operator(self.up_pieces())
+            self._up_plan = self._plan_operator(self.space.hecke_paths(self.p))
         self.values = self._apply_plan(self._up_plan, self._ap_inv)
 
     # ------------------------------------------------------------- checks

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import sqrt_mod_prime
+from .arith import sqrt_mod_prime, valuation
 
 
 class PrecisionError(ArithmeticError):
@@ -22,16 +22,6 @@ class PrecisionError(ArithmeticError):
     def __init__(self, message, achievable=None):
         super().__init__(message)
         self.achievable = achievable
-
-
-def _val_of_int(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("exact zero has no finite valuation")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 class PadicScalar:
@@ -67,7 +57,7 @@ class PadicScalar:
         n_mod = n % p ** N
         if n_mod == 0:
             return cls.zero(p, N)
-        v = _val_of_int(n_mod, p)
+        v = valuation(n_mod, p)
         return cls(p, v, n_mod // p ** v, N)
 
     @classmethod
@@ -75,8 +65,8 @@ class PadicScalar:
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, N)
-        vn = _val_of_int(q.numerator, p) if q.numerator else 0
-        vd = _val_of_int(q.denominator, p)
+        vn = valuation(q.numerator, p) if q.numerator else 0
+        vd = valuation(q.denominator, p)
         v = vn - vd
         if v >= N:
             return cls.zero(p, N)
@@ -145,7 +135,7 @@ class PadicScalar:
         s = (a + b) % m
         if s == 0:
             return PadicScalar.zero(self.p, N)
-        w = _val_of_int(s, self.p)
+        w = valuation(s, self.p)
         return PadicScalar(self.p, v0 + w, s // self.p ** w, N)
 
     __radd__ = __add__
@@ -408,7 +398,9 @@ def _teichmuller_int(u: int, p: int, N: int) -> int:
         if y == x:
             break
         x = y
-    assert pow(x, p, m) == x
+    if pow(x, p, m) != x:
+        raise ArithmeticError("Teichmueller iteration of %d mod %d^%d did "
+                              "not converge" % (u, p, N))
     return x
 
 
@@ -422,7 +414,9 @@ def _sqrt_int(n: int, p: int, N: int) -> int:
     while k < N:
         x = (x + n * pow(x, -1, m)) * inv2 % m
         k *= 2
-    assert (x * x - n) % m == 0
+    if (x * x - n) % m:
+        raise ArithmeticError("Hensel lift %d is not a square root of %d "
+                              "mod %d^%d" % (x, n, p, N))
     return x
 
 

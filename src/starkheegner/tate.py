@@ -10,8 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import valuation
 from .curves import EllipticCurveData
-from .padics import LogBranch, PadicScalar, QuadExtContext, QuadExtScalar
+from .padics import (
+    LogBranch,
+    PadicScalar,
+    PrecisionError,
+    QuadExtContext,
+    QuadExtScalar,
+)
 
 
 # ---------------------------------------------------------------- Z-series
@@ -87,11 +94,7 @@ def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
     """The Tate period q with j(q) = j(E), by Newton iteration on the exact
     q-expansion E4^3 - j*Delta."""
     p = E.p
-    vq = 0
-    d = E.disc
-    while d % p == 0:
-        d //= p
-        vq += 1
+    vq = valuation(E.disc, p)
     if vq == 0:
         raise ValueError("good reduction at p; no Tate parameter")
     j = Fraction(E.c4 ** 3, E.disc)
@@ -108,7 +111,9 @@ def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
         if fval.is_zero() or fval.valuation() >= prec + 2 * vq:
             break
         q = q - fval / _eval_series(dcoeffs, q)
-    assert q.valuation() == vq
+    if q.valuation() != vq:
+        raise ArithmeticError("Tate period has valuation %d, not v(disc) = %d"
+                              % (q.valuation(), vq))
     return q.with_precision(min(q.N, prec + vq))
 
 
@@ -166,12 +171,15 @@ def formal_log_series(curve_key, length: int):
         num[i] += i * inv[i]
     # omega/dz = num/den  (the z^{-3} factors cancel)
     series = _series_div(num, den, length)
-    assert series[0] == 1
+    if series[0] != 1:
+        raise ArithmeticError("invariant differential starts with %s, not 1"
+                              % series[0])
     return tuple(Fraction(series[n - 1], n) for n in range(1, length + 1))
 
 
 def _series_div(num, den, length):
-    assert den[0] != 0
+    if den[0] == 0:
+        raise ArithmeticError("series division by a non-unit")
     inv0 = Fraction(1, 1) / den[0]
     out = []
     rem = list(num) + [Fraction(0)] * max(0, length + 1 - len(num))
@@ -233,11 +241,7 @@ def formal_log(E: EllipticCurveData, P, prec: int, ctx: QuadExtContext | None = 
             raise ValueError("need a context to build the zero value")
         return ctx.one(prec) - ctx.one(prec)
     ctx = _ctx_of(P)
-    vdisc = 0
-    d = E.disc
-    while d % E.p == 0:
-        d //= E.p
-        vdisc += 1
+    vdisc = valuation(E.disc, E.p)
     mbound = 4 * (E.p ** 2 + 2 * E.p + 2) * max(1, vdisc)
     cur = P
     for m in range(1, mbound + 1):
@@ -366,12 +370,16 @@ def log_conversion_constant(E: EllipticCurveData, q: PadicScalar,
     branch = LogBranch(q)
     u0 = ctx.embed(PadicScalar.from_int(E.p, 1 + E.p, q.N))
     P = tate_to_curve_point(E, transform, tate_point(q, u0, depth))
-    assert on_curve(E, P), "Tate parametrization image is off the curve"
+    if not on_curve(E, P):
+        raise ValueError("Tate parametrization image is off the curve")
     kappa = formal_log(E, P, prec) / branch.log(u0)
     u1 = ctx.embed(PadicScalar.from_fraction(E.p, Fraction(1 + E.p) ** 2, q.N))
     P1 = tate_to_curve_point(E, transform, tate_point(q, u1, depth))
     kappa1 = formal_log(E, P1, prec) / branch.log(u1)
-    assert (kappa - kappa1).valuation() >= prec - 2, "conversion unstable"
+    agree = (kappa - kappa1).valuation()
+    if agree < prec - 2:
+        raise PrecisionError("conversion unstable: the two kappa agree to %d "
+                             "of %d digits" % (agree, prec - 2), agree)
     return kappa
 
 
@@ -391,5 +399,6 @@ def localize_short_point(E: EllipticCurveData, pt, ctx: QuadExtContext, prec: in
     X, Y = emb(pt.x), emb(pt.y)
     x = (X - 3 * E.b2) * Fraction(1, 36)
     y = (Y * Fraction(1, 108) - E.a1 * x - E.a3) * Fraction(1, 2)
-    assert on_curve(E, (x, y)), "localized point is off the curve"
+    if not on_curve(E, (x, y)):
+        raise ValueError("localized point is off the curve")
     return (x, y)

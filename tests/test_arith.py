@@ -1,6 +1,6 @@
 import pytest
 
-from starkheegner.arith import is_prime, primes_up_to, sqrt_mod_prime
+from starkheegner.arith import is_prime, primes_up_to, sqrt_mod_prime, valuation
 
 
 def test_is_prime_matches_sieve():
@@ -19,3 +19,19 @@ def test_sqrt_mod_prime_every_residue():
             else:
                 with pytest.raises(ValueError):
                     sqrt_mod_prime(n, p)
+
+
+def test_valuation_matches_division():
+    for p in (2, 3, 5, 7):
+        for n in range(-2000, 2001):
+            if n == 0:
+                continue
+            v = 0
+            while n % p ** (v + 1) == 0:
+                v += 1
+            assert valuation(n, p) == v, (n, p)
+
+
+def test_valuation_of_zero_raises():
+    with pytest.raises(ValueError):
+        valuation(0, 5)

@@ -2,7 +2,8 @@
 
 No module imports a private name (one starting with "_") from another
 package module, and the package modules import one another without a
-cycle, function-level imports included.
+cycle, function-level imports included.  Only modsym takes the Manin step
+(segment -> generator index), so no other module reaches into P^1 for it.
 """
 
 import ast
@@ -70,3 +71,21 @@ def test_no_import_cycles():
     for m in MODULES:
         cycle = visit(m)
         assert cycle is None, " -> ".join(cycle)
+
+
+def _manin_step_calls(mod):
+    """Line numbers of calls to .index_of_matrix(...) or .p1.lift(...)."""
+    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            if f.attr == "index_of_matrix" or (
+                    f.attr == "lift" and isinstance(f.value, ast.Attribute)
+                    and f.value.attr == "p1"):
+                yield node.lineno
+
+
+def test_manin_step_only_in_modsym():
+    bad = ["%s.py:%d" % (m, line) for m in MODULES if m != "modsym"
+           for line in _manin_step_calls(m)]
+    assert not bad, bad

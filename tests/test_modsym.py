@@ -81,6 +81,33 @@ def test_hecke_commutativity():
         assert matmul(mats[l1], mats[l2]) == matmul(mats[l2], mats[l1])
 
 
+def _manin_relations_hold(sp, w):
+    """w + w|S = 0 and w + w|T + w|T^2 = 0 on every generator."""
+    S, T = ManinSymbolSpace.S, ManinSymbolSpace.T
+    TT = mat_mul(T, T)
+    idx = sp.p1.index_of_matrix
+    return all(w[i] + w[idx(mat_mul(g, S))] == 0
+               and w[i] + w[idx(mat_mul(g, T))] + w[idx(mat_mul(g, TT))] == 0
+               for i, g in enumerate(sp.lifts))
+
+
+def test_hecke_matrix_reads_only_pivot_rows():
+    # the matrix is built from the pivot rows alone; it must agree with the
+    # operator applied on every generator, whose image stays in the space
+    for N in (11, 15, 35):
+        sp = ManinSymbolSpace(N)
+        for ell in (2, 3, 5, 7):
+            m = sp.hecke_matrix(ell)
+            for k, b in enumerate(sp.basis):
+                img = sp._op_full(b, sp.hecke_paths(ell))
+                assert [row[k] for row in m] == sp.coordinates(img), (N, ell, k)
+                assert _manin_relations_hold(sp, img), (N, ell, k)
+        w = sp.atkin_lehner_infinity_matrix()
+        ident = [[int(i == j) for j in range(sp.dim)] for i in range(sp.dim)]
+        assert [[sum(w[i][k] * w[k][j] for k in range(sp.dim))
+                 for j in range(sp.dim)] for i in range(sp.dim)] == ident, N
+
+
 # --------------------------------------------------------------- eigensymbol
 
 def test_eigensymbol_11a():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -148,3 +149,29 @@ def test_depth_one_ball_masses_sum_to_total():
         ball_sum += d.mass()
     # Phi|U_p = a_p Phi: the transported sum is a_p * total
     assert (ball_sum - E15().a_p * total) % 5 ** 6 == 0
+
+
+def test_up_specializes_to_classical_up():
+    # the zeroth moments of one a_p^{-1} U_p sweep are the classical U_p of
+    # the zeroth moments, for a start that is not a U_p-eigensymbol
+    nmom = 4
+    mod = P ** nmom
+    curves = (E15(), EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5,
+                                       label="115"))
+    rng = random.Random(11)
+    for E in curves:
+        sp = ManinSymbolSpace(E.conductor)
+        v = [sum(b[i] for b in sp.basis) for i in range(len(sp.p1))]
+        den = math.lcm(*(x.denominator for x in v))
+        v = [int(x * den) for x in v]
+        up = sp._op_full(v, sp.hecke_paths(P))
+        assert any(up[i] * v[j] != up[j] * v[i]
+                   for i in range(len(v)) for j in range(len(v)))
+        phi = OMSymbol(sp, P, nmom, E.a_p, 1)
+        phi.values = [Distribution(P, nmom, [x] + [rng.randrange(mod)
+                                                    for _ in range(nmom - 1)])
+                      for x in v]
+        phi.apply_up()
+        ap_inv = pow(E.a_p, -1, mod)
+        assert [d.m[0] for d in phi.values] == \
+            [int(x) * ap_inv % mod for x in up], E.conductor

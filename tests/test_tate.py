@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from starkheegner.curves import EllipticCurveData
+from starkheegner.curves import EllipticCurveData, GlobalPoint, QuadRat
 from starkheegner.padics import LogBranch, PadicScalar, QuadExtContext
 from starkheegner.tate import (
     curve_add,
@@ -12,6 +12,7 @@ from starkheegner.tate import (
     formal_log,
     formal_log_series,
     iso_tate_to_curve,
+    localize_short_point,
     log_conversion_constant,
     on_curve,
     tate_curve_invariants,
@@ -212,3 +213,20 @@ def test_split_vs_nonsplit_conversion_field():
             assert kappa.is_scalar()
         else:               # nonsplit: conversion involves omega
             assert not kappa.is_scalar()
+
+
+def test_localize_short_point_rejects_off_curve_point():
+    # (-21, 0) on the short model is the 2-torsion point (-1, 0) of 15x;
+    # (-21, 1) is off the curve.  The check is an exception, so it also
+    # holds under python -O.
+    E = E15()
+    A, B = E.short_model()
+    ctx = QuadExtContext(5, PREC)
+    on = GlobalPoint(QuadRat.of(-21, 0, 1), QuadRat.of(0, 0, 1), 1)
+    assert on.on_short_model(A, B)
+    x, y = localize_short_point(E, on, ctx, PREC)
+    assert (x + 1).is_zero() and y.is_zero()
+    off = GlobalPoint(QuadRat.of(-21, 0, 1), QuadRat.of(1, 0, 1), 1)
+    assert not off.on_short_model(A, B)
+    with pytest.raises(ValueError, match="off the curve"):
+        localize_short_point(E, off, ctx, PREC)
