@@ -179,7 +179,8 @@ def prime_discriminant_factors(d: int):
         rest //= ps
     if rest != 1:
         # the 2-part: one of -4, 8, -8
-        assert rest in (-4, 8, -8), rest
+        if rest not in (-4, 8, -8):
+            raise ArithmeticError("2-part %d of %d is not -4, 8 or -8" % (rest, d))
         parts.append(rest)
     return sorted(parts, key=abs)
 

@@ -86,7 +86,9 @@ class EllipticCurveData:
     @property
     def a_p(self) -> int:
         a = self.ap(self.p)
-        assert a in (1, -1)
+        if a not in (1, -1):
+            raise ArithmeticError("a_%d = %d: the reduction at p is not "
+                                  "multiplicative" % (self.p, a))
         return a
 
     @property
@@ -342,7 +344,9 @@ class QuadRat:
 
     def _co(self, o):
         if isinstance(o, QuadRat):
-            assert o.delta == self.delta
+            if o.delta != self.delta:
+                raise ValueError("QuadRat operands over Q(sqrt %d) and Q(sqrt %d)"
+                                 % (self.delta, o.delta))
             return o
         return QuadRat(Fraction(o), Fraction(0), self.delta)
 

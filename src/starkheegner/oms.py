@@ -12,13 +12,18 @@ returns it as zero, and no result of this package depends on it.  The jet
 stays only until the benchmark in bench/ stops seeding it.
 
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
-through t -> (a t + b)/(c t + d) and u -> u * (c t + d).
+through t -> (a t + b)/(c t + d) and u -> u * (c t + d).  A transport's
+matrices are built from truncated power series, each product of two series
+one big-integer multiplication (Kronecker substitution).  A U_p sweep groups
+the pieces of each target generator by matrix and does one matrix-vector
+product per (target, matrix) group, on the signed sum of its sources.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .modsym import (
     INF,
@@ -174,24 +179,36 @@ class TransportCache:
 
     def transport(self, dist: Distribution, g) -> Distribution:
         A, B = self.matrices(g)
-        n = dist.n
-        m2 = [sum(A[j][k] * dist.m[k] for k in range(n) if A[j][k])
-              for j in range(n)]
-        l2 = [sum(A[j][k] * dist.lam[k] + B[j][k] * dist.m[k]
-                  for k in range(n) if A[j][k] or B[j][k])
-              for j in range(n)]
-        return Distribution(dist.p, n, m2, l2)
+        return Distribution(dist.p, dist.n, *_act(A, B, dist.m, dist.lam))
+
+
+def _act(A, B, m, lam):
+    """(A m, A lam + B m) over the integers: the transport of bare moment
+    vectors, unreduced."""
+    return ([sum(map(mul, row, m)) for row in A],
+            [sum(map(mul, a, lam)) + sum(map(mul, b, m)) for a, b in zip(A, B)])
 
 
 def _series_mul(a, b, mod):
+    """The series product a * b truncated to len(a) terms, reduced mod ``mod``.
+
+    One big-integer product (Kronecker substitution): the coefficients of
+    each operand, reduced mod ``mod``, fill slots of w bytes.  A coefficient
+    of the product is a sum of at most len(a) terms below mod^2, so slots of
+    2 * mod.bit_length() + len(a).bit_length() + 1 bits never carry."""
     n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(n - i):
-                if b[j]:
-                    out[i + j] = (out[i + j] + ai * b[j]) % mod
-    return out
+    w = (2 * mod.bit_length() + n.bit_length() + 8) // 8
+    prod = _pack(a, mod, w) * _pack(b, mod, w)
+    raw = prod.to_bytes((n + len(b)) * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little") % mod
+            for i in range(0, n * w, w)]
+
+
+def _pack(a, mod, w):
+    """The coefficients of a, reduced mod ``mod``, as w-byte slots of one
+    integer, lowest degree first."""
+    return int.from_bytes(b"".join([(x % mod).to_bytes(w, "little") for x in a]),
+                          "little")
 
 
 # ------------------------------------------------------------- the symbol
@@ -254,17 +271,19 @@ class OMSymbol:
     def _plan_operator(self, paths):
         """Transport plan for the operator given by the path matrices
         ``paths`` (as from space.hecke_paths): for each generator, a list of
-        (idx, matrix-key, sign).
+        (matrix-key, ((idx, sign), ...)) with one entry per distinct matrix,
+        in order of first use.
 
         Each path is paired with its value transport by the adjoint rule:
         the path matrix m carries the value transport mat_adj(m), so that
         m * mat_adj(m) = det(m) * I.  For U_p, the path r -> (r + a)/p, by
         (1, a; 0, p), carries the value transport (p, -a; 0, 1)."""
         plan = []
+        pieces = {}  # one (idx, sign) tuple each, shared, to keep the plan small
         for g in self.lifts:
             r = apply_moebius(g, Fraction(0))
             s = apply_moebius(g, INF)
-            entries = []
+            groups = {}
             for path_mat in paths:
                 value_mat = mat_adj(path_mat)
                 ra = apply_moebius(path_mat, r)
@@ -272,25 +291,37 @@ class OMSymbol:
                 for seg, sgn in segments_between(ra, sa):
                     idx, gamma = self.space.generator_of(seg)
                     key = self.cache._key(mat_mul(value_mat, gamma))
-                    entries.append((idx, key, sgn))
-            plan.append(entries)
+                    piece = pieces.setdefault((idx, sgn), (idx, sgn))
+                    groups.setdefault(key, []).append(piece)
+            plan.append([(key, tuple(sources)) for key, sources in groups.items()])
         return plan
 
-    def _apply_plan(self, plan, scale: int):
-        new_values = []
-        for entries in plan:
-            total = Distribution(self.p, self.n)
-            for idx, gkey, sgn in entries:
-                d = self.cache.transport(self.values[idx], gkey)
-                total = total + (d if sgn > 0 else d.scale(-1))
-            new_values.append(total.scale(scale))
-        return new_values
-
     def apply_up(self):
-        """One sweep Phi <- a_p^{-1} * (Phi | U_p)."""
+        """One sweep Phi <- a_p^{-1} * (Phi | U_p).  Each matrix of a target's
+        plan acts once, on the signed sum of the values it transports; the
+        sums are exact, so the result is that of one transport per piece."""
         if self._up_plan is None:
             self._up_plan = self._plan_operator(self.space.hecke_paths(self.p))
-        self.values = self._apply_plan(self._up_plan, self._ap_inv)
+        n, values = self.n, self.values
+        new_values = []
+        for groups in self._up_plan:
+            m_out = [0] * n
+            lam_out = [0] * n
+            for key, sources in groups:
+                m = [0] * n
+                lam = [0] * n
+                for idx, sgn in sources:
+                    op = add if sgn > 0 else sub
+                    m = list(map(op, m, values[idx].m))
+                    lam = list(map(op, lam, values[idx].lam))
+                A, B = self.cache.matrices(key)
+                dm, dlam = _act(A, B, m, lam)
+                m_out = list(map(add, m_out, dm))
+                lam_out = list(map(add, lam_out, dlam))
+            new_values.append(Distribution(self.p, n,
+                                           [self._ap_inv * x for x in m_out],
+                                           [self._ap_inv * x for x in lam_out]))
+        self.values = new_values
 
     # ------------------------------------------------------------- checks
 

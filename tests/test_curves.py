@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
+import starkheegner
 from starkheegner.curves import (
     CurveError,
     EllipticCurveData,
@@ -193,3 +197,26 @@ def test_point_order_divides():
     # (0,0) on y^2 = x^3 - x is 2-torsion
     assert point_order_divides(-1, 0, (Fraction(0), Fraction(0)), 2)
     assert not point_order_divides(-1, 0, (Fraction(0), Fraction(0)), 3)
+
+
+def test_quadrat_mismatched_delta_raises():
+    with pytest.raises(ValueError):
+        QuadRat.of(1, 1, 13) + QuadRat.of(1, 1, 5)
+    # the check is no assert: it holds under python -O as well
+    code = ("from starkheegner.curves import QuadRat\n"
+            "try:\n"
+            "    QuadRat.of(1, 1, 13) + QuadRat.of(1, 1, 5)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(starkheegner.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          timeout=60).returncode == 0
+
+
+def test_a_p_rejects_non_multiplicative_value():
+    E = E15()
+    E._ap_cache[5] = 2
+    with pytest.raises(ArithmeticError, match="a_5 = 2"):
+        E.a_p

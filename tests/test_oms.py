@@ -4,16 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from starkheegner.arith import mat_mul
+from starkheegner.arith import mat_adj, mat_mul
 from starkheegner.curves import EllipticCurveData
-from starkheegner.modsym import INF, ManinSymbolSpace, build_eigensymbol
+from starkheegner.modsym import (
+    INF,
+    ManinSymbolSpace,
+    apply_moebius,
+    build_eigensymbol,
+    segments_between,
+)
 from starkheegner.oms import (
     Distribution,
     OMSymbol,
     TransportCache,
+    _series_mul,
     lift_to_oms,
     specialize_weight2,
 )
+from starkheegner.padics import PadicScalar, iwasawa_log
 
 P = 5
 NMOM = 8
@@ -21,6 +29,10 @@ NMOM = 8
 
 def E15():
     return EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=5, label="15x")
+
+
+def E115():
+    return EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5, label="115")
 
 
 def _lift(sign=1, nmom=NMOM, randomize=None):
@@ -156,8 +168,7 @@ def test_up_specializes_to_classical_up():
     # the zeroth moments, for a start that is not a U_p-eigensymbol
     nmom = 4
     mod = P ** nmom
-    curves = (E15(), EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5,
-                                       label="115"))
+    curves = (E15(), E115())
     rng = random.Random(11)
     for E in curves:
         sp = ManinSymbolSpace(E.conductor)
@@ -175,3 +186,120 @@ def test_up_specializes_to_classical_up():
         ap_inv = pow(E.a_p, -1, mod)
         assert [d.m[0] for d in phi.values] == \
             [int(x) * ap_inv % mod for x in up], E.conductor
+
+
+# --------------------------------------------- the transport kernel, against
+# the schoolbook series product and the one-transport-per-piece U_p sweep
+
+def _schoolbook_mul(a, b, mod):
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n - i):
+                if b[j]:
+                    out[i + j] = (out[i + j] + ai * b[j]) % mod
+    return out
+
+
+def _reference_matrices(p, n, g):
+    """(A, B) of TransportCache.matrices, built by O(n^3) schoolbook series
+    products: row j of A is phi^j, row j of B is phi^j * log(c t + d)."""
+    mod = p ** n
+    a, b, c, d = (x % mod for x in g)
+    extra = 1
+    while p ** extra <= n:
+        extra += 1
+    work = mod * p ** extra
+    dinv = pow(d, -1, work)
+    inv_den = [dinv]
+    for _ in range(1, n):
+        inv_den.append(inv_den[-1] * (-c * dinv) % work)
+    phi = [(b * inv_den[k] + (a * inv_den[k - 1] if k else 0)) % work
+           for k in range(n)]
+    A = [[1] + [0] * (n - 1)]
+    for j in range(1, n):
+        A.append(_schoolbook_mul(A[-1], phi, work))
+    log_d = iwasawa_log(PadicScalar.from_int(p, d, n))
+    logser = [0 if log_d.is_zero() else log_d.residue(n)]
+    x = c * dinv % work
+    for k in range(1, n):
+        e = 0
+        while k % p ** (e + 1) == 0:
+            e += 1
+        num = (x ** k % work // p ** e) * pow(k // p ** e, -1, work) % work
+        logser.append((-num if k % 2 == 0 else num) % work)
+    B = [_schoolbook_mul(row, logser, work) for row in A]
+    return ([[v % mod for v in row] for row in A],
+            [[v % mod for v in row] for row in B])
+
+
+def _up_pieces(sp, g):
+    """(idx, value matrix, sign) for each piece of U_p at the generator g:
+    the path (1, a; 0, p) carries the value transport mat_adj of it."""
+    r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
+    for path in sp.hecke_paths(P):
+        for seg, sgn in segments_between(apply_moebius(path, r),
+                                         apply_moebius(path, s)):
+            idx, gamma = sp.generator_of(seg)
+            yield idx, mat_mul(mat_adj(path), gamma), sgn
+
+
+def test_series_mul_matches_schoolbook():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 8, 40):
+        for mod in (5, P ** n, 3 * 7 ** n, P ** (n + 2)):
+            a = [rng.randrange(-10 * mod, 10 * mod) for _ in range(n)]
+            b = [rng.randrange(-10 * mod, 10 * mod) for _ in range(n)]
+            b[0] = mod - 1
+            a[-1] = mod - 1
+            assert _series_mul(a, b, mod) == _schoolbook_mul(a, b, mod), (n, mod)
+            top = [mod - 1] * n
+            assert _series_mul(top, top, mod) == _schoolbook_mul(top, top, mod)
+
+
+def test_transport_matrices_match_schoolbook_build():
+    # keys with c = 0, with negative entries, with entries >= p^n, and the
+    # U_p value matrices of 15x (every one up to n_mom 8, a sample at 40)
+    sp = ManinSymbolSpace(15)
+    up = sorted({m for g in sp.lifts for _, m, _ in _up_pieces(sp, g)})
+    for n in (1, 2, 8, 40):
+        big = P ** n
+        keys = [(1, 0, 0, 1), (5, -3, 0, 1), (2, 7, 0, 3), (-3, 7, -10, -2),
+                (-1, -4, 25, -7), (big + 3, 2 * big + 1, 5 * big + 5, 3 * big + 7),
+                (-big - 2, big * big, -7 * big - 15, big + 1)]
+        keys += up if n < 40 else up[::8]
+        cache = TransportCache(P, n)
+        for g in keys:
+            assert cache.matrices(g) == _reference_matrices(P, n, g), (n, g)
+
+
+def test_grouped_up_sweep_matches_per_piece_transports():
+    # one apply_up, from a random start that is no eigensymbol and has a
+    # random jet, equals a_p^{-1} * the sum of one transport per piece of U_p
+    # on the t-moments and on the jet
+    nmom = 6
+    mod = P ** nmom
+    rng = random.Random(13)
+    for E in (E15(), E115()):
+        sp = ManinSymbolSpace(E.conductor)
+        phi = OMSymbol(sp, P, nmom, E.a_p, 1)
+        phi.values = [Distribution(P, nmom, [rng.randrange(mod) for _ in range(nmom)],
+                                   [rng.randrange(mod) for _ in range(nmom)])
+                      for _ in range(len(sp.p1))]
+        start = phi.values
+        ref = TransportCache(P, nmom)
+        ap_inv = pow(E.a_p, -1, mod)
+        want = []
+        pieces = 0
+        for g in sp.lifts:
+            total = Distribution(P, nmom)
+            for idx, value_mat, sgn in _up_pieces(sp, g):
+                d = ref.transport(start[idx], value_mat)
+                total = total + (d if sgn > 0 else d.scale(-1))
+                pieces += 1
+            want.append(total.scale(ap_inv))
+        phi.apply_up()
+        assert sum(len(groups) for groups in phi._up_plan) < pieces
+        assert [d.m for d in phi.values] == [d.m for d in want], E.conductor
+        assert [d.lam for d in phi.values] == [d.lam for d in want], E.conductor
