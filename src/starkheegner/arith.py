@@ -21,6 +21,21 @@ def xgcd(a: int, b: int):
     return old_r, old_u, old_v
 
 
+def lift_to_sl2(c: int, d: int, N: int):
+    """A matrix in SL2(Z) with bottom row (c, d + t*N), t >= 0 least; raises
+    ArithmeticError when no t <= N makes the row coprime (gcd(c, d, N) != 1)."""
+    if math.gcd(c, d) != 1:
+        for t in range(1, N + 1):
+            if math.gcd(c, d + t * N) == 1:
+                d += t * N
+                break
+    g, u, v = xgcd(c, d)
+    if g != 1:
+        raise ArithmeticError("no coprime lift of (%d : %d) mod %d: gcd %d"
+                              % (c, d, N, g))
+    return (v, -u, c, d)
+
+
 def valuation(n: int, p: int) -> int:
     """Exponent of the prime p in the integer n; ValueError for n = 0."""
     if n == 0:

@@ -19,9 +19,10 @@ from .arith import (
     is_prime,
     is_squarefree,
     kronecker,
+    lift_to_sl2,
+    mat_adj,
     prime_discriminant_factors,
     sqrt_mod_prime,
-    xgcd,
 )
 from .quadforms import BQF, NarrowClassGroup, sqrtD_class
 
@@ -94,7 +95,8 @@ def enumerate_quadratic_chars(group: NarrowClassGroup):
     for values in chars:
         for i in range(h):
             for j in range(h):
-                assert values[group.compose(i, j)] == values[i] * values[j]
+                if values[group.compose(i, j)] != values[i] * values[j]:
+                    raise ArithmeticError("no character: %r at %d, %d" % (values, i, j))
     out = [RingClassCharacter(group, v) for v in sorted(chars, reverse=True)]
     return out
 
@@ -111,19 +113,16 @@ def _represent_coprime(Q: BQF, moduli: int):
                     continue
                 a = Q(x0, y0)
                 if a % 2 != 0 and math.gcd(a, moduli) == 1:
-                    # complete (x0, y0) to a determinant-one matrix
-                    g0, u, v = xgcd(x0, y0)
-                    assert g0 == 1
-                    g = (x0, -v, y0, u)
-                    assert g[0] * g[3] - g[1] * g[2] == 1
-                    return a, Q.apply(g)
+                    # first column (x0, y0), coprime: any modulus serves
+                    return a, Q.apply(mat_adj(lift_to_sl2(-y0, x0, 1)))
     raise RuntimeError("no coprime representation found")  # pragma: no cover
 
 
 def pushforward_class(group_c: NarrowClassGroup, group_f: NarrowClassGroup, idx: int) -> int:
     """Image of a class of O_c under Pic^+(O_c) -> Pic^+(O_f), f | c."""
     c, f = group_c.c, group_f.c
-    assert c % f == 0 and group_c.D == group_f.D
+    if c % f != 0 or group_c.D != group_f.D:
+        raise ValueError("no map O_%d -> O_%d, D = %d, %d" % (c, f, group_c.D, group_f.D))
     Q = group_c.reps[idx]
     a, Qa = _represent_coprime(Q, 2 * c * group_c.D)
     # Qa = (a, b, *): rescale the middle coefficient from disc Dc^2 to Df^2
@@ -132,7 +131,8 @@ def pushforward_class(group_c: NarrowClassGroup, group_f: NarrowClassGroup, idx:
     cinv = pow(c, -1, m)
     b2 = (b * f % m) * cinv % m
     # fix parity/congruence so that b2^2 = Df^2 mod 4a
-    assert (b2 * b2 - group_f.disc) % m == 0
+    if (b2 * b2 - group_f.disc) % m != 0:
+        raise ArithmeticError("b = %d has b^2 != %d mod %d" % (b2, group_f.disc, m))
     C2 = (b2 * b2 - group_f.disc) // m
     return group_f.class_of(BQF(a, b2, C2))
 
@@ -186,7 +186,8 @@ def frobenius_class(group: NarrowClassGroup, ell: int) -> int:
     b = sqrt_mod_prime(disc, ell)
     if (b - disc) % 2 != 0:
         b += ell
-    assert (b * b - disc) % (4 * ell) == 0
+    if (b * b - disc) % (4 * ell) != 0:
+        raise ArithmeticError("b = %d has b^2 != %d mod %d" % (b, disc, 4 * ell))
     return group.class_of(BQF(ell, b, (b * b - disc) // (4 * ell)))
 
 
@@ -245,7 +246,8 @@ def genus_decompose(chi: RingClassCharacter, samples: int = 25):
     d1, d2 = matches
     delta1, delta2 = d1 * d, d2 * d
     for ell in primes:
-        assert kronecker(D, ell) == kronecker(delta1, ell) * kronecker(delta2, ell)
+        if kronecker(D, ell) != kronecker(delta1, ell) * kronecker(delta2, ell):
+            raise ArithmeticError("genus pair %r fails at %d" % ((delta1, delta2), ell))
     return delta1, delta2
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, kronecker, mat_inv, mat_mul, prime_divisors, xgcd
+from .arith import is_prime, kronecker, lift_to_sl2, mat_inv, mat_mul, prime_divisors
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
 from .quadforms import HeegnerSystem, stabilizer_gamma, totally_positive_unit
@@ -109,18 +109,7 @@ class P1List:
 
     def lift(self, i: int):
         """A matrix in SL2(Z) whose bottom row reduces to representative i."""
-        c, d = self.reps[i]
-        # adjust (c, d) to a coprime pair lifting the class
-        if math.gcd(c, d) != 1:
-            for t in range(1, self.N + 1):
-                if math.gcd(c, d + t * self.N) == 1:
-                    d += t * self.N
-                    break
-        g, u, v = xgcd(c, d)
-        if g != 1:
-            raise ArithmeticError("no coprime lift of (%d : %d) mod %d: gcd %d"
-                                  % (c, d, self.N, g))
-        return (v, -u, c, d)
+        return lift_to_sl2(*self.reps[i], self.N)
 
 
 class ManinSymbolSpace:

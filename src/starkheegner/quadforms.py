@@ -5,6 +5,10 @@ Everything here is exact integer arithmetic: indefinite reduction cycles
 decide SL2(Z)-equivalence, Dirichlet composition gives the group law, and the
 continued-fraction expansion of (b + sqrt(D))/2 produces fundamental units.
 Real-embedding comparisons go through surd_sign, never floats.
+Heegner forms are built, not searched for: the cosets gamma*Gamma0(M)
+match P^1(Z/M) through gamma's first column and the Heegner conditions are
+Gamma0(M)-invariant, so trying each point (from (1 : 0), the identity) finds
+a form in a class whenever it has one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .arith import (
     is_fundamental_discriminant,
     is_square,
     kronecker,
+    lift_to_sl2,
+    mat_adj,
     mat_inv,
     mat_mul,
     prime_divisors,
@@ -137,7 +143,8 @@ def sl2_witness(Q1: BQF, Q2: BQF):
     while True:
         if cur == r2:
             g = mat_mul(mat_mul(g1, h), mat_inv(g2))
-            assert Q1.apply(g) == Q2
+            if Q1.apply(g) != Q2:
+                raise ArithmeticError("bad witness %r: %r, %r" % (g, Q1, Q2))
             return g
         cur, step = cur.reduction_step()
         h = mat_mul(h, step)
@@ -150,7 +157,8 @@ def fundamental_automorph(Q: BQF):
     fundamental norm-(+1) Pell solution of t^2 - disc*u^2 = 4."""
     t, u = plus_unit(Q.disc)
     g = ((t - Q.B * u) // 2, -Q.C * u, Q.A * u, (t + Q.B * u) // 2)
-    assert Q.apply(g) == Q
+    if Q.apply(g) != Q:
+        raise ArithmeticError("automorph %r does not fix %r" % (g, Q))
     return g
 
 
@@ -169,7 +177,8 @@ def forms_equivalent(Q1: BQF, Q2: BQF, level_m: int | None = None):
     while True:
         cur = mat_mul(g0, pow_exact)
         if cur[2] % M == 0:
-            assert Q1.apply(cur) == Q2
+            if Q1.apply(cur) != Q2:
+                raise ArithmeticError("bad witness %r: %r, %r" % (cur, Q1, Q2))
             return True, cur
         state = tuple(x % M for x in pow_exact)
         if state in seen:
@@ -204,23 +213,15 @@ def fundamental_unit(disc: int):
     n_mat = MAT_ID
     for a in hist[j:]:
         n_mat = mat_mul(n_mat, (a, 1, 1, 0))
-    m = mat_mul(mat_mul(g_pre, n_mat), _gl2_inv(g_pre))
+    # the adjugate is the inverse up to the sign det(g_pre), fixed below
+    m = mat_mul(mat_mul(g_pre, n_mat), mat_adj(g_pre))
     c, d = m[2], m[3]
     x, y = c * b0 + 2 * d, c
     if surd_sign(x, y, disc) < 0:
         x, y = -x, -y
-    norm4 = x * x - disc * y * y
-    assert norm4 in (4, -4)
-    # unit > 1 is automatic for the cycle matrix; check anyway
-    assert surd_sign(x - 2, y, disc) > 0
+    if x * x - disc * y * y not in (4, -4) or surd_sign(x - 2, y, disc) <= 0:
+        raise ArithmeticError("(%d, %d) is no unit > 1 of disc %d" % (x, y, disc))
     return x, y
-
-
-def _gl2_inv(g):
-    a, b, c, d = g
-    det = a * d - b * c
-    assert det in (1, -1)
-    return (d * det, -b * det, -c * det, a * det)
 
 
 def unit_norm(disc: int, xy) -> int:
@@ -328,14 +329,6 @@ class NarrowClassGroup:
     def compose(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def power(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inverse[i], -n)
-        out = self.identity
-        for _ in range(n):
-            out = self.compose(out, i)
-        return out
-
     def check_group_axioms(self) -> bool:
         """Exhaustive closure/associativity/identity/inverse check."""
         h = self.order
@@ -383,7 +376,8 @@ def narrow_class_number_oracle(D: int, c: int) -> int:
     for ell in prime_divisors(c):
         ratio *= Fraction(ell - kronecker(D, ell), ell)
     h_c = Fraction(h_f) * ratio / unit_index(D, c)
-    assert h_c.denominator == 1
+    if h_c.denominator != 1:
+        raise ArithmeticError("class number formula gave %s at (%d, %d)" % (h_c, D, c))
     h_c = int(h_c)
     eps_c = fundamental_unit(D * c * c)
     return h_c if unit_norm(D * c * c, eps_c) == -1 else 2 * h_c
@@ -418,36 +412,31 @@ class HeegnerForm:
 
 def heegner_representatives(group: NarrowClassGroup, M: int, delta: int):
     """One Heegner form per narrow class (the GKZ bijection), as a dict
-    class-index -> HeegnerForm."""
+    class-index -> HeegnerForm.
+
+    Each reduced representative Q is moved by gamma in SL2(Z) with first
+    column (x, y) mod M, over the points of P^1(Z/M) with Q(x, y) = 0 mod M,
+    until B = delta_c mod 2M.  gamma*Gamma0(M) depends only on the point and
+    both conditions are Gamma0(M)-invariant, so a form is found whenever one
+    exists.  (1 : 0) lifts to the identity and comes first, so Q is kept when
+    it qualifies (always for M = 1); unit multiples repeat a coset harmlessly.
+    """
     delta_c = (group.c * delta) % (2 * M)
-    disc = group.disc
-    if (delta_c * delta_c - disc) % (4 * M) != 0:
+    if (delta_c * delta_c - group.disc) % (4 * M) != 0:
         raise ValueError("delta residue incompatible with discriminant")
+    points = [(1, 0)] + [(x, y) for y in range(1, M) for x in range(M)
+                         if math.gcd(math.gcd(x, y), M) == 1]
     found = {}
-    if M == 1:
-        for idx, rep in enumerate(group.reps):
-            found[idx] = HeegnerForm(rep, 1, rep.B % 2)
-        return found
-    height = 0
-    while len(found) < group.order:
-        height += 1
-        if height > 64:  # pragma: no cover
-            raise RuntimeError("Heegner search exhausted (bug: GKZ bijection)")
-        bs = {delta_c + 2 * M * t for t in range(-height, height + 1)}
-        for B in sorted(bs, key=abs):
-            t = (B * B - disc) // (4 * M)
-            if t == 0:
-                continue
-            for a1 in divisors(t):
-                for A1 in (a1, -a1):
-                    A = M * A1
-                    C = t // A1
-                    if math.gcd(math.gcd(A, B), C) != 1:
-                        continue
-                    q = BQF(A, B, C)
-                    idx = group.class_of(q)
-                    if idx not in found:
-                        found[idx] = HeegnerForm(q, M, delta_c)
+    for idx, Q in enumerate(group.reps):
+        for x, y in points:
+            if Q(x, y) % M == 0:
+                Qg = Q.apply(mat_adj(lift_to_sl2(-y, x, M)))
+                if (Qg.B - delta_c) % (2 * M) == 0:
+                    found[idx] = HeegnerForm(Qg, M, delta_c)
+                    break
+        else:
+            raise ArithmeticError("no Heegner form of level %d, B = %d mod %d, "
+                                  "in the class of %r" % (M, delta_c, 2 * M, Q))
     return found
 
 
@@ -494,9 +483,11 @@ def stabilizer_gamma(Q: HeegnerForm, unit_xy) -> StabilizerData:
     x, y = unit_xy
     A, B, C = Q.form.tuple()
     disc = Q.form.disc
-    assert (x * x - disc * y * y) == 4, "unit must have norm +1"
+    if x * x - disc * y * y != 4:
+        raise ValueError("unit (%d, %d) of disc %d must have norm +1" % (x, y, disc))
     g = ((x - y * B) // 2, -y * C, y * A, (x + y * B) // 2)
-    assert g[0] * g[3] - g[1] * g[2] == 1
+    if g[0] * g[3] - g[1] * g[2] != 1:
+        raise ArithmeticError("embedding %r of (%d, %d) is not in SL2(Z)" % (g, x, y))
     if Q.form.apply(g) != Q.form:
         raise RuntimeError("embedding does not stabilize the form")
     if g[2] % Q.level != 0:
@@ -521,6 +512,8 @@ def sqrtD_class(group: NarrowClassGroup) -> int:
         b = disc % 2
         q = BQF(-1, -b, (disc - b * b) // 4)
         idx = group.class_of(q)
-        assert idx != group.identity
-    assert group.compose(idx, idx) == group.identity
+        if idx == group.identity:
+            raise ArithmeticError("(sqrt(D)) is trivial at disc %d" % disc)
+    if group.compose(idx, idx) != group.identity:
+        raise ArithmeticError("class %d of (sqrt(D)) does not square to 1" % idx)
     return idx

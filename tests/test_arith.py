@@ -1,6 +1,14 @@
+import math
+
 import pytest
 
-from starkheegner.arith import is_prime, primes_up_to, sqrt_mod_prime, valuation
+from starkheegner.arith import (
+    is_prime,
+    lift_to_sl2,
+    primes_up_to,
+    sqrt_mod_prime,
+    valuation,
+)
 
 
 def test_is_prime_matches_sieve():
@@ -35,3 +43,18 @@ def test_valuation_matches_division():
 def test_valuation_of_zero_raises():
     with pytest.raises(ValueError):
         valuation(0, 5)
+
+
+def test_lift_to_sl2_every_pair():
+    # c = 0 admits only the bottom rows (0, +-1), so the class c = 0 mod N
+    # is represented by c = N
+    for N in range(1, 41):
+        for c in range(1, N + 1):
+            for d in range(N):
+                if math.gcd(math.gcd(c, d), N) != 1:
+                    with pytest.raises(ArithmeticError):
+                        lift_to_sl2(c, d, N)
+                    continue
+                a, b, c2, d2 = lift_to_sl2(c, d, N)
+                assert a * d2 - b * c2 == 1, (c, d, N)
+                assert c2 == c and (d2 - d) % N == 0, (c, d, N)

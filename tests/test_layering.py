@@ -4,6 +4,7 @@ No module imports a private name (one starting with "_") from another
 package module, and the package modules import one another without a
 cycle, function-level imports included.  Only modsym takes the Manin step
 (segment -> generator index), so no other module reaches into P^1 for it.
+No module uses assert, which python -O strips: invariants raise instead.
 """
 
 import ast
@@ -88,4 +89,11 @@ def _manin_step_calls(mod):
 def test_manin_step_only_in_modsym():
     bad = ["%s.py:%d" % (m, line) for m in MODULES if m != "modsym"
            for line in _manin_step_calls(m)]
+    assert not bad, bad
+
+
+def test_no_assert_in_src():
+    bad = ["%s.py:%d" % (m, node.lineno) for m in MODULES
+           for node in ast.walk(ast.parse((PKG / ("%s.py" % m)).read_text()))
+           if isinstance(node, ast.Assert)]
     assert not bad, bad

@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import starkheegner
 from starkheegner.arith import MAT_ID, kronecker, mat_mul, surd_sign
 from starkheegner.quadforms import (
     BQF,
@@ -221,6 +225,18 @@ def test_heegner_reps_level_one():
     assert [reps[i].form for i in range(G.order)] == G.reps
 
 
+def test_heegner_reps_three_prime_conductor():
+    # c = 1309 = 7 * 11 * 17: h+ = 384, one Heegner form in every class
+    sysx = HeegnerSystem(13, 1309, 3)
+    G = sysx.group
+    assert G.order == 384 == narrow_class_number_oracle(13, 1309)
+    assert sorted(sysx.forms) == list(range(G.order))
+    for i in range(G.order):
+        q = sysx.forms[i]
+        assert HeegnerForm(q.form, 3, sysx.delta_c) == q
+        assert G.class_of(q.form) == i
+
+
 def test_galois_action_free_transitive():
     sysx = HeegnerSystem(13, 3, 3)
     G = sysx.group
@@ -247,6 +263,24 @@ def test_stabilizer_properties():
             assert g[2] % M == 0
             assert q.form.apply(g) == q.form
             assert g[0] + g[3] == unit[0]  # trace = x-coordinate of unit
+
+
+def test_stabilizer_rejects_norm_minus_one_unit():
+    q = HeegnerSystem(13, 1, 3).forms[0]
+    with pytest.raises(ValueError):
+        stabilizer_gamma(q, (3, 1))  # (3 + sqrt(13))/2 has norm -1
+    # the check is no assert: it holds under python -O as well
+    code = ("from starkheegner.quadforms import HeegnerSystem, stabilizer_gamma\n"
+            "q = HeegnerSystem(13, 1, 3).forms[0]\n"
+            "try:\n"
+            "    stabilizer_gamma(q, (3, 1))\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(starkheegner.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def test_stabilizer_fixes_tau_numerically():
