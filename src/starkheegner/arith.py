@@ -186,7 +186,7 @@ def prime_discriminant_factors(d: int):
         return []
     parts = []
     rest = d
-    for p, e in factorize(abs(d)):
+    for p, _ in factorize(abs(d)):
         if p == 2:
             continue
         ps = p if p % 4 == 1 else -p

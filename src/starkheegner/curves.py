@@ -141,7 +141,6 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
     good = E.conductor % ell != 0
     if ell == 2:
         cnt = 0
-        sing = set()
         for x in range(2):
             for y in range(2):
                 if (y * y + E.a1 * x * y + E.a3 * y
@@ -154,13 +153,11 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
     sq = bytearray(ell)
     for t in range((ell + 1) // 2 + 1):
         sq[t * t % ell] = 1
-    inv4 = pow(4, -1, ell)
     count = 0
     sing_x = -1
     if not good:
         # locate the node (unique singular point)
         for x in range(ell):
-            fy_zero_y = None
             # y with F_y = 0: 2y + a1x + a3 = 0
             y0 = (-(E.a1 * x + E.a3) * pow(2, -1, ell)) % ell
             on_curve = (y0 * y0 + E.a1 * x * y0 + E.a3 * y0
@@ -168,7 +165,6 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
             fx = (E.a1 * y0 - 3 * x * x - 2 * E.a2 * x - E.a4) % ell
             if on_curve and fx == 0:
                 sing_x = x
-                sing_y = y0
                 break
     for x in range(ell):
         # y^2 + (a1x+a3) y - rhs = 0; discriminant (a1x+a3)^2 + 4 rhs
@@ -419,8 +415,6 @@ def twist_point_to_curve(E: EllipticCurveData, delta: int, xy) -> GlobalPoint:
 
 def point_order_divides(A: int, B: int, xy, n: int) -> bool:
     """Torsion test on Y^2 = X^3 + AX + B over Q by exact multiplication."""
-    from fractions import Fraction as F
-
     def add(P, Q):
         if P is None:
             return Q
@@ -436,7 +430,7 @@ def point_order_divides(A: int, B: int, xy, n: int) -> bool:
         x3 = lam * lam - x1 - x2
         return (x3, lam * (x1 - x3) - y1)
 
-    P = (F(xy[0]), F(xy[1]))
+    P = (Fraction(xy[0]), Fraction(xy[1]))
     R, Q0 = None, P
     m = n
     while m:

@@ -13,10 +13,12 @@ stays only until the benchmark in bench/ stops seeding it.
 
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
 through t -> (a t + b)/(c t + d) and u -> u * (c t + d).  A transport's
-matrices are built from truncated power series, each product of two series
-one big-integer multiplication (Kronecker substitution).  A U_p sweep groups
-the pieces of each target generator by matrix and does one matrix-vector
-product per (target, matrix) group, on the signed sum of its sources.
+matrices have rows phi^j and phi^j * log<c t + d>, for phi the series of
+(a t + b)/(c t + d); each row follows from the one before by the two-term
+recurrence (c t + d) f_j = (a t + b) f_{j-1}, one coefficient at a time,
+with no series product.  A U_p sweep groups the pieces of each target
+generator by matrix and does one matrix-vector product per (target, matrix)
+group, on the signed sum of its sources.
 """
 
 from __future__ import annotations
@@ -131,28 +133,9 @@ class TransportCache:
         if d % p == 0 or c % p != 0:
             raise ValueError("matrix outside the transport monoid")
         dinv = pow(d, -1, work)
-        # phi(t) = (a t + b) / (c t + d) as a series in t, truncated at t^n
-        inv_den = [dinv]
-        ratio = (-c * dinv) % work
-        for _ in range(1, n):
-            inv_den.append(inv_den[-1] * ratio % work)
-        phi = [0] * n
-        for k in range(n):
-            acc = b * inv_den[k]
-            if k >= 1:
-                acc += a * inv_den[k - 1]
-            phi[k] = acc % work
-        # rows: phi^j
-        A = [[0] * n for _ in range(n)]
-        A[0][0] = 1
-        row = [1] + [0] * (n - 1)
-        for j in range(1, n):
-            row = _series_mul(row, phi, work)
-            A[j] = row[:]
         # log<c t + d> = log<d> + log(1 + (c/d) t); v(c) >= 1 makes the
         # coefficient (-1)^(k+1) (c/d)^k / k an integer of valuation >= 1
-        logd = self._log_unit(d % mod)
-        logser = [logd]
+        logser = [self._log_unit(d % mod)]
         x = (c * dinv) % work
         xk = 1
         for k in range(1, n):
@@ -163,10 +146,17 @@ class TransportCache:
                 raise ArithmeticError("log coefficient %d of %r is not integral"
                                       % (k, g))
             num = (xk // p ** e) * pow(kk, -1, work) % work
-            logser.append((-num if k % 2 == 0 else num) % work)
-        B = [_series_mul(A[j], logser, work) for j in range(n)]
-        A = [[x % mod for x in row] for row in A]
-        B = [[x % mod for x in row] for row in B]
+            logser.append((-num if k % 2 == 0 else num) % mod)
+        # Row j of A is phi^j for phi(t) = (a t + b) / (c t + d), and row j
+        # of B is phi^j * log<c t + d>.  Both obey (c t + d) f_j = (a t + b)
+        # f_{j-1}, so f_j[k] = d^-1 (a f_{j-1}[k-1] + b f_{j-1}[k] - c f_j[k-1]),
+        # computed mod p^n: only the log's divisions by k need work's slack.
+        dinv %= mod
+        A = [[1] + [0] * (n - 1)]
+        B = [logser]
+        for _ in range(1, n):
+            A.append(_next_row(A[-1], a, b, c, dinv, mod))
+            B.append(_next_row(B[-1], a, b, c, dinv, mod))
         return A, B
 
     def _log_unit(self, d: int) -> int:
@@ -189,26 +179,15 @@ def _act(A, B, m, lam):
             [sum(map(mul, a, lam)) + sum(map(mul, b, m)) for a, b in zip(A, B)])
 
 
-def _series_mul(a, b, mod):
-    """The series product a * b truncated to len(a) terms, reduced mod ``mod``.
-
-    One big-integer product (Kronecker substitution): the coefficients of
-    each operand, reduced mod ``mod``, fill slots of w bytes.  A coefficient
-    of the product is a sum of at most len(a) terms below mod^2, so slots of
-    2 * mod.bit_length() + len(a).bit_length() + 1 bits never carry."""
-    n = len(a)
-    w = (2 * mod.bit_length() + n.bit_length() + 8) // 8
-    prod = _pack(a, mod, w) * _pack(b, mod, w)
-    raw = prod.to_bytes((n + len(b)) * w, "little")
-    return [int.from_bytes(raw[i:i + w], "little") % mod
-            for i in range(0, n * w, w)]
-
-
-def _pack(a, mod, w):
-    """The coefficients of a, reduced mod ``mod``, as w-byte slots of one
-    integer, lowest degree first."""
-    return int.from_bytes(b"".join([(x % mod).to_bytes(w, "little") for x in a]),
-                          "little")
+def _next_row(prev, a, b, c, dinv, mod):
+    """f with (c t + d) f = (a t + b) prev as truncated series mod ``mod``,
+    for dinv = d^-1 mod ``mod``."""
+    row, last, lower = [], 0, 0
+    for cur in prev:
+        last = (a * lower + b * cur - c * last) * dinv % mod
+        row.append(last)
+        lower = cur
+    return row
 
 
 # ------------------------------------------------------------- the symbol

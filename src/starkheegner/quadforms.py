@@ -119,8 +119,8 @@ def compose_forms(Q1: BQF, Q2: BQF) -> BQF:
     """Dirichlet composition of primitive forms of equal discriminant."""
     if Q1.disc != Q2.disc:
         raise ValueError("discriminant mismatch")
-    a1, b1, c1 = Q1.tuple()
-    a2, b2, c2 = Q2.tuple()
+    a1, b1, _ = Q1.tuple()
+    a2, b2, _ = Q2.tuple()
     disc = Q1.disc
     s = (b1 + b2) // 2
     g1, u1, v1 = xgcd(a1, a2)

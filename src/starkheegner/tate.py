@@ -202,7 +202,7 @@ def curve_add(E: EllipticCurveData, P, Q):
         return P
     x1, y1 = P
     x2, y2 = Q
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+    a1, a2, a3, a4 = E.a1, E.a2, E.a3, E.a4
     if (x1 - x2).is_zero():
         if (y1 + y2 + a1 * x1 + a3).is_zero():
             return None
@@ -283,7 +283,6 @@ def _eval_log_series(E: EllipticCurveData, z: QuadExtScalar, length: int):
 def _tate_a4_a6(q: PadicScalar, depth: int):
     s3 = _sigma_series(3, depth)
     s5 = _sigma_series(5, depth)
-    p, N = q.p, q.N
     s3v = _eval_series([0] + [s3[n] for n in range(1, depth + 1)], q)
     s5v = _eval_series([0] + [s5[n] for n in range(1, depth + 1)], q)
     a4 = -5 * s3v

@@ -5,6 +5,7 @@ package module, and the package modules import one another without a
 cycle, function-level imports included.  Only modsym takes the Manin step
 (segment -> generator index), so no other module reaches into P^1 for it.
 No module uses assert, which python -O strips: invariants raise instead.
+No function stores a local name (other than _) that it never reads.
 """
 
 import ast
@@ -96,4 +97,24 @@ def test_no_assert_in_src():
     bad = ["%s.py:%d" % (m, node.lineno) for m in MODULES
            for node in ast.walk(ast.parse((PKG / ("%s.py" % m)).read_text()))
            if isinstance(node, ast.Assert)]
+    assert not bad, bad
+
+
+def _unused_locals(mod):
+    """(line, function, name) for each name a function of mod stores and
+    never loads anywhere in its body, nested functions included."""
+    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        for n in names:
+            if isinstance(n.ctx, ast.Store) and n.id != "_" and n.id not in loaded:
+                yield n.lineno, func.name, n.id
+
+
+def test_no_unused_locals():
+    bad = sorted({"%s.py:%d %s: %s" % (m, line, f, name) for m in MODULES
+                  for line, f, name in _unused_locals(m)})
     assert not bad, bad

@@ -17,7 +17,6 @@ from starkheegner.oms import (
     Distribution,
     OMSymbol,
     TransportCache,
-    _series_mul,
     lift_to_oms,
     specialize_weight2,
 )
@@ -189,7 +188,8 @@ def test_up_specializes_to_classical_up():
 
 
 # --------------------------------------------- the transport kernel, against
-# the schoolbook series product and the one-transport-per-piece U_p sweep
+# matrices built by schoolbook series products (not by the recurrence) and
+# the one-transport-per-piece U_p sweep
 
 def _schoolbook_mul(a, b, mod):
     n = len(a)
@@ -245,19 +245,6 @@ def _up_pieces(sp, g):
             yield idx, mat_mul(mat_adj(path), gamma), sgn
 
 
-def test_series_mul_matches_schoolbook():
-    rng = random.Random(7)
-    for n in (1, 2, 3, 8, 40):
-        for mod in (5, P ** n, 3 * 7 ** n, P ** (n + 2)):
-            a = [rng.randrange(-10 * mod, 10 * mod) for _ in range(n)]
-            b = [rng.randrange(-10 * mod, 10 * mod) for _ in range(n)]
-            b[0] = mod - 1
-            a[-1] = mod - 1
-            assert _series_mul(a, b, mod) == _schoolbook_mul(a, b, mod), (n, mod)
-            top = [mod - 1] * n
-            assert _series_mul(top, top, mod) == _schoolbook_mul(top, top, mod)
-
-
 def test_transport_matrices_match_schoolbook_build():
     # keys with c = 0, with negative entries, with entries >= p^n, and the
     # U_p value matrices of 15x (every one up to n_mom 8, a sample at 40)
@@ -272,6 +259,16 @@ def test_transport_matrices_match_schoolbook_build():
         cache = TransportCache(P, n)
         for g in keys:
             assert cache.matrices(g) == _reference_matrices(P, n, g), (n, g)
+
+
+def test_transport_matrices_reject_matrices_outside_the_monoid():
+    # the monoid needs d a unit and p | c: d = 10, d = 0 and d = -5 are no
+    # units, and c = 1, c = 3 and c = -2 are prime to p
+    for n in (1, 8):
+        for g in ((1, 2, 5, 10), (3, 1, 5, 0), (2, 1, 25, -5), (1, 0, 1, 1),
+                  (2, 1, 3, 4), (1, 1, -2, 1)):
+            with pytest.raises(ValueError):
+                TransportCache(P, n).matrices(g)
 
 
 def test_grouped_up_sweep_matches_per_piece_transports():
