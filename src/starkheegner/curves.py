@@ -138,8 +138,8 @@ class EllipticCurveData:
 
 
 def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
-    good = E.conductor % ell != 0
     if ell == 2:
+        good = E.conductor % 2 != 0
         cnt = 0
         for x in range(2):
             for y in range(2):
@@ -150,38 +150,21 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
                     if good or fy != 0 or fx != 0:
                         cnt += 1
         return 2 + 1 - (cnt + 1) if good else 2 - (cnt + 1)
+    # a_ell = -sum_x (d(x) | ell), d(x) = (a1x+a3)^2 + 4 rhs(x) the discriminant
+    # of y^2 + (a1x+a3) y - rhs(x), with (0 | ell) = 0: at good ell that is
+    # ell + 1 - #E; at a node the one d = 0 root is the singular point, which
+    # #E_ns = ell - a_ell leaves out.
+    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
     sq = bytearray(ell)
     for t in range((ell + 1) // 2 + 1):
         sq[t * t % ell] = 1
-    count = 0
-    sing_x = -1
-    if not good:
-        # locate the node (unique singular point)
-        for x in range(ell):
-            # y with F_y = 0: 2y + a1x + a3 = 0
-            y0 = (-(E.a1 * x + E.a3) * pow(2, -1, ell)) % ell
-            on_curve = (y0 * y0 + E.a1 * x * y0 + E.a3 * y0
-                        - (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6)) % ell == 0
-            fx = (E.a1 * y0 - 3 * x * x - 2 * E.a2 * x - E.a4) % ell
-            if on_curve and fx == 0:
-                sing_x = x
-                break
+    total = 0
     for x in range(ell):
-        # y^2 + (a1x+a3) y - rhs = 0; discriminant (a1x+a3)^2 + 4 rhs
-        lin = E.a1 * x + E.a3
-        rhs = (x ** 3 + E.a2 * x * x + E.a4 * x + E.a6) % ell
-        d = (lin * lin + 4 * rhs) % ell
-        if d == 0:
-            n_y = 1
-            if not good and x == sing_x:
-                n_y = 0
-        else:
-            n_y = 2 if sq[d] else 0
-        count += n_y
-    n_points = count + 1  # infinity
-    if good:
-        return ell + 1 - n_points
-    return ell - n_points
+        lin = a1 * x + a3
+        d = (lin * lin + 4 * (((x + a2) * x + a4) * x + a6)) % ell
+        if d:
+            total += 1 if sq[d] else -1
+    return -total
 
 
 def _fricke_sign(E: EllipticCurveData) -> int:

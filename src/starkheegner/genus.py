@@ -1,28 +1,31 @@
 """Quadratic characters of the narrow ring class group and their genus data.
 
-A quadratic character of Pic^+(O_c) with c odd squarefree cuts out a
-biquadratic field Q(sqrt(Delta1), sqrt(Delta2)) with Delta1*Delta2 = D*d^2,
-d = +-c.  The decomposition is found by sampling Frobenius classes of split
-primes (a split prime ell is represented by a form of discriminant Dc^2 with
-leading coefficient ell) against Kronecker symbols.
+Gauss's genus theory builds every quadratic character of Pic^+(O_c) from
+its genus pair, for c odd and squarefree (NarrowClassGroup already takes c
+prime to D).  Write S_D for the prime discriminants whose product is D, and
+l* = +-l = 1 mod 4 for each prime l | c.  A split D = D1*D2 over S_D
+(D1 < D2) and a product f* of some of the l* give the character
+
+    chi([Q]) = (D1*f* | a),  a = Q(x, y) odd and prime to Dc,
+
+which cuts out Q(sqrt(D1*f*), sqrt(D2*f*)); its genus pair is
+(Delta1, Delta2) = (D1*f*, D2*f*), with Delta1*Delta2 = D*f^2 and f = |f*|
+its conductor.  These are all 2^(|S_D| - 1 + omega(c)) characters.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 from .arith import (
     divisors,
-    is_fundamental_discriminant,
-    is_prime,
     is_squarefree,
     kronecker,
     lift_to_sl2,
     mat_adj,
     prime_discriminant_factors,
-    sqrt_mod_prime,
+    prime_divisors,
 )
 from .quadforms import BQF, NarrowClassGroup, sqrtD_class
 
@@ -54,51 +57,43 @@ class RingClassCharacter:
         }
 
 
+def _subset_products(factors):
+    """The products of all 2^len(factors) subsets of factors."""
+    out = [1]
+    for x in factors:
+        out += [x * y for y in out]
+    return out
+
+
 def enumerate_quadratic_chars(group: NarrowClassGroup):
-    """All homomorphisms Pic^+(O_c) -> {+-1}, as value vectors."""
-    h = group.order
-    # subgroup generated by squares; characters live on the 2-elementary quotient
-    squares = {group.compose(i, i) for i in range(h)}
-    sub = {group.identity}
-    frontier = set(squares)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in sub | frontier:
-                x = group.compose(a, b)
-                if x not in sub and x not in frontier and x not in new:
-                    new.add(x)
-        sub |= frontier
-        frontier = new
-    # greedy F2-basis of the quotient; expmap[i] = exponents over the basis
-    expmap = {s: [] for s in sub}
-    nbasis = 0
-    while len(expmap) < h:
-        g = next(i for i in range(h) if i not in expmap)
-        nbasis += 1
-        for s in list(expmap):
-            expmap[s] = expmap[s] + [0]
-        for s, vec in list(expmap.items()):
-            x = group.compose(g, s)
-            if x not in expmap:
-                v = vec.copy()
-                v[-1] = 1
-                expmap[x] = v
-    r = nbasis
-    chars = []
-    for mask in range(2 ** r):
-        values = tuple(
-            -1 if sum((mask >> k) & e for k, e in enumerate(expmap[i])) % 2 else 1
-            for i in range(h))
-        chars.append(values)
+    """All homomorphisms Pic^+(O_c) -> {+-1}, as value vectors, each with
+    its genus pair (see the module docstring)."""
+    D, c, h = group.D, group.c, group.order
+    if c % 2 == 0 or not is_squarefree(c):
+        raise ValueError("genus characters need c odd and squarefree, not %d" % c)
+    parts = prime_discriminant_factors(D)
+    stars = [ell if ell % 4 == 1 else -ell for ell in prime_divisors(c)]
+    represented = [_represent_coprime(Q, 2 * D * c)[0] for Q in group.reps]
+    pairs = {}
+    for d1 in _subset_products(parts):
+        d2 = D // d1
+        if d1 > d2:
+            continue
+        for fstar in _subset_products(stars):
+            values = tuple(kronecker(d1 * fstar, a) for a in represented)
+            pairs[values] = (d1 * fstar, d2 * fstar)
+    want = 2 ** (len(parts) - 1 + len(stars))
+    if len(pairs) != want:
+        raise ArithmeticError("%d distinct genus characters at D = %d, c = %d, "
+                              "not %d" % (len(pairs), D, c, want))
     # sanity: homomorphism property on the full table
-    for values in chars:
+    for values in pairs:
         for i in range(h):
             for j in range(h):
                 if values[group.compose(i, j)] != values[i] * values[j]:
                     raise ArithmeticError("no character: %r at %d, %d" % (values, i, j))
-    out = [RingClassCharacter(group, v) for v in sorted(chars, reverse=True)]
-    return out
+    return [RingClassCharacter(group, v, genus_pair=pairs[v])
+            for v in sorted(pairs, reverse=True)]
 
 
 # ------------------------------------------------------------- pushforwards
@@ -176,134 +171,20 @@ def char_sign(chi: RingClassCharacter) -> int:
     return chi(sqrtD_class(chi.group))
 
 
-# --------------------------------------------------------------- Frobenius
-
-def frobenius_class(group: NarrowClassGroup, ell: int) -> int:
-    """Class of a form of discriminant Dc^2 representing the split prime ell."""
-    disc = group.disc
-    if kronecker(disc, ell) != 1:
-        raise ValueError("%d is not split" % ell)
-    b = sqrt_mod_prime(disc, ell)
-    if (b - disc) % 2 != 0:
-        b += ell
-    if (b * b - disc) % (4 * ell) != 0:
-        raise ArithmeticError("b = %d has b^2 != %d mod %d" % (b, disc, 4 * ell))
-    return group.class_of(BQF(ell, b, (b * b - disc) // (4 * ell)))
-
-
-def split_primes(group: NarrowClassGroup, avoid: int, count: int, skip: int = 0):
-    """Split primes of F prime to `avoid`, by increasing size."""
-    out = []
-    ell = 1
-    while len(out) < count + skip:
-        ell += 2
-        if avoid % ell == 0 or not is_prime(ell):
-            continue
-        if kronecker(group.D, ell) == 1:
-            out.append(ell)
-    return out[skip:]
-
-
-def genus_decompose(chi: RingClassCharacter, samples: int = 25):
-    """The genus pair (Delta1, Delta2) of a quadratic ring class character.
-
-    Works at the character's own conductor f | c (so non-primitive characters
-    decompose too): d = f or -f per f mod 4, and the factorization D = D1*D2
-    into fundamental discriminants is selected by matching chi on the
-    Frobenius classes of `samples` split primes.  Returns (Delta1, Delta2)
-    unordered, with Delta_i = D_i * d.
-    """
-    group = chi.group
-    D, c = group.D, group.c
-    if c % 2 == 0 or not is_squarefree(c):
-        raise ValueError("c must be odd and squarefree for genus theory")
-    f = character_conductor(chi)
-    d = f if f % 4 == 1 else -f
-    if f > 1 and not is_fundamental_discriminant(d):
-        raise ValueError("conductor does not give a fundamental discriminant")
-    parts = prime_discriminant_factors(D)
-    candidates = []
-    for mask in range(2 ** len(parts)):
-        d1 = 1
-        for k, pd in enumerate(parts):
-            if (mask >> k) & 1:
-                d1 *= pd
-        candidates.append(d1)
-    candidates = sorted(set(candidates))
-    avoid = 2 * D * c * max(abs(d), 1)
-    primes = split_primes(group, avoid, samples)
-    frob = {ell: frobenius_class(group, ell) for ell in primes}
-    matches = []
-    for d1 in candidates:
-        delta1 = d1 * d
-        if all(chi(frob[ell]) == kronecker(delta1, ell) for ell in primes):
-            matches.append(d1)
-    if not matches:
-        raise ValueError("genus decomposition failed")
-    # the two members of the winning pair both match on split primes
-    if len(matches) != 2 or matches[0] * matches[1] != D:
-        raise ValueError("genus decomposition ambiguous; enlarge the sample")
-    d1, d2 = matches
-    delta1, delta2 = d1 * d, d2 * d
-    for ell in primes:
-        if kronecker(D, ell) != kronecker(delta1, ell) * kronecker(delta2, ell):
-            raise ArithmeticError("genus pair %r fails at %d" % ((delta1, delta2), ell))
-    return delta1, delta2
-
-
 def attach_genus_data(chi: RingClassCharacter) -> RingClassCharacter:
-    """Fill conductor, primitivity, sign and genus pair in place."""
+    """Fill conductor, primitivity and sign in place, and check the genus
+    pair from enumerate_quadratic_chars against the conductor f:
+    Delta1*Delta2 = D*f^2."""
+    if chi.genus_pair is None:
+        raise ArithmeticError("character %r has no genus pair" % (chi.values,))
     chi.conductor = character_conductor(chi)
     chi.primitive = chi.conductor == chi.group.c
     chi.sign = char_sign(chi)
-    chi.genus_pair = genus_decompose(chi)
+    d1, d2 = chi.genus_pair
+    if d1 * d2 != chi.group.D * chi.conductor ** 2:
+        raise ArithmeticError("genus pair %r does not multiply to D*f^2 = %d*%d^2"
+                              % (chi.genus_pair, chi.group.D, chi.conductor))
     return chi
-
-
-# ------------------------------------------------------------ Dirichlet side
-
-@dataclass(frozen=True)
-class QuadDirichletChar:
-    """The quadratic character n -> (Delta|n) of a fundamental discriminant."""
-
-    delta: int
-
-    def __post_init__(self):
-        if not is_fundamental_discriminant(self.delta):
-            raise ValueError("%d is not a fundamental discriminant" % self.delta)
-
-    @property
-    def modulus(self) -> int:
-        return abs(self.delta)
-
-    def __call__(self, n: int) -> int:
-        return kronecker(self.delta, n)
-
-    def parity(self) -> int:
-        """chi(-1): +1 for Delta > 0, -1 for Delta < 0."""
-        return 1 if self.delta > 0 else -1
-
-
-def kronecker_eval(delta: int, n: int) -> int:
-    if delta % 4 not in (0, 1):
-        raise ValueError("not a discriminant")
-    return kronecker(delta, n)
-
-
-def gauss_sum(psi: QuadDirichletChar):
-    """Exact Gauss sum of a fundamental quadratic character.
-
-    Returns ("real", Delta) meaning sqrt(Delta) for Delta > 0, and
-    ("imag", |Delta|) meaning i*sqrt(|Delta|) for Delta < 0.
-    """
-    if psi.delta > 0:
-        return ("real", psi.delta)
-    return ("imag", -psi.delta)
-
-
-def gauss_sum_numeric(psi: QuadDirichletChar) -> complex:
-    m = psi.modulus
-    return sum(psi(a) * cmath.exp(2j * cmath.pi * a / m) for a in range(1, m + 1))
 
 
 def order_by_sign(w_n: int, conductor_n: int, pair):

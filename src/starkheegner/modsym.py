@@ -20,6 +20,7 @@ from .quadforms import HeegnerSystem, stabilizer_gamma, totally_positive_unit
 
 
 INF = None  # the cusp at infinity
+EIGEN_PRIME_BOUND = 60  # build_eigensymbol cuts by T_ell for primes ell up to this
 
 
 def apply_moebius(g, cusp):
@@ -239,8 +240,7 @@ class RationalModularSymbol:
 
 
 def build_eigensymbol(E: EllipticCurveData, sign: int,
-                      space: ManinSymbolSpace | None = None,
-                      max_ell: int = 60) -> RationalModularSymbol:
+                      space: ManinSymbolSpace | None = None) -> RationalModularSymbol:
     """The normalized eigensymbol of E with the given sign at infinity."""
     if space is None:
         space = ManinSymbolSpace(E.conductor)
@@ -250,7 +250,7 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
     ell = 1
     while len(sub) > 2:
         ell += 1
-        if ell > max_ell:
+        if ell > EIGEN_PRIME_BOUND:
             raise RuntimeError("eigenspace did not shrink to dimension 2")
         if E.conductor % ell == 0 or not is_prime(ell):
             continue

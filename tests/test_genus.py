@@ -1,30 +1,53 @@
-import math
-
 import pytest
 
-from starkheegner.arith import kronecker
+from starkheegner.arith import is_prime, kronecker, sqrt_mod_prime
 from starkheegner.genus import (
-    QuadDirichletChar,
+    RingClassCharacter,
     attach_genus_data,
     char_sign,
     character_conductor,
     enumerate_quadratic_chars,
-    frobenius_class,
-    gauss_sum,
-    gauss_sum_numeric,
-    genus_decompose,
     is_primitive,
     kernel_of_pushforward,
-    kronecker_eval,
     order_by_sign,
     pushforward_class,
-    split_primes,
 )
-from starkheegner.quadforms import NarrowClassGroup
+from starkheegner.quadforms import BQF, NarrowClassGroup
 
 
 def G(D, c=1):
     return NarrowClassGroup(D, c)
+
+
+# --------------------------------------------------------- Frobenius oracle
+#
+# A split prime ell of F is represented by a form of discriminant Dc^2 with
+# leading coefficient ell; chi at its class is (Delta1 | ell) = (Delta2 | ell).
+
+def frobenius_class(group: NarrowClassGroup, ell: int) -> int:
+    """Class of a form of discriminant Dc^2 representing the split prime ell."""
+    disc = group.disc
+    if kronecker(disc, ell) != 1:
+        raise ValueError("%d is not split" % ell)
+    b = sqrt_mod_prime(disc, ell)
+    if (b - disc) % 2 != 0:
+        b += ell
+    if (b * b - disc) % (4 * ell) != 0:
+        raise ArithmeticError("b = %d has b^2 != %d mod %d" % (b, disc, 4 * ell))
+    return group.class_of(BQF(ell, b, (b * b - disc) // (4 * ell)))
+
+
+def split_primes(group: NarrowClassGroup, avoid: int, count: int, skip: int = 0):
+    """Split primes of F prime to `avoid`, by increasing size."""
+    out = []
+    ell = 1
+    while len(out) < count + skip:
+        ell += 2
+        if avoid % ell == 0 or not is_prime(ell):
+            continue
+        if kronecker(group.D, ell) == 1:
+            out.append(ell)
+    return out[skip:]
 
 
 # ------------------------------------------------------------- enumeration
@@ -52,16 +75,13 @@ def test_chars_are_homomorphisms():
 # ------------------------------------------------------------- kronecker
 
 def test_kronecker_examples():
-    assert kronecker_eval(5, 1) == 1
-    assert kronecker_eval(13, 5) == -1
-    assert kronecker_eval(40, 3) == 1
-    with pytest.raises(ValueError):
-        kronecker_eval(7, 3)  # 7 = 3 mod 4 is not a discriminant
+    assert kronecker(5, 1) == 1
+    assert kronecker(13, 5) == -1
+    assert kronecker(40, 3) == 1
 
 
 def test_kronecker_multiplicative_and_periodic():
     for delta in (5, -3, 13, -39, 40, 65):
-        psi = QuadDirichletChar(delta) if delta % 4 in (0, 1) else None
         for m in range(1, 40):
             for n in range(1, 40):
                 assert kronecker(delta, m * n) == kronecker(delta, m) * kronecker(delta, n)
@@ -130,14 +150,14 @@ def test_lifted_character_not_primitive():
 
 def test_genus_trivial_char_c1():
     chi = enumerate_quadratic_chars(G(13))[0]
-    pair = genus_decompose(chi)
+    pair = attach_genus_data(chi).genus_pair
     assert sorted(pair) == [1, 13]
 
 
 def test_genus_d40_nontrivial():
     chars = enumerate_quadratic_chars(G(40))
     chi = next(ch for ch in chars if not ch.is_trivial())
-    pair = genus_decompose(chi)
+    pair = attach_genus_data(chi).genus_pair
     assert sorted(pair) == [5, 8]
 
 
@@ -145,12 +165,12 @@ def test_genus_d13_c3_primitive():
     chars = enumerate_quadratic_chars(G(13, 3))
     chi = next(ch for ch in chars if not ch.is_trivial())
     assert is_primitive(chi)
-    pair = genus_decompose(chi)
+    pair = attach_genus_data(chi).genus_pair
     assert sorted(pair) == [-39, -3]
 
 
 def test_genus_resample_consistency():
-    for D, c in ((13, 3), (40, 1), (5, 7)):
+    for D, c in ((13, 3), (40, 1), (5, 7), (13, 77), (60, 7), (105, 11)):
         for chi in enumerate_quadratic_chars(G(D, c)):
             attach_genus_data(chi)
             d1, d2 = chi.genus_pair
@@ -175,6 +195,23 @@ def test_characters_identity_on_prime_sample():
                 assert kronecker(D, ell) == kronecker(d1, ell) * kronecker(d2, ell)
 
 
+def test_chars_need_odd_squarefree_conductor():
+    for c in (4, 9):
+        g = G(13, c)
+        with pytest.raises(ValueError):
+            enumerate_quadratic_chars(g)
+
+
+def test_attach_rejects_missing_or_inconsistent_pair():
+    g = G(13, 3)
+    chi = next(ch for ch in enumerate_quadratic_chars(g) if not ch.is_trivial())
+    with pytest.raises(ArithmeticError):
+        attach_genus_data(RingClassCharacter(g, chi.values))
+    # conductor 3, so Delta1*Delta2 must be 13*9, not 13
+    with pytest.raises(ArithmeticError):
+        attach_genus_data(RingClassCharacter(g, chi.values, genus_pair=(1, 13)))
+
+
 # ------------------------------------------------------------------- sign
 
 def test_sign_trivial_char():
@@ -183,24 +220,11 @@ def test_sign_trivial_char():
 
 
 def test_sign_matches_genus_positivity():
-    for D, c in ((13, 3), (40, 1), (5, 7), (21, 1)):
+    for D, c in ((13, 3), (40, 1), (5, 7), (21, 1), (13, 77), (60, 7), (105, 11)):
         for chi in enumerate_quadratic_chars(G(D, c)):
             attach_genus_data(chi)
             d1, d2 = chi.genus_pair
             assert (chi.sign == 1) == (d1 > 0 and d2 > 0)
-
-
-# ------------------------------------------------------------- Gauss sums
-
-def test_gauss_sum_exact_and_numeric():
-    for delta in (5, -3, 40, -39, 13):
-        psi = QuadDirichletChar(delta)
-        kind, mag = gauss_sum(psi)
-        want = math.sqrt(mag) * (1 if kind == "real" else 1j)
-        got = gauss_sum_numeric(psi)
-        assert abs(got - want) < 1e-10
-    with pytest.raises(ValueError):
-        QuadDirichletChar(45)
 
 
 # ------------------------------------------------------------ sign ordering

@@ -5,13 +5,15 @@ package module, and the package modules import one another without a
 cycle, function-level imports included.  Only modsym takes the Manin step
 (segment -> generator index), so no other module reaches into P^1 for it.
 No module uses assert, which python -O strips: invariants raise instead.
-No function stores a local name (other than _) that it never reads.
+No function, in the package or in its tests, stores a local name (other
+than _) that it never reads.
 """
 
 import ast
 from pathlib import Path
 
-PKG = Path(__file__).resolve().parent.parent / "src" / "starkheegner"
+TESTS = Path(__file__).resolve().parent
+PKG = TESTS.parent / "src" / "starkheegner"
 MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__init__")
 
 
@@ -100,10 +102,10 @@ def test_no_assert_in_src():
     assert not bad, bad
 
 
-def _unused_locals(mod):
-    """(line, function, name) for each name a function of mod stores and
-    never loads anywhere in its body, nested functions included."""
-    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+def _unused_locals(path):
+    """(line, function, name) for each name a function of the file stores
+    and never loads anywhere in its body, nested functions included."""
+    tree = ast.parse(path.read_text())
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
@@ -115,6 +117,7 @@ def _unused_locals(mod):
 
 
 def test_no_unused_locals():
-    bad = sorted({"%s.py:%d %s: %s" % (m, line, f, name) for m in MODULES
-                  for line, f, name in _unused_locals(m)})
+    files = [PKG / ("%s.py" % m) for m in MODULES] + sorted(TESTS.glob("*.py"))
+    bad = sorted({"%s/%s:%d %s: %s" % (path.parent.name, path.name, line, f, name)
+                  for path in files for line, f, name in _unused_locals(path)})
     assert not bad, bad

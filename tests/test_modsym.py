@@ -201,7 +201,7 @@ def test_birch_vs_complex_l_value_11a():
     assert sign_of_twist(E, delta) == 1
     bs = birch_sum(sym, delta)
     assert bs != 0
-    lval, err = complex_L_value(E, delta)
+    lval, _ = complex_L_value(E, delta)
     om_plus, _ = real_periods(E)
     ratio = math.sqrt(5) * lval / (om_plus * float(bs))
     frac = Fraction(ratio).limit_denominator(1000)

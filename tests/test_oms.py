@@ -95,7 +95,7 @@ def test_lift_specializes_exactly():
 
 
 def test_lift_is_up_eigen_and_satisfies_relations():
-    (phi, cert), _ = _lift(sign=1)
+    (_, cert), _ = _lift(sign=1)
     assert cert.eigen_valuation >= NMOM
     assert cert.relation_valuation >= NMOM
 
@@ -111,7 +111,7 @@ def test_lift_unique_from_random_start():
 
 def test_hecke_eigen_transported():
     # (Phi | T_ell) = a_ell Phi within filtration for small good ell
-    (phi, _), sym = _lift(sign=1, nmom=6)
+    (phi, _), _ = _lift(sign=1, nmom=6)
     E = E15()
     for ell in (2, 13):
         a = E.ap(ell)
@@ -149,7 +149,7 @@ def test_filtration_honesty_more_moments():
 
 def test_depth_one_ball_masses_sum_to_total():
     # additivity: sum of depth-1 ball masses = chart mass of the path
-    (phi, _), sym = _lift(sign=1, nmom=6)
+    (phi, _), _ = _lift(sign=1, nmom=6)
     r, s = INF, Fraction(1, 3)
     total = phi.eval_path(r, s).mass()
     ball_sum = 0
@@ -218,7 +218,7 @@ def _reference_matrices(p, n, g):
     phi = [(b * inv_den[k] + (a * inv_den[k - 1] if k else 0)) % work
            for k in range(n)]
     A = [[1] + [0] * (n - 1)]
-    for j in range(1, n):
+    for _ in range(1, n):
         A.append(_schoolbook_mul(A[-1], phi, work))
     log_d = iwasawa_log(PadicScalar.from_int(p, d, n))
     logser = [0 if log_d.is_zero() else log_d.residue(n)]

@@ -138,7 +138,6 @@ def test_formal_log_kills_torsion():
             r = math.isqrt(rhs)
             if r * r == rhs and (r - E.a1 * xi - E.a3) % 2 == 0:
                 y = (r - E.a1 * xi - E.a3) // 2
-                P = (F(xi), F(y))
                 # torsion iff [2520]P = O (Mazur)
                 from starkheegner.curves import point_order_divides
                 # transfer to short model to reuse the exact helper
