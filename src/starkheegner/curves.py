@@ -1,6 +1,10 @@
-"""Elliptic curve data for the pipeline: Frobenius traces by point counting,
-Atkin-Lehner signs, complex L-values of quadratic twists, real periods,
-quadratic twists and naive point search.
+"""Elliptic curve data for the pipeline: Frobenius traces, Atkin-Lehner
+signs, complex L-values of quadratic twists, real periods, quadratic twists
+and naive point search.
+
+The trace a_ell at a good prime ell > 229 comes from Shanks-Mestre
+baby-step giant-step on the short model and its quadratic twist; below that
+bound, at ell = 3 and at bad ell it is the Legendre sum -sum_x (d(x) | ell).
 
 Curves are semistable in our setting (N = Mp squarefree), which keeps the
 conductor check elementary: every bad prime must be multiplicative and their
@@ -137,6 +141,12 @@ class EllipticCurveData:
         return (x * x + self.a2 * x + self.a4) * x + self.a6
 
 
+# Cremona-Sutherland, "On a theorem of Mestre and Schoof" (JTNB 2010): for
+# a prime ell > 229, E or its quadratic twist over F_ell has a point whose
+# order has exactly one multiple in the Hasse interval.
+_MESTRE_BOUND = 229
+
+
 def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
     if ell == 2:
         good = E.conductor % 2 != 0
@@ -150,6 +160,9 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
                     if good or fy != 0 or fx != 0:
                         cnt += 1
         return 2 + 1 - (cnt + 1) if good else 2 - (cnt + 1)
+    if ell > _MESTRE_BOUND and E.conductor % ell:
+        A, B = E.short_model()
+        return _trace_by_bsgs(A % ell, B % ell, ell)
     # a_ell = -sum_x (d(x) | ell), d(x) = (a1x+a3)^2 + 4 rhs(x) the discriminant
     # of y^2 + (a1x+a3) y - rhs(x), with (0 | ell) = 0: at good ell that is
     # ell + 1 - #E; at a node the one d = 0 root is the singular point, which
@@ -165,6 +178,87 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
         if d:
             total += 1 if sq[d] else -1
     return -total
+
+
+def _trace_by_bsgs(A: int, B: int, ell: int) -> int:
+    """a_ell of the good reduction Y^2 = X^3 + AX + B at a prime ell > 229,
+    by Shanks-Mestre baby-step giant-step (Cohen, A Course in Computational
+    Algebraic Number Theory, 7.4.3) on points of the curve and its twist."""
+    hasse = math.isqrt(4 * ell)
+    cands = None
+    for x0 in range(ell):
+        d = ((x0 * x0 + A) * x0 + B) % ell
+        if not d:
+            continue
+        # P = (x0 d, d^2) lies on E_d: y^2 = x^3 + A d^2 x + B d^3, which is
+        # the curve when d is a square mod ell and its twist otherwise, so
+        # #E_d = ell + 1 - twist * a_ell
+        twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
+        d2 = d * d % ell
+        orders = _annihilators((x0 * d % ell, d2), A * d2 % ell, ell,
+                               ell + 1 - hasse, ell + 1 + hasse)
+        found = {twist * (ell + 1 - n) for n in orders}
+        cands = found if cands is None else cands & found
+        if len(cands) == 1:
+            return cands.pop()
+        if not cands:
+            raise ArithmeticError("no trace at %d fits every point" % ell)
+    raise ArithmeticError("points of the curve and its twist leave %d "
+                          "traces at %d" % (len(cands), ell))
+
+
+def _ec_add(P, Q, a: int, ell: int):
+    """P + Q on y^2 = x^3 + a x + b over F_ell; None is the point at
+    infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
+
+
+def _annihilators(P, a: int, ell: int, lo: int, hi: int):
+    """Every n in [lo, hi] with n P = O, P a point of y^2 = x^3 + a x + b
+    over F_ell: baby steps i P for 0 < i <= m, giant steps n P for n = lo + m
+    + j (2m + 1), and n P = -+i P gives (n +- i) P = O."""
+    m = max(1, math.isqrt((hi - lo) // 2))
+    baby = {}
+    Q = None
+    for i in range(1, m + 1):
+        Q = _ec_add(Q, P, a, ell)
+        if Q is None:  # P has order i
+            return range(lo + -lo % i, hi + 1, i)
+        baby[Q] = i
+    stride = _ec_add(_ec_add(Q, Q, a, ell), P, a, ell)
+    n = lo + m
+    G, R, k = None, P, n
+    while k:  # G = n P by double and add
+        if k & 1:
+            G = _ec_add(G, R, a, ell)
+        R = _ec_add(R, R, a, ell)
+        k >>= 1
+    out = []
+    while n - m <= hi:
+        if G is None:
+            out.append(n)
+        else:
+            i = baby.get(G)
+            if i:
+                out.append(n - i)
+            i = baby.get((G[0], -G[1] % ell))
+            if i:
+                out.append(n + i)
+        G = _ec_add(G, stride, a, ell)
+        n += 2 * m + 1
+    return [k for k in out if lo <= k <= hi]
 
 
 def _fricke_sign(E: EllipticCurveData) -> int:
@@ -358,17 +452,46 @@ def twist_model(E: EllipticCurveData, delta: int):
     return A * delta * delta, B * delta ** 3
 
 
+# moduli of the square sieve in naive_point_search
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
 def naive_point_search(A: int, B: int, height: int):
     """Affine rational points on Y^2 = X^3 + AX + B with x = m/e^2,
     |m| <= height and e^2 <= height; exact square testing, deduplicated
-    up to the sign of y."""
+    up to the sign of y.
+
+    For each e a residue sieve drops every m for which
+    m^3 + A e^4 m + B e^6 is a non-square modulo one of _SIEVE_MODULI; only
+    the survivors reach the exact tests, in increasing m."""
+    width = 2 * height + 1
+    squares = {q: {x * x % q for x in range(q)} for q in _SIEVE_MODULI}
+    # repunit[q] * pattern repeats a q-bit pattern over the width bits
+    repunit = {q: ((1 << (q * -(-width // q))) - 1) // ((1 << q) - 1)
+               for q in _SIEVE_MODULI}
+    full = (1 << width) - 1
     out = []
     for e in range(1, math.isqrt(height) + 1):
         e2, e3 = e * e, e ** 3
-        for m in range(-height, height + 1):
+        a, b = A * e2 * e2, B * e3 * e3
+        # bit k of mask stands for m = k - height
+        mask = full
+        for q in _SIEVE_MODULI:
+            sq, aq, bq = squares[q], a % q, b % q
+            pattern = 0
+            for j in range(q):
+                x = (j - height) % q
+                if (x * x * x + aq * x + bq) % q in sq:
+                    pattern |= 1 << j
+            mask &= pattern * repunit[q]
+        bits = bin(mask)[:1:-1]
+        k = bits.find("1")
+        while k >= 0:
+            m = k - height
+            k = bits.find("1", k + 1)
             if e > 1 and math.gcd(m, e) != 1:
                 continue
-            t = m ** 3 + A * m * e2 * e2 + B * e3 * e3
+            t = m ** 3 + a * m + b
             if t < 0:
                 continue
             r = math.isqrt(t)

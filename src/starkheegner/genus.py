@@ -147,14 +147,27 @@ def cached_group(D: int, c: int) -> NarrowClassGroup:
     return _group_cache[key]
 
 
+_kernel_cache: dict = {}
+
+
+def cached_kernel(group: NarrowClassGroup, f: int):
+    """kernel_of_pushforward(group, cached_group(D, f)), computed once per
+    (D, c, f): NarrowClassGroup numbers its classes by (D, c) alone."""
+    key = (group.D, group.c, f)
+    if key not in _kernel_cache:
+        _kernel_cache[key] = tuple(
+            kernel_of_pushforward(group, cached_group(group.D, f)))
+    return _kernel_cache[key]
+
+
 def character_conductor(chi: RingClassCharacter) -> int:
     """Minimal divisor f of c such that chi factors through Pic^+(O_f)."""
     group = chi.group
-    c, D = group.c, group.D
+    c = group.c
     for f in divisors(c):
         if f == c:
             return c
-        ker = kernel_of_pushforward(group, cached_group(D, f))
+        ker = cached_kernel(group, f)
         if all(chi(i) == 1 for i in ker):
             return f
     return c

@@ -24,6 +24,8 @@ from starkheegner.curves import (
     twist_model,
     twist_point_to_curve,
 )
+from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars, order_by_sign
+from starkheegner.quadforms import NarrowClassGroup
 
 
 def E37():
@@ -80,14 +82,41 @@ def _projective_trace(E, ell):
     return ell + good - count
 
 
+def _trace_curves():
+    return (EllipticCurveData(0, -1, 1, -10, -20, conductor=11, p=11, label="11a1"),
+            EllipticCurveData(1, 0, 1, 4, -6, conductor=14, p=7, label="14a1"),
+            E15(),
+            EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5, label="115"))
+
+
 def test_trace_matches_projective_count():
-    curves = (EllipticCurveData(0, -1, 1, -10, -20, conductor=11, p=11, label="11a1"),
-              EllipticCurveData(1, 0, 1, 4, -6, conductor=14, p=7, label="14a1"),
-              E15(),
-              EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5, label="115"))
-    for E in curves:
+    for E in _trace_curves():
         for ell in primes_up_to(59):
             assert E.ap(ell) == _projective_trace(E, ell), (E.label, ell)
+
+
+def _legendre_trace(E, ell):
+    """a_ell = -sum_x (d(x) | ell), d(x) = (a1x+a3)^2 + 4 rhs(x): the
+    direct count, at good and bad ell alike."""
+    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+    sq = bytearray(ell)
+    for t in range(ell):
+        sq[t * t % ell] = 1
+    total = 0
+    for x in range(ell):
+        lin = a1 * x + a3
+        d = (lin * lin + 4 * (((x + a2) * x + a4) * x + a6)) % ell
+        if d:
+            total += 1 if sq[d] else -1
+    return -total
+
+
+def test_trace_above_mestre_bound_matches_legendre_sum():
+    # baby-step giant-step takes over from the direct sum above 229
+    for E in _trace_curves() + (E37(), E21()):
+        bad = [ell for ell in primes_up_to(E.conductor) if E.conductor % ell == 0]
+        for ell in bad + [ell for ell in primes_up_to(2999) if ell > 229]:
+            assert E.ap(ell) == _legendre_trace(E, ell), (E.label, ell)
 
 
 def test_hasse_bound():
@@ -204,6 +233,45 @@ def test_naive_search_two_torsion():
     xs = sorted(x for x, y in pts)
     assert xs == [-1, 0, 1]
     assert all(y == 0 for _, y in pts)
+
+
+def _scan_point_search(A, B, height):
+    """naive_point_search by testing every m: the plain reference scan."""
+    out = []
+    for e in range(1, math.isqrt(height) + 1):
+        e2, e3 = e * e, e ** 3
+        for m in range(-height, height + 1):
+            if e > 1 and math.gcd(m, e) != 1:
+                continue
+            t = m ** 3 + A * m * e2 * e2 + B * e3 * e3
+            if t < 0:
+                continue
+            r = math.isqrt(t)
+            if r * r == t:
+                out.append((Fraction(m, e2), Fraction(r, e3)))
+    seen, res = set(), []
+    for x, y in out:
+        if x not in seen:
+            seen.add(x)
+            res.append((x, y))
+    return res
+
+
+def test_sieved_point_search_matches_scan():
+    # the nine genus twists of 15x at D = 13, c | 77, as the twists are
+    # searched for global points, and models with A, B of both signs; at
+    # height 600, e runs to 24, so m with gcd(m, e) > 1 occur for e > 1
+    E = E15()
+    models = []
+    for c in (1, 7, 11, 77):
+        for chi in enumerate_quadratic_chars(NarrowClassGroup(13, c)):
+            d1, _ = order_by_sign(E.w_fricke, E.conductor,
+                                  attach_genus_data(chi).genus_pair)
+            models.append(twist_model(E, d1))
+    assert len(models) == 9
+    models += [(-1, 0), (-2, 5), (3, -7), (-7, -6), (5, 9), (0, 1), (-43, 166)]
+    for A, B in models:
+        assert naive_point_search(A, B, 600) == _scan_point_search(A, B, 600), (A, B)
 
 
 def test_twist_map_round_trip():
