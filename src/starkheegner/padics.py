@@ -6,6 +6,22 @@ to the coarser of the two absolute precisions, a product to
 min(v1+N2, v2+N1).  The quadratic extension is realized on the basis (1, w)
 with w^2 a Teichmueller lift of the smallest quadratic non-residue mod p, so
 that Frobenius is the sign flip b -> -b.
+
+Both types answer ``valuation()``, ``precision()``, ``p`` and ``shift(k)``
+(an exact multiplication by p^k), share the arithmetic written once in
+``_Capped``, and embed integers, Fractions and (in the extension) Q_p values
+through their own ``_coerce``.  So each function below has one body for Q_p
+and Q_p^2:
+
+- ``iwasawa_log`` writes x = p^v u, an exact shift, and returns
+  log(1 + y)/(p^2 - 1) for y = u^(p^2 - 1) - 1.  Every root of unity of Q_p
+  or Q_p^2 has order dividing p^2 - 1, so this is the branch with
+  log(p) = 0 and needs no Teichmueller lift.
+- ``exp_p`` sums x^k/k! up to the last k at which the lower bound
+  v(x^k/k!) >= k v(x) - (k - 1)/(p - 1) is still below N (Legendre:
+  v_p(k!) <= (k - 1)/(p - 1)).  The bound rises with k, but the exact
+  valuations need not (v_5(25!) jumps by 2), so stopping at the first
+  negligible term can drop a later one that is not.
 """
 
 from __future__ import annotations
@@ -24,7 +40,56 @@ class PrecisionError(ArithmeticError):
         self.achievable = achievable
 
 
-class PadicScalar:
+class _Capped:
+    """The arithmetic Q_p and Q_p^2 share, written once over each type's
+    ``_coerce``, ``__add__``, ``__neg__``, ``__mul__`` and ``inverse``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        if n == 0:
+            return self._coerce(1)
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __hash__(self):
+        raise TypeError("capped-precision values are unhashable")
+
+
+class PadicScalar(_Capped):
     """An element of Q_p known modulo p^N.
 
     Internal form: value = p^v * unit with unit a unit mod p^(N-v).
@@ -108,6 +173,10 @@ class PadicScalar:
             return PadicScalar.zero(self.p, N)
         return PadicScalar(self.p, self.v, self.unit % self.p ** (N - self.v), N)
 
+    def shift(self, k: int) -> "PadicScalar":
+        """The value times p^k, exactly: valuation and precision move by k."""
+        return PadicScalar(self.p, self.v + k, self.unit, self.N + k)
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -145,15 +214,6 @@ class PadicScalar:
             return self
         return PadicScalar(self.p, self.v, -self.unit, self.N)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -176,39 +236,6 @@ class PadicScalar:
         m = self.p ** r
         return PadicScalar(self.p, -self.v, pow(self.unit, -1, m), r - self.v)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return PadicScalar.from_int(self.p, 1, self.N)
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("capped-precision values are unhashable")
-
     def __repr__(self):
         if self.is_zero():
             return "O(%d^%d)" % (self.p, self.N)
@@ -216,7 +243,7 @@ class PadicScalar:
                                         self.p, self.v, self.p, self.N)
 
 
-class QuadExtScalar:
+class QuadExtScalar(_Capped):
     """Element a + b*w of the unramified quadratic extension F_p of Q_p.
 
     w^2 = eps, the Teichmueller lift of a non-residue, so conj(w) = -w and
@@ -247,6 +274,10 @@ class QuadExtScalar:
     def precision(self) -> int:
         return min(self.a.N, self.b.N)
 
+    def shift(self, k: int) -> "QuadExtScalar":
+        """The value times p^k, exactly."""
+        return QuadExtScalar(self.ctx, self.a.shift(k), self.b.shift(k))
+
     def _coerce(self, other):
         if isinstance(other, QuadExtScalar):
             return other
@@ -267,15 +298,6 @@ class QuadExtScalar:
     def __neg__(self):
         return QuadExtScalar(self.ctx, -self.a, -self.b)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -293,44 +315,11 @@ class QuadExtScalar:
     def norm(self) -> PadicScalar:
         return self.a * self.a - self.ctx.eps_scalar * (self.b * self.b)
 
-    def trace(self) -> PadicScalar:
-        return self.a + self.a
-
     def inverse(self) -> "QuadExtScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero in F_p")
         n_inv = self.norm().inverse()
         return QuadExtScalar(self.ctx, self.a * n_inv, -self.b * n_inv)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.one(self.precision())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("capped-precision values are unhashable")
 
     def __repr__(self):
         return "(%r) + (%r)*w" % (self.a, self.b)
@@ -339,19 +328,7 @@ class QuadExtScalar:
 class QuadExtContext:
     """Fixed prime, working precision, and the basis constant eps = w^2."""
 
-    _cache: dict = {}
-
-    def __new__(cls, p: int, N: int):
-        key = (p, N)
-        if key in cls._cache:
-            return cls._cache[key]
-        obj = super().__new__(cls)
-        cls._cache[key] = obj
-        return obj
-
     def __init__(self, p: int, N: int):
-        if getattr(self, "_ready", False):
-            return
         if p == 2:
             raise ValueError("p = 2 not supported")
         self.p = p
@@ -360,7 +337,6 @@ class QuadExtContext:
         self.nonresidue = r
         self.eps = _teichmuller_int(r, p, N)
         self.eps_scalar = PadicScalar.from_int(p, self.eps, N)
-        self._ready = True
 
     def embed(self, a: PadicScalar) -> QuadExtScalar:
         return QuadExtScalar(self, a, PadicScalar.zero(self.p, a.N))
@@ -423,128 +399,82 @@ def _sqrt_int(n: int, p: int, N: int) -> int:
 # -- Teichmueller / exp / log ------------------------------------------------
 
 def teichmuller(x):
-    """Teichmueller lift: the root of unity congruent to the given unit."""
-    if isinstance(x, PadicScalar):
-        if x.is_zero() or x.v != 0:
-            raise ValueError("not a unit")
-        return PadicScalar.from_int(x.p, _teichmuller_int(x.unit, x.p, x.N), x.N)
-    if isinstance(x, QuadExtScalar):
-        if x.valuation() != 0:
-            raise ValueError("not a unit")
-        # iterate x -> x^(p^2); contraction on units of F_p
-        out = x
-        for _ in range(x.precision() + 1):
-            nxt = out ** (x.p ** 2)
-            if nxt == out:
-                break
-            out = nxt
-        return out
-    raise TypeError("unsupported type")
+    """Teichmueller lift: the root of unity congruent to the unit x.
+
+    Iterates x -> x^(p^2), which fixes every root of unity of Q_p and Q_p^2
+    and gains two digits a step on the rest."""
+    if x.valuation() != 0:
+        raise ValueError("not a unit")
+    q = x.p ** 2
+    for _ in range(x.precision() + 1):
+        nxt = x ** q
+        if nxt == x:
+            return x
+        x = nxt
+    raise ArithmeticError("Teichmueller iteration did not converge")
 
 
 def _log_one_plus(y):
-    """log(1+y) for v(y) >= 1, scalar or quadratic input."""
-    if isinstance(y, PadicScalar):
-        w, N, one = y.v, y.N, PadicScalar.from_int(y.p, 1, y.N)
-    else:
-        w, N = y.valuation(), y.precision()
-        one = y.ctx.one(N)
+    """log(1+y) for v(y) >= 1."""
     if y.is_zero():
         return y
+    w, N, p = y.valuation(), y.precision(), y.p
     if w < 1:
         raise ValueError("log series needs v >= 1")
-    p = y.p if isinstance(y, PadicScalar) else y.ctx.p
     nmax = 1
     while nmax * w - int(math.log(nmax, p)) < N:
         nmax += 1
-    total = None
-    power = one
-    for k in range(1, nmax + 1):
+    total = power = y
+    for k in range(2, nmax + 1):
         power = power * y
-        term = power * Fraction((-1) ** (k + 1), k)
-        total = term if total is None else total + term
+        total = total + power * Fraction((-1) ** (k + 1), k)
     return total
 
 
 def iwasawa_log(x):
     """The branch with log(p) = 0, on all of the unit group times p^Z."""
-    if isinstance(x, QuadExtScalar) and x.is_scalar():
-        return x.ctx.embed(iwasawa_log(x.a))
-    if isinstance(x, PadicScalar):
-        if x.is_zero():
-            raise ValueError("log of zero")
-        u = PadicScalar(x.p, 0, x.unit, x.N - x.v)
-        zeta = teichmuller(u)
-        return _log_one_plus(u / zeta - 1)
-    if isinstance(x, QuadExtScalar):
-        if x.is_zero():
-            raise ValueError("log of zero")
-        v = x.valuation()
-        if v:
-            # multiply by the exact constant p^(-v); give it slack precision
-            pv = PadicScalar(x.ctx.p, -v, 1, x.precision() + abs(v) + 2)
-            x = x * pv
-        zeta = teichmuller(x)
-        return _log_one_plus(x / zeta - 1)
-    raise TypeError("unsupported type")
-
-
-def exp_p(x: PadicScalar) -> PadicScalar:
-    """p-adic exponential, domain v(x) >= 1 (p odd)."""
-    if isinstance(x, QuadExtScalar):
-        if x.is_scalar():
-            return x.ctx.embed(exp_p(x.a))
-        raise TypeError("quadratic exp not needed; pass components")
     if x.is_zero():
-        return PadicScalar.from_int(x.p, 1, x.N)
-    if x.v < 1:
+        raise ValueError("log of zero")
+    order = x.p ** 2 - 1
+    u = x.shift(-x.valuation())
+    return _log_one_plus(u ** order - 1) / order
+
+
+def exp_p(x):
+    """p-adic exponential, domain v(x) >= 1 (p odd)."""
+    one = x ** 0
+    if x.is_zero():
+        return one
+    w, N, p = x.valuation(), x.precision(), x.p
+    if w < 1:
         raise ValueError("exp_p needs v >= 1")
-    p, w, N = x.p, x.v, x.N
-    nmax = 1
-    while nmax * w - (nmax - _digit_sum(nmax, p)) // (p - 1) < N:
-        nmax += 1
-    total = PadicScalar.from_int(p, 1, N)
-    term = PadicScalar.from_int(p, 1, N)
-    for k in range(1, nmax + 1):
+    # every term after the kmax-th has v >= k w - (k - 1)/(p - 1) >= N
+    kmax = 0
+    while (kmax + 1) * w - kmax // (p - 1) < N:
+        kmax += 1
+    total = term = one
+    for k in range(1, kmax + 1):
         term = term * x * Fraction(1, k)
         total = total + term
     return total
-
-
-def _digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
 
 
 class LogBranch:
     """The branch log_q of the p-adic logarithm with log_q(q) = 0."""
 
     def __init__(self, q: PadicScalar):
-        if q.is_zero() or q.v < 1:
+        if q.is_zero() or q.valuation() < 1:
             raise ValueError("Tate period must have positive valuation")
         self.q = q
         self.p = q.p
-        self.ord_q = q.v
+        self.ord_q = q.valuation()
         self._l0q = iwasawa_log(q)
 
     def log(self, x):
         """log_q(x) = L0(x) - (ord(x)/ord(q)) * L0(q)."""
-        if isinstance(x, PadicScalar):
-            if x.is_zero():
-                raise ValueError("log of zero")
-            v = x.v
-        else:
-            if x.is_zero():
-                raise ValueError("log of zero")
-            v = x.valuation()
-        base = iwasawa_log(x)
-        corr = self._l0q * Fraction(v, self.ord_q)
-        if isinstance(base, QuadExtScalar) and isinstance(corr, PadicScalar):
-            corr = base.ctx.embed(corr)
-        return base - corr
+        if x.is_zero():
+            raise ValueError("log of zero")
+        return iwasawa_log(x) - self._l0q * Fraction(x.valuation(), self.ord_q)
 
 
 def rational_reconstruct(x: int, modulus: int, bound: int):

@@ -77,14 +77,15 @@ def discriminant_series(length: int):
     return tuple([0] + out[:length])
 
 
-def _eval_series(coeffs, x: PadicScalar) -> PadicScalar:
-    """Horner evaluation of an integer/Fraction coefficient series."""
-    p, N = x.p, x.N
-    acc = PadicScalar.zero(p, N + 8)
+def _eval_series(coeffs, x):
+    """Horner evaluation of an integer/Fraction coefficient series at x in
+    Q_p or Q_p^2; the coefficients are taken to 8 digits past x's."""
+    p, N = x.p, x.precision() + 8
+    acc = PadicScalar.zero(p, N)
     for c in reversed(coeffs):
         acc = acc * x
         if c:
-            acc = acc + PadicScalar.from_fraction(p, c, N + 8)
+            acc = acc + PadicScalar.from_fraction(p, c, N)
     return acc
 
 
@@ -233,49 +234,27 @@ def on_curve(E: EllipticCurveData, P) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def formal_log(E: EllipticCurveData, P, prec: int, ctx: QuadExtContext | None = None):
+def formal_log(E: EllipticCurveData, P, prec: int):
     """Formal-group logarithm on E(F_p): lambda([m]P)/m for the least m >= 1
-    pushing P into the formal group.  P = None (the origin) gives 0."""
-    if P is None:
-        if ctx is None:
-            raise ValueError("need a context to build the zero value")
-        return ctx.one(prec) - ctx.one(prec)
-    ctx = _ctx_of(P)
+    pushing P into the formal group.  P = None (the origin) and torsion
+    points give 0."""
+    zero = PadicScalar.zero(E.p, prec)
     vdisc = valuation(E.disc, E.p)
     mbound = 4 * (E.p ** 2 + 2 * E.p + 2) * max(1, vdisc)
     cur = P
     for m in range(1, mbound + 1):
         if cur is None:
-            return ctx.one(prec) - ctx.one(prec)  # torsion maps to 0
+            return zero
         xc, yc = cur
         if (not xc.is_zero()) and xc.valuation() < 0 and yc.valuation() < 0:
             z = -xc / yc
             if z.valuation() >= 1:
                 length = prec + prec // max(E.p - 1, 1) + 4
-                lam = _eval_log_series(E, z, length)
+                key = (E.a1, E.a2, E.a3, E.a4, E.a6)
+                lam = _eval_series((0,) + formal_log_series(key, length), z)
                 return lam * Fraction(1, m)
         cur = curve_add(E, cur, P)
     raise RuntimeError("no multiple landed in the formal group")
-
-
-def _ctx_of(P):
-    x, _ = P
-    if isinstance(x, QuadExtScalar):
-        return x.ctx
-    raise TypeError("points must have QuadExtScalar coordinates")
-
-
-def _eval_log_series(E: EllipticCurveData, z: QuadExtScalar, length: int):
-    key = (E.a1, E.a2, E.a3, E.a4, E.a6)
-    coeffs = formal_log_series(key, length)
-    ctx = z.ctx
-    N = z.precision()
-    acc = ctx.one(N + 6) - ctx.one(N + 6)
-    for c in reversed(coeffs):
-        acc = acc * z
-        if c:
-            acc = acc + ctx.embed(PadicScalar.from_fraction(ctx.p, c, N + 6))
-    return acc * z
 
 
 # --------------------------------------------------------- Tate curve series
@@ -344,12 +323,9 @@ def _quad_sqrt(ctx: QuadExtContext, a: PadicScalar) -> QuadExtScalar:
     v = a.valuation()
     if v % 2 != 0:
         raise ValueError("odd valuation has no square root in F_p")
-    unit = a * PadicScalar(a.p, -v, 1, a.N + abs(v) + 2) if v else a
+    unit = a.shift(-v)
     rel = unit.N
-    root = ctx.sqrt_of_int(unit.residue(rel), rel)
-    if v:
-        root = root * PadicScalar(a.p, v // 2, 1, a.N + abs(v) + 2)
-    return root
+    return ctx.sqrt_of_int(unit.residue(rel), rel).shift(v // 2)
 
 
 def tate_to_curve_point(E, transform, XY):

@@ -6,7 +6,9 @@ cycle, function-level imports included.  Only modsym takes the Manin step
 (segment -> generator index), so no other module reaches into P^1 for it.
 No module uses assert, which python -O strips: invariants raise instead.
 No function, in the package or in its tests, stores a local name (other
-than _) that it never reads.
+than _) that it never reads.  In padics and tate, only the two ``_coerce``
+methods ask whether a value is a PadicScalar or a QuadExtScalar: every other
+function serves Q_p and Q_p^2 through one body.
 """
 
 import ast
@@ -120,4 +122,34 @@ def test_no_unused_locals():
     files = [PKG / ("%s.py" % m) for m in MODULES] + sorted(TESTS.glob("*.py"))
     bad = sorted({"%s/%s:%d %s: %s" % (path.parent.name, path.name, line, f, name)
                   for path in files for line, f, name in _unused_locals(path)})
+    assert not bad, bad
+
+
+SCALAR_TYPES = {"PadicScalar", "QuadExtScalar"}
+
+
+def _scalar_dispatch(mod):
+    """(line, function) for each isinstance check against a scalar type
+    outside a method named _coerce."""
+    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and func != "_coerce"):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(n, ast.Name) and n.id in SCALAR_TYPES for n in names):
+                yield node.lineno, func
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(tree, None)
+
+
+def test_scalar_dispatch_only_in_coerce():
+    bad = ["%s.py:%d in %s" % (m, line, func) for m in ("padics", "tate")
+           for line, func in _scalar_dispatch(m)]
     assert not bad, bad

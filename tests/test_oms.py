@@ -17,6 +17,7 @@ from starkheegner.oms import (
     Distribution,
     OMSymbol,
     TransportCache,
+    lift_pair,
     lift_to_oms,
     specialize_weight2,
 )
@@ -98,6 +99,22 @@ def test_lift_is_up_eigen_and_satisfies_relations():
     (_, cert), _ = _lift(sign=1)
     assert cert.eigen_valuation >= NMOM
     assert cert.relation_valuation >= NMOM
+
+
+def test_lift_pair_certifies_both_signs():
+    E = E15()
+    sp = ManinSymbolSpace(15)
+    lifts, certs = lift_pair(E, sp, P, 6)
+    assert sorted(lifts) == sorted(certs) == [-1, 1]
+    for sign in (1, -1):
+        cert = certs[sign]
+        assert cert.converged
+        assert cert.relation_valuation == cert.eigen_valuation == 6
+        phi, want_cert = lift_to_oms(build_eigensymbol(E, sign, sp), E.a_p, P, 6)
+        assert lifts[sign].sign == sign
+        assert cert == want_cert
+        assert [(v.m, v.lam) for v in lifts[sign].values] == \
+            [(v.m, v.lam) for v in phi.values]
 
 
 def test_lift_unique_from_random_start():

@@ -1,9 +1,10 @@
-import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starkheegner.arith import valuation
 from starkheegner.padics import (
     LogBranch,
     PadicScalar,
@@ -82,6 +83,98 @@ def test_exp_log_round_trip():
 def test_log_of_root_of_unity_is_zero():
     z = teichmuller(S(3))
     assert iwasawa_log(z).is_zero()
+
+
+def _exact_exp(p, n, N):
+    """exp(n) mod p^N for an integer n with p | n, summed in Fractions far
+    past the last term that can matter."""
+    w = valuation(n, p)
+    total = term = Fraction(1)
+    for k in range(1, 2 * N + 4):
+        term = term * n / k
+        total += term
+    assert (2 * N + 4) * w - (2 * N + 3) // (p - 1) > N
+    m = p ** N
+    return total.numerator * pow(total.denominator, -1, m) % m
+
+
+def test_exp_precision_is_backed_past_nonmonotone_terms():
+    # v_5(5^k/k!) is 20 at k = 24 and 19 at k = 25, so a sum stopped at the
+    # first negligible term misses the 25th and is wrong in its last digit
+    got = exp_p(PadicScalar.from_int(5, 5, 20))
+    assert got.precision() == 20
+    assert got.residue(20) == _exact_exp(5, 5, 20)
+    for p in (3, 5, 7):
+        for N in (10, 19, 20, 21, 30):
+            for n in (p, 2 * p, p * p, (p - 1) * p):
+                got = exp_p(PadicScalar.from_int(p, n, N))
+                assert got.precision() == N
+                assert got.residue(N) == _exact_exp(p, n, N), (p, N, n)
+
+
+# ------------------------------------------------------ log / exp on Q_p^2
+
+def _teichmuller_route_log(x):
+    """The log branch with log(p) = 0 computed the long way: divide x/p^v by
+    its Teichmueller lift, then sum the series of log(1 + y) term by term."""
+    p, v = x.p, x.valuation()
+    if v:
+        x = x * PadicScalar(p, -v, 1, x.precision() + abs(v) + 2)
+    y = x / teichmuller(x) - 1
+    if y.is_zero():
+        return y
+    total = power = y
+    for k in range(2, 2 * y.precision() + 2):
+        power = power * y
+        total = total + power * Fraction((-1) ** (k + 1), k)
+    return total
+
+
+def _quadratic_samples(ctx, prec, count, rng):
+    """p^v (a + b w) for v = 0, 1, 2 and count draws of units a, b."""
+    p = ctx.p
+    out = []
+    while len(out) < count:
+        a, b = rng.randrange(p ** prec), rng.randrange(p ** prec)
+        if a % p and b % p:
+            out += [ctx.from_ints(a * p ** v, b * p ** v, prec) for v in (0, 1, 2)]
+    return out
+
+
+def test_iwasawa_log_on_quadratic_units_matches_teichmuller_route():
+    rng = random.Random(11)
+    for prec in (8, 20):
+        ctx = QuadExtContext(P, prec)
+        for x in _quadratic_samples(ctx, prec, 8, rng):
+            assert not x.is_scalar()
+            got = iwasawa_log(x)
+            want = _teichmuller_route_log(x)
+            assert got == want
+            assert got.precision() == want.precision() == prec - x.valuation()
+
+
+def test_log_q_additive_on_quadratic_inputs():
+    rng = random.Random(12)
+    br = _branch(2)
+    ctx = QuadExtContext(P, N)
+    xs = _quadratic_samples(ctx, N, 4, rng)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        lhs = br.log(x * y)
+        rhs = br.log(x) + br.log(y)
+        assert lhs == rhs
+
+
+def test_exp_log_round_trip_on_quadratic_inputs():
+    rng = random.Random(13)
+    for prec in (8, 20):
+        ctx = QuadExtContext(P, prec)
+        for _ in range(10):
+            a, b, c, d = (P * rng.randrange(1, P ** (prec - 1)) for _ in range(4))
+            x = ctx.from_ints(1 + a, b, prec)   # in 1 + pO, not in Q_p
+            z = ctx.from_ints(c, d, prec)       # in pO, not in Q_p
+            assert not x.is_scalar() and not z.is_scalar()
+            assert exp_p(iwasawa_log(x)) == x
+            assert iwasawa_log(exp_p(z)) == z
 
 
 def _branch(vq=1):
