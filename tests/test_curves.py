@@ -6,26 +6,30 @@ from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 import starkheegner
-from starkheegner.arith import primes_up_to
+from starkheegner.arith import kronecker, primes_up_to
 from starkheegner.curves import (
     CurveError,
     EllipticCurveData,
     GlobalPoint,
     QuadRat,
+    _e1,
+    _twist_series_data,
     check_sh_hypothesis,
     complex_L_derivative,
     complex_L_value,
     naive_point_search,
     point_order_divides,
-    real_periods,
     sign_of_twist,
     twist_model,
     twist_point_to_curve,
 )
 from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars, order_by_sign
 from starkheegner.quadforms import NarrowClassGroup
+
+from oracle_periods import real_periods
 
 
 def E37():
@@ -172,6 +176,27 @@ def test_l_derivative_37a():
     # slow oracle: much longer series
     val2, _ = complex_L_derivative(E, 1, length_factor=6.0)
     assert abs(val - val2) < 1e-8
+
+
+def test_e1_matches_scipy():
+    # a log grid over [1e-6, 150], and both sides of the switch from the
+    # power series to the continued fraction at x = 2
+    grid = [10 ** (-6 + k * (6 + math.log10(150)) / 400) for k in range(401)]
+    grid += [2 - 1e-9, math.nextafter(2, 0), 2.0, math.nextafter(2, 3), 2 + 1e-9]
+    for x in grid:
+        assert abs(_e1(x) - exp1(x)) <= 1e-13 * exp1(x), x
+
+
+@pytest.mark.parametrize("delta", [13, -7, -11, 1001])
+def test_l_derivative_matches_scipy_series(delta):
+    # every n <= L, zero terms included, with scipy's E1
+    E = E15()
+    A, L, _ = _twist_series_data(E, delta)
+    an = E.an_list(L)
+    ref = 2 * math.fsum(an[n] * kronecker(delta, n) / n * exp1(n / A)
+                        for n in range(1, L + 1))
+    val, _ = complex_L_derivative(E, delta)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 def test_l_value_rank0():

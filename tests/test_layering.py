@@ -9,9 +9,16 @@ No function, in the package or in its tests, stores a local name (other
 than _) that it never reads.  In padics and tate, only the two ``_coerce``
 methods ask whether a value is a PadicScalar or a QuadExtScalar: every other
 function serves Q_p and Q_p^2 through one body.
+The package has no runtime dependencies: every import in it, at module or
+function level, names a package module or a standard-library one, and
+importing the package's modules loads neither scipy nor numpy, which only
+the tests' oracles use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -153,3 +160,38 @@ def test_scalar_dispatch_only_in_coerce():
     bad = ["%s.py:%d in %s" % (m, line, func) for m in ("padics", "tate")
            for line, func in _scalar_dispatch(m)]
     assert not bad, bad
+
+
+def _foreign_imports(mod):
+    """(line, module) for each import in mod, at any level, of a module that
+    is neither in the package nor in the standard library."""
+    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "starkheegner" and top not in sys.stdlib_module_names:
+                yield node.lineno, name
+
+
+def test_only_package_and_stdlib_imports():
+    bad = ["%s.py:%d imports %s" % (m, line, name) for m in MODULES
+           for line, name in _foreign_imports(m)]
+    assert not bad, bad
+
+
+def test_import_loads_no_numerics_stack():
+    code = ("import sys\n"
+            "import %s\n"
+            "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+            % ", ".join("starkheegner." + m for m in MODULES))
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]", out.stdout

@@ -8,7 +8,6 @@ from starkheegner.arith import MAT_ID, mat_mul
 from starkheegner.curves import (
     EllipticCurveData,
     complex_L_value,
-    real_periods,
     sign_of_twist,
 )
 from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars
@@ -22,6 +21,8 @@ from starkheegner.modsym import (
     segments_between,
 )
 from starkheegner.quadforms import HeegnerSystem
+
+from oracle_periods import real_periods
 
 rng = random.Random(7)
 
