@@ -13,12 +13,17 @@ stays only until the benchmark in bench/ stops seeding it.
 
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
 through t -> (a t + b)/(c t + d) and u -> u * (c t + d).  A transport's
-matrices have rows phi^j and phi^j * log<c t + d>, for phi the series of
-(a t + b)/(c t + d); each row follows from the one before by the two-term
-recurrence (c t + d) f_j = (a t + b) f_{j-1}, one coefficient at a time,
-with no series product.  A U_p sweep groups the pieces of each target
-generator by matrix and does one matrix-vector product per (target, matrix)
-group, on the signed sum of its sources.
+kernel is a pair (A, L): row j of A is phi^j, for phi the series of
+(a t + b)/(c t + d), and L is the series log<c t + d>.  The jet's matrix B,
+whose row j is phi^j * L, is never formed: B m = A (L*m) for the
+correlation (L*m)_i = sum_t L[t] m[i + t], so a transport is
+m' = A m and lam' = A (lam + L*m).  Row j of A is kept mod p^(n_mom - j),
+the precision of moment j, with its trailing zeros dropped; each row
+follows from the one before by the two-term recurrence
+(c t + d) f_j = (a t + b) f_{j-1}, one coefficient at a time, with no
+series product.  A U_p sweep groups the pieces of each target generator by
+matrix and does one transport per (target, matrix) group, on the signed sum
+of its sources.
 """
 
 from __future__ import annotations
@@ -102,7 +107,13 @@ def _filtration_valuation(p: int, n: int, xs, ys) -> int:
 # ------------------------------------------------------- transport matrices
 
 class TransportCache:
-    """Per-(p, n_mom) cache of moment transport matrices."""
+    """Per-(p, n_mom) cache of the transport kernel (A, L) of each matrix.
+
+    Row j of A is phi^j mod p^(n_mom - j), with its trailing zeros dropped;
+    L is the series log<c t + d> mod p^n_mom.  Moment j of a transport is
+    only known mod p^(n_mom - j), so row j of A is needed to no more digits
+    than that, and the jet's matrix B (row j: phi^j * L) is never formed.
+    """
 
     def __init__(self, p: int, n: int):
         self.p = p
@@ -111,11 +122,15 @@ class TransportCache:
         self._cache = {}
         self._logs = {}
 
+    def __len__(self):
+        return len(self._cache)
+
     def _key(self, g):
         return tuple(x % self.mod for x in g)
 
     def matrices(self, g):
-        """(A, B): m' = A m, lam' = A lam + B m, for the matrix g."""
+        """(A, L) for the matrix g: m' = A m and lam' = A (lam + L*m), with
+        (L*m)_i = sum_t L[t] m[i + t], both to the filtration (see _act)."""
         key = self._key(g)
         got = self._cache.get(key)
         if got is None:
@@ -147,17 +162,18 @@ class TransportCache:
                                       % (k, g))
             num = (xk // p ** e) * pow(kk, -1, work) % work
             logser.append((-num if k % 2 == 0 else num) % mod)
-        # Row j of A is phi^j for phi(t) = (a t + b) / (c t + d), and row j
-        # of B is phi^j * log<c t + d>.  Both obey (c t + d) f_j = (a t + b)
-        # f_{j-1}, so f_j[k] = d^-1 (a f_{j-1}[k-1] + b f_{j-1}[k] - c f_j[k-1]),
-        # computed mod p^n: only the log's divisions by k need work's slack.
-        dinv %= mod
-        A = [[1] + [0] * (n - 1)]
-        B = [logser]
-        for _ in range(1, n):
-            A.append(_next_row(A[-1], a, b, c, dinv, mod))
-            B.append(_next_row(B[-1], a, b, c, dinv, mod))
-        return A, B
+        # Row j of A is phi^j for phi(t) = (a t + b) / (c t + d): (c t + d)
+        # f_j = (a t + b) f_{j-1}, so f_j[k] = d^-1 (a f_{j-1}[k-1] +
+        # b f_{j-1}[k] - c f_j[k-1]).  The recurrence has integer
+        # coefficients, so row j mod p^(n - j) needs row j - 1 only mod
+        # p^(n - j): each row is computed to the digits it keeps.
+        row = [1] + [0] * (n - 1)
+        A = [[1]]
+        for j in range(1, n):
+            jmod = p ** (n - j)
+            row = _next_row(row, a, b, c, dinv % jmod, jmod)
+            A.append(_trimmed(row))
+        return A, logser
 
     def _log_unit(self, d: int) -> int:
         got = self._logs.get(d)
@@ -168,15 +184,22 @@ class TransportCache:
         return got
 
     def transport(self, dist: Distribution, g) -> Distribution:
-        A, B = self.matrices(g)
-        return Distribution(dist.p, dist.n, *_act(A, B, dist.m, dist.lam))
+        A, L = self.matrices(g)
+        return Distribution(dist.p, dist.n, *_act(A, L, dist.m, dist.lam))
 
 
-def _act(A, B, m, lam):
-    """(A m, A lam + B m) over the integers: the transport of bare moment
-    vectors, unreduced."""
+def _act(A, L, m, lam):
+    """(A m, A (lam + L*m)) over the integers: the transport of bare moment
+    vectors, exact mod p^(n - j) at moment j and otherwise unreduced.
+
+    The jet is A lam + B m for B with row j = phi^j * L truncated; its
+    entry k is sum_{s + t = k} A[j][s] L[t], so B m = A (L*m) with
+    (L*m)_s = sum_t L[t] m[s + t]: two matrix-vector products with the
+    truncated rows of A and one triangular correlation, in place of B's
+    dense n_mom x n_mom product."""
+    v = [x + sum(map(mul, L, m[s:])) for s, x in enumerate(lam)]
     return ([sum(map(mul, row, m)) for row in A],
-            [sum(map(mul, a, lam)) + sum(map(mul, b, m)) for a, b in zip(A, B)])
+            [sum(map(mul, row, v)) for row in A])
 
 
 def _next_row(prev, a, b, c, dinv, mod):
@@ -190,18 +213,28 @@ def _next_row(prev, a, b, c, dinv, mod):
     return row
 
 
+def _trimmed(row):
+    """row without its trailing zeros."""
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return row[:end]
+
+
 # ------------------------------------------------------------- the symbol
 
 @dataclass
 class LiftCertificate:
     """How lift_to_oms reached its lift: U_p sweeps run, whether the last one
-    left the t-moments unchanged, and the filtration levels to which the
-    Manin relations and the U_p eigen-equation hold on the t-moments."""
+    left the t-moments unchanged, the filtration levels to which the Manin
+    relations and the U_p eigen-equation hold on the t-moments, and how many
+    transport kernels the lift's TransportCache holds after the checks."""
 
     iterations: int
     converged: bool
     relation_valuation: int
     eigen_valuation: int
+    matrices_cached: int
 
 
 class OMSymbol:
@@ -293,8 +326,8 @@ class OMSymbol:
                     op = add if sgn > 0 else sub
                     m = list(map(op, m, values[idx].m))
                     lam = list(map(op, lam, values[idx].lam))
-                A, B = self.cache.matrices(key)
-                dm, dlam = _act(A, B, m, lam)
+                A, L = self.cache.matrices(key)
+                dm, dlam = _act(A, L, m, lam)
                 m_out = list(map(add, m_out, dm))
                 lam_out = list(map(add, lam_out, dlam))
             new_values.append(Distribution(self.p, n,
@@ -347,6 +380,7 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
     t-moments.  ``relation_valuation`` is ``relation_residual()``.
     ``eigen_valuation`` is the filtration level at which the final sweep
     changed the t-moments.  ``converged`` says that level is n_mom.
+    ``matrices_cached`` is the number of transport kernels built.
 
     Raises ValueError for a non-integral classical value or if the zeroth
     moments drift (the symbol is not a U_p-eigensymbol with eigenvalue a_p).
@@ -374,7 +408,8 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
                          "U_p-eigensymbol with eigenvalue %d" % a_p)
     eigen = min(a.t_difference_valuation(b) for a, b in zip(prev, phi.values))
     phi.values = [Distribution(p, n_mom, v.m) for v in phi.values]
-    cert = LiftCertificate(sweeps, eigen >= n_mom, phi.relation_residual(), eigen)
+    relation = phi.relation_residual()
+    cert = LiftCertificate(sweeps, eigen >= n_mom, relation, eigen, len(phi.cache))
     achieved = min(cert.relation_valuation, cert.eigen_valuation)
     if achieved < n_mom:
         raise PrecisionError("lift certified to %d of %d digits: %s"

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from starkheegner.arith import mat_adj, mat_mul
 from starkheegner.curves import EllipticCurveData
@@ -66,19 +67,40 @@ def test_transport_total_mass_invariant():
         assert out.m[0] == d.m[0] % 5 ** 6
 
 
-def test_transport_composition():
-    cache = TransportCache(P, 7)
-    rng = random.Random(4)
-    d = Distribution(P, 7, m=[rng.randrange(1000) for _ in range(7)],
-                     lam=[rng.randrange(1000) for _ in range(7)])
-    g1 = (1, 2, 5, 11)
-    g2 = (2, 1, 5, 3)
+@st.composite
+def det_one_transports(draw):
+    """(a, b; c, d) of determinant 1 with 5 | c, c != 0."""
+    c = P * draw(st.integers(1, 10 ** 4)) * draw(st.sampled_from((1, -1)))
+    d = draw(st.integers(-10 ** 6, 10 ** 6))
+    assume(math.gcd(c, d) == 1)
+    a = pow(d, -1, abs(c)) + c * draw(st.integers(-100, 100))
+    return (a, (a * d - 1) // c, c, d)
+
+
+def _floor_log(p, n):
+    """The largest e with p^e <= n, in integers."""
+    e = 0
+    while p ** (e + 1) <= n:
+        e += 1
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_one_transports(), det_one_transports(), st.integers(1, 30),
+       st.randoms(use_true_random=False))
+@example((1, 2, 5, 11), (2, 1, 5, 3), 7, random.Random(4))
+def test_transport_composition(g1, g2, n, rng):
+    cache = TransportCache(P, n)
+    d = Distribution(P, n, m=[rng.randrange(P ** n) for _ in range(n)],
+                     lam=[rng.randrange(P ** n) for _ in range(n)])
     lhs = cache.transport(cache.transport(d, g1), g2)
     rhs = cache.transport(d, mat_mul(g2, g1))
-    # t-moments compose exactly within filtration; the log-jet loses
-    # ceil(log_p n) digits to the divisions by k in the log series
-    assert all(a == b for a, b in zip(lhs.m, rhs.m))
-    assert lhs.max_difference_valuation(rhs) >= 7 - 1
+    # t-moments compose exactly within filtration.  The jet loses up to
+    # floor(log_p n) digits: the moments past n_mom that a transport drops
+    # meet the log coefficient (c/d)^t / t, of valuation t - v_p(t), and
+    # v_p(t) - (t - n) <= floor(log_p n) for t >= n
+    assert lhs.m == rhs.m
+    assert lhs.max_difference_valuation(rhs) >= n - _floor_log(P, n)
 
 
 # ------------------------------------------------------------------ lifting
@@ -113,6 +135,9 @@ def test_lift_pair_certifies_both_signs():
         phi, want_cert = lift_to_oms(build_eigensymbol(E, sign, sp), E.a_p, P, 6)
         assert lifts[sign].sign == sign
         assert cert == want_cert
+        # every matrix of the U_p plan, and those of the relation check
+        plan = {key for groups in phi._up_plan for key, _ in groups}
+        assert cert.matrices_cached == len(phi.cache) > len(plan)
         assert [(v.m, v.lam) for v in lifts[sign].values] == \
             [(v.m, v.lam) for v in phi.values]
 
@@ -262,11 +287,18 @@ def _up_pieces(sp, g):
             yield idx, mat_mul(mat_adj(path), gamma), sgn
 
 
+def _matvec(M, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in M]
+
+
 def test_transport_matrices_match_schoolbook_build():
     # keys with c = 0, with negative entries, with entries >= p^n, and the
-    # U_p value matrices of 15x (every one up to n_mom 8, a sample at 40)
+    # U_p value matrices of 15x (every one up to n_mom 8, a sample at 40).
+    # The cache keeps row j of A mod p^(n - j) without its trailing zeros
+    # and L = row 0 of B; a transport by it is m' = A m, lam' = A lam + B m
     sp = ManinSymbolSpace(15)
     up = sorted({m for g in sp.lifts for _, m, _ in _up_pieces(sp, g)})
+    rng = random.Random(17)
     for n in (1, 2, 8, 40):
         big = P ** n
         keys = [(1, 0, 0, 1), (5, -3, 0, 1), (2, 7, 0, 3), (-3, 7, -10, -2),
@@ -275,7 +307,22 @@ def test_transport_matrices_match_schoolbook_build():
         keys += up if n < 40 else up[::8]
         cache = TransportCache(P, n)
         for g in keys:
-            assert cache.matrices(g) == _reference_matrices(P, n, g), (n, g)
+            A_ref, B_ref = _reference_matrices(P, n, g)
+            rows = [[x % P ** (n - j) for x in row] for j, row in enumerate(A_ref)]
+            for row in rows:
+                while row and row[-1] == 0:
+                    row.pop()
+            A, L = cache.matrices(g)
+            assert A == rows, (n, g)
+            assert L == B_ref[0], (n, g)
+            for _ in range(2):
+                d = Distribution(P, n, [rng.randrange(big) for _ in range(n)],
+                                 [rng.randrange(big) for _ in range(n)])
+                want = Distribution(P, n, _matvec(A_ref, d.m),
+                                    [x + y for x, y in zip(_matvec(A_ref, d.lam),
+                                                           _matvec(B_ref, d.m))])
+                got = cache.transport(d, g)
+                assert (got.m, got.lam) == (want.m, want.lam), (n, g)
 
 
 def test_transport_matrices_reject_matrices_outside_the_monoid():
