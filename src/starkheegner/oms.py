@@ -113,12 +113,26 @@ class TransportCache:
     L is the series log<c t + d> mod p^n_mom.  Moment j of a transport is
     only known mod p^(n_mom - j), so row j of A is needed to no more digits
     than that, and the jet's matrix B (row j: phi^j * L) is never formed.
+    The cache also tables, once, what every build of L shares: for each
+    k < n_mom, p^v_p(k) and the signed inverse of k's unit part mod the
+    working modulus, which has slack digits for the divisions by p^v_p(k).
     """
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
         self.mod = p ** n
+        extra = 1
+        while p ** extra <= n:
+            extra += 1
+        self.work = self.mod * p ** extra  # slack for the divisions by k in the log
+        # for k < n: p^e = p^v_p(k) and (-1)^(k+1) (k / p^e)^-1 mod work, so
+        # the log coefficient (-1)^(k+1) x^k / k is (x^k / p^e) times it
+        self._log_inverses = [None]
+        for k in range(1, n):
+            pe = p ** valuation(k, p)
+            inv = pow(k // pe, -1, self.work)
+            self._log_inverses.append((pe, inv if k % 2 else -inv))
         self._cache = {}
         self._logs = {}
 
@@ -139,11 +153,7 @@ class TransportCache:
         return got
 
     def _build(self, g):
-        p, n, mod = self.p, self.n, self.mod
-        extra = 1
-        while p ** extra <= n:
-            extra += 1
-        work = mod * p ** extra  # slack for the divisions by k in the log
+        p, n, mod, work = self.p, self.n, self.mod, self.work
         a, b, c, d = g
         if d % p == 0 or c % p != 0:
             raise ValueError("matrix outside the transport monoid")
@@ -155,31 +165,29 @@ class TransportCache:
         xk = 1
         for k in range(1, n):
             xk = xk * x % work
-            e = valuation(k, p)
-            kk = k // p ** e
-            if xk % p ** e:
+            pe, inv = self._log_inverses[k]
+            if xk % pe:
                 raise ArithmeticError("log coefficient %d of %r is not integral"
                                       % (k, g))
-            num = (xk // p ** e) * pow(kk, -1, work) % work
-            logser.append((-num if k % 2 == 0 else num) % mod)
+            logser.append((xk // pe) * inv % mod)
         # Row j of A is phi^j for phi(t) = (a t + b) / (c t + d): (c t + d)
-        # f_j = (a t + b) f_{j-1}, so f_j[k] = d^-1 (a f_{j-1}[k-1] +
-        # b f_{j-1}[k] - c f_j[k-1]).  The recurrence has integer
-        # coefficients, so row j mod p^(n - j) needs row j - 1 only mod
-        # p^(n - j): each row is computed to the digits it keeps.
+        # f_j = (a t + b) f_{j-1}, so f_j[k] = a' f_{j-1}[k-1] +
+        # b' f_{j-1}[k] - c' f_j[k-1] with (a', b', c') = (a, b, c) / d.
+        # The recurrence has integer coefficients, so row j mod p^(n - j)
+        # needs row j - 1 only mod p^(n - j): each row is computed to the
+        # digits it keeps.
+        ad, bd, cd = (v * dinv % mod for v in (a, b, c))
         row = [1] + [0] * (n - 1)
         A = [[1]]
         for j in range(1, n):
-            jmod = p ** (n - j)
-            row = _next_row(row, a, b, c, dinv % jmod, jmod)
+            row = _next_row(row, ad, bd, cd, p ** (n - j))
             A.append(_trimmed(row))
         return A, logser
 
     def _log_unit(self, d: int) -> int:
         got = self._logs.get(d)
         if got is None:
-            val = iwasawa_log(PadicScalar.from_int(self.p, d, self.n))
-            got = val.residue(self.n) if not val.is_zero() else 0
+            got = iwasawa_log(PadicScalar.from_int(self.p, d, self.n)).residue()
             self._logs[d] = got
         return got
 
@@ -202,12 +210,12 @@ def _act(A, L, m, lam):
             [sum(map(mul, row, v)) for row in A])
 
 
-def _next_row(prev, a, b, c, dinv, mod):
-    """f with (c t + d) f = (a t + b) prev as truncated series mod ``mod``,
-    for dinv = d^-1 mod ``mod``."""
+def _next_row(prev, a, b, c, mod):
+    """f with (c t + 1) f = (a t + b) prev as truncated series mod ``mod``:
+    the recurrence of (c t + d) with a, b and c already divided by d."""
     row, last, lower = [], 0, 0
     for cur in prev:
-        last = (a * lower + b * cur - c * last) * dinv % mod
+        last = (a * lower + b * cur - c * last) % mod
         row.append(last)
         lower = cur
     return row

@@ -13,10 +13,18 @@ Both types answer ``valuation()``, ``precision()``, ``p`` and ``shift(k)``
 through their own ``_coerce``.  So each function below has one body for Q_p
 and Q_p^2:
 
-- ``iwasawa_log`` writes x = p^v u, an exact shift, and returns
-  log(1 + y)/(p^2 - 1) for y = u^(p^2 - 1) - 1.  Every root of unity of Q_p
-  or Q_p^2 has order dividing p^2 - 1, so this is the branch with
-  log(p) = 0 and needs no Teichmueller lift.
+- ``iwasawa_log`` writes x = p^v u and returns log(1 + y)/(p^2 - 1) for
+  y = u^(p^2 - 1) - 1.  Every root of unity of Q_p or Q_p^2 has order
+  dividing p^2 - 1, so this is the branch with log(p) = 0 and needs no
+  Teichmueller lift.  Each type hands u as integer digits (a, b) to one
+  kernel over Z_p[w]/(w^2 - eps), (a, 0) for Q_p, where a pair product is
+  one integer product.  It takes y mod p^(N + g) and sums
+  (-1)^(k+1) y^k/k in integers, y^k divided exactly by p^v_p(k), k's unit
+  part by its inverse: g, the largest v_p(k) of a term kept at v(y) = 1,
+  is the guard that keeps every term right mod p^N.  The log is known to
+  u's relative precision N, for Q_p^2 capped at ctx.N + 2 v(b): eps is
+  known to ctx.N digits, and capped arithmetic keeps no more of the
+  product b b' eps.  A scalar-valued u (b = 0) keeps its N.
 - ``exp_p`` sums x^k/k! up to the last k at which the lower bound
   v(x^k/k!) >= k v(x) - (k - 1)/(p - 1) is still below N (Legendre:
   v_p(k!) <= (k - 1)/(p - 1)).  The bound rises with k, but the exact
@@ -177,6 +185,13 @@ class PadicScalar(_Capped):
         """The value times p^k, exactly: valuation and precision move by k."""
         return PadicScalar(self.p, self.v + k, self.unit, self.N + k)
 
+    def _log_digits(self):
+        """(a, b, eps, N): the value over p^v is a + b w mod p^N."""
+        return self.unit, 0, 0, self.N - self.v
+
+    def _from_log_digits(self, a: int, b: int, N: int) -> "PadicScalar":
+        return PadicScalar.from_int(self.p, a, N)
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -277,6 +292,18 @@ class QuadExtScalar(_Capped):
     def shift(self, k: int) -> "QuadExtScalar":
         """The value times p^k, exactly."""
         return QuadExtScalar(self.ctx, self.a.shift(k), self.b.shift(k))
+
+    def _log_digits(self):
+        """(a, b, eps, N): the value over p^v is a + b w mod p^N, with N
+        capped at ctx.N + 2 v(b) (see the module docstring)."""
+        v = self.valuation()
+        a, b = (0 if c.is_zero() else c.unit * c.p ** (c.v - v)
+                for c in (self.a, self.b))
+        return (a, b, self.ctx.eps,
+                min(self.precision() - v, self.ctx.N + 2 * (self.b.v - v)))
+
+    def _from_log_digits(self, a: int, b: int, N: int) -> "QuadExtScalar":
+        return self.ctx.from_ints(a, b, N)
 
     def _coerce(self, other):
         if isinstance(other, QuadExtScalar):
@@ -396,6 +423,70 @@ def _sqrt_int(n: int, p: int, N: int) -> int:
     return x
 
 
+def _ilog(k: int, p: int) -> int:
+    """The largest e with p^e <= k (0 for k < p)."""
+    e = 0
+    while k >= p:
+        k //= p
+        e += 1
+    return e
+
+
+def _series_terms(w: int, N: int, p: int) -> int:
+    """The first K with K w - ilog_p(K) >= N: for v(y) = w, the terms
+    k >= K of log(1 + y) vanish mod p^N, as that bound rises with k."""
+    K = 1
+    while K * w - _ilog(K, p) < N:
+        K += 1
+    return K
+
+
+def _pair_pow(a: int, b: int, n: int, eps: int, m: int):
+    """(a + b w)^n mod m in Z[w]/(w^2 - eps), as a pair."""
+    if not b:
+        return pow(a, n, m), 0
+    ra, rb = 1, 0
+    for bit in bin(n)[2:]:
+        ra, rb = (ra * ra + eps * rb * rb) % m, 2 * ra * rb % m
+        if bit == "1":
+            ra, rb = (ra * a + eps * rb * b) % m, (ra * b + rb * a) % m
+    return ra, rb
+
+
+def _log_kernel(p: int, a: int, b: int, eps: int, N: int):
+    """(la, lb) with la + lb w = iwasawa_log(a + b w) mod p^N, for a unit
+    a + b w of Z_p[w]/(w^2 - eps) (see the module docstring)."""
+    order = p * p - 1
+    guard = _ilog(_series_terms(1, N, p) - 1, p)
+    m = p ** (N + guard)
+    mod = p ** N
+    ya, yb = _pair_pow(a, b, order, eps, m)
+    ya = (ya - 1) % m
+    if ya % mod == 0 and yb % mod == 0:
+        return 0, 0
+    w = min(valuation(y, p) for y in (ya, yb) if y)
+    if w < 1:
+        raise ArithmeticError("%r + %r w is not a unit mod %d" % (a, b, p))
+    sa = sb = 0
+    pa, pb = 1, 0
+    for k in range(1, _series_terms(w, N, p)):
+        if yb:
+            pa, pb = (pa * ya + eps * pb * yb) % m, (pa * yb + pb * ya) % m
+        else:
+            pa = pa * ya % m
+        e, kk = 0, k
+        while kk % p == 0:
+            kk //= p
+            e += 1
+        inv = pow(kk, -1, mod)
+        if k % 2 == 0:
+            inv = -inv
+        sa += (pa // p ** e) * inv
+        sb += (pb // p ** e) * inv
+    scale = pow(order, -1, mod)
+    return sa * scale % mod, sb * scale % mod
+
+
 # -- Teichmueller / exp / log ------------------------------------------------
 
 def teichmuller(x):
@@ -414,30 +505,15 @@ def teichmuller(x):
     raise ArithmeticError("Teichmueller iteration did not converge")
 
 
-def _log_one_plus(y):
-    """log(1+y) for v(y) >= 1."""
-    if y.is_zero():
-        return y
-    w, N, p = y.valuation(), y.precision(), y.p
-    if w < 1:
-        raise ValueError("log series needs v >= 1")
-    nmax = 1
-    while nmax * w - int(math.log(nmax, p)) < N:
-        nmax += 1
-    total = power = y
-    for k in range(2, nmax + 1):
-        power = power * y
-        total = total + power * Fraction((-1) ** (k + 1), k)
-    return total
-
-
 def iwasawa_log(x):
     """The branch with log(p) = 0, on all of the unit group times p^Z."""
     if x.is_zero():
         raise ValueError("log of zero")
-    order = x.p ** 2 - 1
-    u = x.shift(-x.valuation())
-    return _log_one_plus(u ** order - 1) / order
+    a, b, eps, N = x._log_digits()
+    if N < 1:
+        raise PrecisionError("no digit of %r over p^%d is known"
+                             % (x, x.valuation()), 0)
+    return x._from_log_digits(*_log_kernel(x.p, a, b, eps, N), N)
 
 
 def exp_p(x):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starkheegner.arith import mat_adj, mat_mul
 from starkheegner.curves import EllipticCurveData
@@ -72,7 +72,8 @@ def det_one_transports(draw):
     """(a, b; c, d) of determinant 1 with 5 | c, c != 0."""
     c = P * draw(st.integers(1, 10 ** 4)) * draw(st.sampled_from((1, -1)))
     d = draw(st.integers(-10 ** 6, 10 ** 6))
-    assume(math.gcd(c, d) == 1)
+    while math.gcd(c, d) != 1:  # the next d prime to c, not a rejected draw
+        d += 1
     a = pow(d, -1, abs(c)) + c * draw(st.integers(-100, 100))
     return (a, (a * d - 1) // c, c, d)
 
@@ -293,18 +294,20 @@ def _matvec(M, v):
 
 def test_transport_matrices_match_schoolbook_build():
     # keys with c = 0, with negative entries, with entries >= p^n, and the
-    # U_p value matrices of 15x (every one up to n_mom 8, a sample at 40).
+    # U_p value matrices of 15x (every one up to n_mom 8, a sample above).
+    # n = 5, 6, 25 and 26 are where the log's slack digits and the largest
+    # v_p(k) of its coefficients step up.
     # The cache keeps row j of A mod p^(n - j) without its trailing zeros
     # and L = row 0 of B; a transport by it is m' = A m, lam' = A lam + B m
     sp = ManinSymbolSpace(15)
     up = sorted({m for g in sp.lifts for _, m, _ in _up_pieces(sp, g)})
     rng = random.Random(17)
-    for n in (1, 2, 8, 40):
+    for n in (1, 2, 5, 6, 8, 25, 26, 40):
         big = P ** n
         keys = [(1, 0, 0, 1), (5, -3, 0, 1), (2, 7, 0, 3), (-3, 7, -10, -2),
                 (-1, -4, 25, -7), (big + 3, 2 * big + 1, 5 * big + 5, 3 * big + 7),
                 (-big - 2, big * big, -7 * big - 15, big + 1)]
-        keys += up if n < 40 else up[::8]
+        keys += up if n <= 8 else up[::8]
         cache = TransportCache(P, n)
         for g in keys:
             A_ref, B_ref = _reference_matrices(P, n, g)

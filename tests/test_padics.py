@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from starkheegner.padics import (
     PadicScalar,
     PrecisionError,
     QuadExtContext,
+    QuadExtScalar,
     exp_p,
     iwasawa_log,
     rational_reconstruct,
@@ -151,6 +153,92 @@ def test_iwasawa_log_on_quadratic_units_matches_teichmuller_route():
             want = _teichmuller_route_log(x)
             assert got == want
             assert got.precision() == want.precision() == prec - x.valuation()
+
+
+def _series_route_log(x):
+    """iwasawa_log by capped-precision arithmetic, as the package computed it
+    before its integer kernel: log(1 + y)/(p^2 - 1) for y = u^(p^2 - 1) - 1,
+    x = p^v u, summed term by term with a Fraction coefficient each."""
+    order = x.p ** 2 - 1
+    y = x.shift(-x.valuation()) ** order - 1
+    if y.is_zero():
+        return y / order
+    w, N, p = y.valuation(), y.precision(), y.p
+    nmax = 1
+    while nmax * w - int(math.log(nmax, p)) < N:
+        nmax += 1
+    total = power = y
+    for k in range(2, nmax + 1):
+        power = power * y
+        total = total + power * Fraction((-1) ** (k + 1), k)
+    return total / order
+
+
+def _assert_same_log(x):
+    got, want = iwasawa_log(x), _series_route_log(x)
+    assert got == want, x
+    assert got.valuation() == want.valuation(), x
+    assert got.precision() == want.precision(), x
+    return got
+
+
+def test_iwasawa_log_matches_series_route_on_qp():
+    # units, their multiples by p^v and Teichmueller roots (log zero, known
+    # to the relative precision of the input); N = 33 and 40 at p = 3 keep
+    # terms k = 27 of v_3(k) = 3, which need every guard digit
+    rng = random.Random(21)
+    for p in (3, 5, 7, 11):
+        for N in (1, 2, 6, 12, 20, 33, 40):
+            for v in range(-3, 4):
+                for _ in range(3):
+                    u = rng.randrange(p ** N)
+                    x = PadicScalar(p, v, u if u % p else u + 1, N + v)
+                    assert _assert_same_log(x).precision() == N
+                for r in range(1, p, 3):
+                    z = teichmuller(PadicScalar.from_int(p, r, N)).shift(v)
+                    got = _assert_same_log(z)
+                    assert got.is_zero() and got.precision() == N
+
+
+def test_iwasawa_log_matches_series_route_on_quadratic_inputs():
+    # units times p^v, scalar-valued inputs, and inputs less and more
+    # precise than ctx.N, where eps = w^2 caps the precision of the log
+    rng = random.Random(22)
+    for prec in (6, 8, 20, 40):
+        ctx = QuadExtContext(P, prec)
+        xs = _quadratic_samples(ctx, prec, 4, rng)
+        for dn in (-2, 0, 3):
+            u = rng.randrange(P ** 6) * P + 2
+            xs += [ctx.embed(PadicScalar(P, v, u, prec + dn)) for v in (-1, 0, 2)]
+        for dn in (-2, 2, 5):
+            a, b = rng.randrange(P ** 8) * P + 1, rng.randrange(P ** 8) * P + 3
+            xs += [ctx.from_ints(a * P ** v, b * P ** vb, prec + dn)
+                   for v in (0, 1) for vb in (0, 1, 2)]
+        for x in xs:
+            _assert_same_log(x)
+    for p in (3, 7):
+        ctx = QuadExtContext(p, 12)
+        for x in _quadratic_samples(ctx, 12, 3, rng):
+            _assert_same_log(x)
+
+
+def test_iwasawa_log_precision_caps_at_eps_digits():
+    # w^2 = eps is known to ctx.N digits, so a log with a w-part of
+    # valuation v_b is known to at most ctx.N + 2 v_b digits; a
+    # scalar-valued log keeps the precision of its input
+    ctx = QuadExtContext(P, 10)
+    assert _assert_same_log(ctx.from_ints(7, 3, 12)).precision() == 10
+    assert _assert_same_log(ctx.from_ints(7, 3 * P, 14)).precision() == 12
+    assert _assert_same_log(ctx.from_ints(7, 0, 12)).precision() == 12
+    assert _assert_same_log(ctx.embed(S(7, 12))).precision() == 12
+
+
+def test_iwasawa_log_without_known_digits_raises():
+    # p^3 (0 + u w) known mod p^3: no digit of the unit is known
+    ctx = QuadExtContext(P, 6)
+    x = QuadExtScalar(ctx, PadicScalar.zero(P, 3), PadicScalar(P, 3, 2, 9))
+    with pytest.raises(PrecisionError):
+        iwasawa_log(x)
 
 
 def test_log_q_additive_on_quadratic_inputs():
