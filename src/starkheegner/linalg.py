@@ -1,4 +1,10 @@
-"""Tiny dense exact linear algebra over Fraction, enough for Manin symbols."""
+"""Exact linear algebra over Fraction, enough for Manin symbols.
+
+Matrices come in and go out as dense lists of rows.  ``rref`` eliminates
+sparsely: it holds each row as ``{column: Fraction}`` of its non-zeros, so a
+Manin relation matrix (at most three non-zeros a row) costs work in
+proportion to its fill-in, not to rows times columns.
+"""
 
 from __future__ import annotations
 
@@ -6,29 +12,51 @@ from fractions import Fraction
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Each row in turn is reduced against the pivot rows found so far; if
+    anything is left, its leading column becomes a new pivot, the row is
+    scaled to 1 there and that column is cleared from the earlier pivot
+    rows.  The pivot rows then stay in reduced form, and the RREF of a row
+    space is unique, so the rows come back sorted by pivot."""
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+    pivot_rows = {}  # pivot column -> {column: Fraction}, 1 at the pivot
+    for dense in rows:
+        row = {c: Fraction(x) for c, x in enumerate(dense) if x}
+        for pc in [c for c in row if c in pivot_rows]:
+            _subtract(row, row.pop(pc), pivot_rows[pc], pc)
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]], pivots
+        pc = min(row)
+        inv = 1 / row[pc]
+        row = {c: x * inv for c, x in row.items()}
+        for other in pivot_rows.values():
+            f = other.pop(pc, 0)
+            if f:
+                _subtract(other, f, row, pc)
+        pivot_rows[pc] = row
+    pivots = sorted(pivot_rows)
+    out = []
+    for pc in pivots:
+        dense = [Fraction(0)] * ncols
+        for c, x in pivot_rows[pc].items():
+            dense[c] = x
+        out.append(dense)
+    return out, pivots
+
+
+def _subtract(row, f, pivot_row, pc):
+    """row -= f * pivot_row away from column pc (which the caller has
+    already cleared), dropping the entries that cancel."""
+    for c, x in pivot_row.items():
+        if c != pc:
+            y = row.get(c, 0) - f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
 
 
 def kernel_basis(rows, ncols):

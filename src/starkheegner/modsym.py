@@ -5,6 +5,12 @@ P^1(Z/N) (Manin's presentation); the two- and three-term relations cut out
 the space, Hecke operators act through path matrices and the Manin
 trick, and the eigensymbols of a curve are found by exact kernel
 intersections.
+
+The relation matrix has at most three non-zeros a row, and linalg.rref
+eliminates it sparsely (Cremona, Algorithms for Modular Elliptic Curves,
+ch. 2); the space keeps its rref basis as well as, for each P^1 index, the
+basis vectors that are non-zero there, so an operator matrix costs one
+product per non-zero rather than one per basis vector.
 """
 
 from __future__ import annotations
@@ -140,6 +146,15 @@ class ManinSymbolSpace:
             rows.append(row)
         self.basis, self.pivots = rref(kernel_basis(rows, n))
         self.dim = len(self.basis)
+        # for each P^1 index, the non-zero entries (k, basis[k][idx]); an
+        # integral entry is kept as int, so that _operator_matrix multiplies
+        # and adds integers
+        self._basis_columns = [[] for _ in range(n)]
+        for k, b in enumerate(self.basis):
+            for idx, x in enumerate(b):
+                if x:
+                    self._basis_columns[idx].append(
+                        (k, x.numerator if x.denominator == 1 else x))
         self.lifts = [self.p1.lift(i) for i in range(n)]
 
     # ------------------------------------------------------------ evaluation
@@ -202,10 +217,16 @@ class ManinSymbolSpace:
 
     def _operator_matrix(self, paths):
         """Matrix of the operator on rref coordinates.  coordinates reads
-        only the pivot rows, so only those are decomposed."""
-        return [[sum((c * b[idx] for idx, c in row.items()), Fraction(0))
-                 for b in self.basis]
-                for row in self._rows(paths, self.pivots)]
+        only the pivot rows, so only those are decomposed; each entry of a
+        row meets only the basis vectors that are non-zero at its index."""
+        out = []
+        for row in self._rows(paths, self.pivots):
+            mrow = [0] * self.dim
+            for idx, c in row.items():
+                for k, x in self._basis_columns[idx]:
+                    mrow[k] += c * x
+            out.append([Fraction(x) for x in mrow])
+        return out
 
     def hecke_matrix(self, ell: int):
         """Matrix of T_ell (or U_ell for ell | N) on the space, acting on

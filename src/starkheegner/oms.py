@@ -278,13 +278,17 @@ class OMSymbol:
         return self.eval_path_transported(r, s, MAT_ID)
 
     def eval_path_transported(self, r, s, outer) -> Distribution:
-        """transport(Phi{r -> s}, outer), one transport per segment."""
-        total = Distribution(self.p, self.n)
+        """transport(Phi{r -> s}, outer), one transport per segment.  The
+        segments' moments are summed as integers and reduced once, by the
+        Distribution built at the end (reduction is a ring map)."""
+        m, lam = [0] * self.n, [0] * self.n
         for g, sign in segments_between(r, s):
             idx, gamma = self.space.generator_of(g)
             d = self.cache.transport(self.values[idx], mat_mul(outer, gamma))
-            total = total + (d if sign > 0 else d.scale(-1))
-        return total
+            for j in range(self.n):
+                m[j] += sign * d.m[j]
+                lam[j] += sign * d.lam[j]
+        return Distribution(self.p, self.n, m, lam)
 
     # ---------------------------------------------------------------- U_p
 

@@ -11,6 +11,7 @@ from starkheegner.curves import (
     sign_of_twist,
 )
 from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars
+from starkheegner.linalg import matvec
 from starkheegner.modsym import (
     INF,
     ManinSymbolSpace,
@@ -23,6 +24,7 @@ from starkheegner.modsym import (
 from starkheegner.quadforms import HeegnerSystem
 
 from oracle_periods import real_periods
+from test_linalg import dense_kernel_basis, dense_rref
 
 rng = random.Random(7)
 
@@ -33,6 +35,10 @@ def E11():
 
 def E15():
     return EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=5, label="15x")
+
+
+def E115():
+    return EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5, label="115a")
 
 
 def _genus_formula(N):
@@ -107,6 +113,47 @@ def test_hecke_matrix_reads_only_pivot_rows():
         ident = [[int(i == j) for j in range(sp.dim)] for i in range(sp.dim)]
         assert [[sum(w[i][k] * w[k][j] for k in range(sp.dim))
                  for j in range(sp.dim)] for i in range(sp.dim)] == ident, N
+
+
+def _relation_rows(sp):
+    """The two- and three-term Manin relations on every generator, read off
+    the lifts: w + w|S = 0 and w + w|T + w|T^2 = 0."""
+    S, T = ManinSymbolSpace.S, ManinSymbolSpace.T
+    TT = mat_mul(T, T)
+    idx = sp.p1.index_of_matrix
+    rows = []
+    for i, g in enumerate(sp.lifts):
+        for terms in ((i, idx(mat_mul(g, S))),
+                      (i, idx(mat_mul(g, T)), idx(mat_mul(g, TT)))):
+            row = [0] * len(sp.p1)
+            for j in terms:
+                row[j] += 1
+            rows.append(row)
+    return rows
+
+
+def test_basis_matches_dense_elimination():
+    # the rref of a row space is unique, so the sparse elimination must give
+    # the dense oracle's basis and pivots exactly
+    for N in (11, 15, 35, 57):
+        sp = ManinSymbolSpace(N)
+        basis, pivots = dense_rref(dense_kernel_basis(_relation_rows(sp), len(sp.p1)))
+        assert sp.pivots == pivots, N
+        assert sp.basis == basis, N
+
+
+def test_level_115_space_and_eigensymbols():
+    E = E115()
+    sp = ManinSymbolSpace(115)
+    assert len(sp.p1) == 144
+    assert sp.cuspidal_dimension() == 22 == 2 * _genus_formula(115)
+    assert sp.dim == 25                        # 2g + (#cusps - 1)
+    syms = {sign: build_eigensymbol(E, sign, sp) for sign in (1, -1)}
+    for ell in (2, 3):
+        m, a = sp.hecke_matrix(ell), E.ap(ell)
+        for sign, sym in syms.items():
+            v = sp.coordinates(sym.vector)
+            assert matvec(m, v) == [a * x for x in v], (ell, sign)
 
 
 # --------------------------------------------------------------- eigensymbol
