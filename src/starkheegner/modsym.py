@@ -156,6 +156,7 @@ class ManinSymbolSpace:
                     self._basis_columns[idx].append(
                         (k, x.numerator if x.denominator == 1 else x))
         self.lifts = [self.p1.lift(i) for i in range(n)]
+        self._hecke = {}
 
     # ------------------------------------------------------------ evaluation
 
@@ -230,8 +231,12 @@ class ManinSymbolSpace:
 
     def hecke_matrix(self, ell: int):
         """Matrix of T_ell (or U_ell for ell | N) on the space, acting on
-        rref coordinates."""
-        return self._operator_matrix(self.hecke_paths(ell))
+        rref coordinates.  Built once per ell; callers share the rows and
+        must not change them."""
+        got = self._hecke.get(ell)
+        if got is None:
+            got = self._hecke[ell] = self._operator_matrix(self.hecke_paths(ell))
+        return got
 
     def atkin_lehner_infinity_matrix(self):
         """Matrix of the involution {r -> s} -> {-r -> -s}."""
@@ -243,10 +248,7 @@ class ManinSymbolSpace:
         ell = 2
         while self.N % ell == 0:
             ell += 1
-        m = self.hecke_matrix(ell)
-        for i in range(self.dim):
-            m[i][i] -= ell + 1
-        _, piv = rref(m)
+        _, piv = rref(_minus_scalar(self.hecke_matrix(ell), ell + 1))
         return len(piv)
 
 
@@ -265,24 +267,24 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
     """The normalized eigensymbol of E with the given sign at infinity."""
     if space is None:
         space = ManinSymbolSpace(E.conductor)
-    # basis of the current subspace, as coordinate vectors (all of it at first)
+    # basis of the current subspace, as coordinate vectors; None is the
+    # whole space, whose first cut is the kernel of m - a itself
     dim = space.dim
-    sub = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    sub = None
     ell = 1
-    while len(sub) > 2:
+    while sub is None or len(sub) > 2:
         ell += 1
         if ell > EIGEN_PRIME_BOUND:
             raise RuntimeError("eigenspace did not shrink to dimension 2")
         if E.conductor % ell == 0 or not is_prime(ell):
             continue
-        a = E.ap(ell)
-        m = space.hecke_matrix(ell)
-        # restrict m to the span of sub and take kernel of (m - a)
-        rows = []
-        for v in sub:
-            w = matvec(m, v)
-            rows.append([w[k] - a * v[k] for k in range(dim)])
-        ker = kernel_basis([list(r) for r in zip(*rows)], len(sub))
+        shifted = _minus_scalar(space.hecke_matrix(ell), E.ap(ell))
+        if sub is None:
+            sub = kernel_basis(shifted, dim)
+            continue
+        # restrict m - a to the span of sub: column i is (m - a) sub[i]
+        cols = [matvec(shifted, v) for v in sub]
+        ker = kernel_basis([list(r) for r in zip(*cols)], len(sub))
         sub = [lincomb(ker_vec, sub) for ker_vec in ker]
     if len(sub) != 2:
         raise RuntimeError("multiplicity-one failure: dim %d" % len(sub))
@@ -308,6 +310,12 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
                            % (sign, len(red)))
     full = lincomb(red[0], space.basis)
     return RationalModularSymbol(space, _normalize_content(full), sign)
+
+
+def _minus_scalar(m, a):
+    """The rows of m - a * I, as new lists."""
+    return [[x - a if i == k else x for k, x in enumerate(row)]
+            for i, row in enumerate(m)]
 
 
 def _normalize_content(vec):

@@ -24,6 +24,17 @@ follows from the one before by the two-term recurrence
 series product.  A U_p sweep groups the pieces of each target generator by
 matrix and does one transport per (target, matrix) group, on the signed sum
 of its sources.
+
+A path {oo -> x} is evaluated by Horner's rule over its segments, the
+consecutive convergents of x: each step transports the running sum by
+delta = gamma_k^-1 gamma_(k+1), which has small entries and so a kernel the
+cache already holds, in place of a new kernel for each segment's gamma_k.
+The t-moments are exact, because transport is a monoid action on the
+filtered moments: entry (j, k) of A has valuation at least k - j, so the
+moments past n_mom that a product of truncated kernels drops meet row j
+only below its precision p^(n_mom - j).  The jet agrees with one
+transport per segment to n_mom - floor(log_p n_mom) levels only, the
+digits that transport composition keeps.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .modsym import (
     apply_moebius,
     build_eigensymbol,
     segments_between,
+    segments_to_cusp,
 )
 from .padics import PadicScalar, PrecisionError, iwasawa_log
 from .arith import MAT_ID, mat_adj, mat_mul, valuation
@@ -278,17 +290,32 @@ class OMSymbol:
         return self.eval_path_transported(r, s, MAT_ID)
 
     def eval_path_transported(self, r, s, outer) -> Distribution:
-        """transport(Phi{r -> s}, outer), one transport per segment.  The
-        segments' moments are summed as integers and reduced once, by the
-        Distribution built at the end (reduction is a ring map)."""
-        m, lam = [0] * self.n, [0] * self.n
-        for g, sign in segments_between(r, s):
-            idx, gamma = self.space.generator_of(g)
-            d = self.cache.transport(self.values[idx], mat_mul(outer, gamma))
-            for j in range(self.n):
-                m[j] += sign * d.m[j]
-                lam[j] += sign * d.lam[j]
-        return Distribution(self.p, self.n, m, lam)
+        """transport(Phi{r -> s}, outer): {oo -> s} minus {oo -> r}, each by
+        Horner's rule over its segments.  The segments g_k of {oo -> x} are
+        consecutive convergents, with generators (i_k, gamma_k), and the
+        path is A(outer gamma_0)(v_0 + A(delta_0)(v_1 + A(delta_1)(...)))
+        for v_k = values[i_k] and delta_k = gamma_k^-1 gamma_(k+1) in
+        Gamma0(N).  delta_k has small entries, so its kernel comes back from
+        the cache.  The accumulator is a Distribution, reduced each step.
+        On the t-moments this is exact: transport is a monoid action on the
+        filtered moments.  The jet agrees with one transport per segment to
+        n_mom - floor(log_p n_mom) levels, as in transport composition."""
+        out = Distribution(self.p, self.n)
+        for x, sign in ((s, 1), (r, -1)):
+            acc = None
+            for g, _ in reversed(segments_to_cusp(x)):
+                idx, gamma = self.space.generator_of(g)
+                v = self.values[idx]
+                if acc is not None:
+                    A, L = self.cache.matrices(mat_mul(mat_adj(gamma), nxt))
+                    dm, dlam = _act(A, L, acc.m, acc.lam)
+                    v = Distribution(self.p, self.n, map(add, v.m, dm),
+                                     map(add, v.lam, dlam))
+                acc, nxt = v, gamma
+            if acc is not None:
+                acc = self.cache.transport(acc, mat_mul(outer, nxt))
+                out = out + acc if sign > 0 else out - acc
+        return out
 
     # ---------------------------------------------------------------- U_p
 

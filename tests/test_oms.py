@@ -367,3 +367,63 @@ def test_grouped_up_sweep_matches_per_piece_transports():
         assert sum(len(groups) for groups in phi._up_plan) < pieces
         assert [d.m for d in phi.values] == [d.m for d in want], E.conductor
         assert [d.lam for d in phi.values] == [d.lam for d in want], E.conductor
+
+
+# ------------------------------------------- paths by Horner's rule, against
+# one transport per segment
+
+def _per_segment_path(phi, cache, r, s, outer):
+    """transport(Phi{r -> s}, outer), one transport per segment, in the
+    kernel cache ``cache``: the former body of eval_path_transported.  The
+    segments' moments are summed as integers and reduced once, by the
+    Distribution built at the end (reduction is a ring map)."""
+    m, lam = [0] * phi.n, [0] * phi.n
+    for g, sign in segments_between(r, s):
+        idx, gamma = phi.space.generator_of(g)
+        d = cache.transport(phi.values[idx], mat_mul(outer, gamma))
+        for j in range(phi.n):
+            m[j] += sign * d.m[j]
+            lam[j] += sign * d.lam[j]
+    return Distribution(phi.p, phi.n, m, lam)
+
+
+def _big_cusp(rng):
+    return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+
+
+def test_eval_path_by_horner_matches_per_segment_transports():
+    # seeded symbols (classical zeroth moments, random higher moments and
+    # jets) on random paths between cusps up to 10^12 and on the edge paths
+    # r = s, oo -> s and oo -> oo, under the outer matrices of eval_path,
+    # of the U_p balls and of T_ell: the t-moments are equal, the jet agrees
+    # to the levels that transport composition keeps, and the cache holds
+    # fewer kernels than one transport per segment builds, which is at most
+    # one per segment
+    rng = random.Random(23)
+    for E, depths in ((E15(), (1, 2, 8, 20, 40)), (E115(), (10,))):
+        sp = ManinSymbolSpace(E.conductor)
+        sym = build_eigensymbol(E, 1, sp)
+        for n in depths:
+            phi = OMSymbol(sp, P, n, E.a_p, 1)
+            phi.values = [Distribution(
+                P, n, [int(v)] + [rng.randrange(P ** (n - j)) for j in range(1, n)],
+                [rng.randrange(P ** (n - j)) for j in range(n)]) for v in sym.vector]
+            ref = TransportCache(P, n)
+            paths = [(_big_cusp(rng), _big_cusp(rng)) for _ in range(4)]
+            x = _big_cusp(rng)
+            paths += [(x, x), (INF, x), (INF, INF)]
+            outers = ((1, 0, 0, 1), (P, rng.randrange(P), 0, 1),
+                      (1, 0, 0, rng.choice((2, 3, 7, 13))))
+            segments = 0
+            for r, s in paths:
+                segments += len(outers) * len(segments_between(r, s))
+                for outer in outers:
+                    if outer == (1, 0, 0, 1):
+                        got = phi.eval_path(r, s)
+                    else:
+                        got = phi.eval_path_transported(r, s, outer)
+                    want = _per_segment_path(phi, ref, r, s, outer)
+                    assert got.m == want.m, (E.conductor, n, r, s, outer)
+                    assert got.max_difference_valuation(want) >= \
+                        n - _floor_log(P, n), (E.conductor, n, r, s, outer)
+            assert len(phi.cache) < len(ref) <= segments, (E.conductor, n)

@@ -5,9 +5,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import starkheegner
-from starkheegner.arith import MAT_ID, kronecker, mat_mul, surd_sign
+from starkheegner.arith import (
+    MAT_ID,
+    is_fundamental_discriminant,
+    is_squarefree,
+    kronecker,
+    mat_mul,
+    surd_sign,
+)
 from starkheegner.quadforms import (
     BQF,
     HeegnerForm,
@@ -119,6 +127,23 @@ def test_group_axioms_exhaustive_small():
     for D, c in ((40, 1), (13, 3), (5, 7), (21, 1)):
         G = NarrowClassGroup(D, c)
         assert G.check_group_axioms()
+
+
+SMALL_DISCRIMINANTS = [d for d in range(5, 100) if is_fundamental_discriminant(d)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_DISCRIMINANTS), st.integers(0, 49))
+def test_group_axioms_on_random_orders(D, k):
+    # D a fundamental discriminant below 100, c odd, squarefree, below 100 and
+    # prime to D; h+ <= 64 keeps the O(h^3) check near 0.15 s an example
+    c = 2 * k + 1
+    assume(is_squarefree(c) and math.gcd(c, D) == 1)
+    h = narrow_class_number_oracle(D, c)
+    assume(h <= 64)
+    G = NarrowClassGroup(D, c)
+    assert G.order == h
+    assert G.check_group_axioms()
 
 
 def test_composition_matches_ideal_oracle():
