@@ -1,40 +1,40 @@
 """Ordinary measure-valued (overconvergent) modular symbols at weight two.
 
 A distribution is a finite moment vector against the chart coordinate
-t = x/y on Z_p, plus a parallel vector of moments against log<u> in the
-scaling direction (the weight-direction jet).  Moment j is carried modulo
-p^(n_mom - j); the monoid action preserves this filtration.  On the
-t-moments, a_p^{-1} U_p fixes the zeroth layer of an eigenlift and contracts
-everything above it, which is why the naive lift-and-iterate construction
-converges to a unique lift.  The jet's zeroth layer is not contracted (U_p
-fixes a subspace of it), so the jet is not part of the lift: lift_to_oms
-returns it as zero, and no result of this package depends on it.  The jet
-stays only until the benchmark in bench/ stops seeding it.
+t = x/y on Z_p.  Moment j is carried modulo p^(n_mom - j); the monoid action
+preserves this filtration.  a_p^{-1} U_p fixes the zeroth layer of an
+eigenlift and contracts everything above it, which is why the naive
+lift-and-iterate construction converges to a unique lift.
+
+The symbol carries t-moments only: U_p sweeps, path integrals and segment
+values act on m alone, and every value they return has a zero
+weight-direction jet (moments against log<u> in the scaling direction).
+The jet is not part of the lift, since U_p does not contract its zeroth
+layer, and no result of this package reads it.  Distribution.lam, the L
+half of each kernel and TransportCache.transport, the one transport that
+still moves a jet, stay only for bench/workloads.py: seeded_symbol seeds a
+jet, transport_composes checks it, and bench/test_tracer.py requires
+iwasawa_log to be called under TransportCache.matrices.
 
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
 through t -> (a t + b)/(c t + d) and u -> u * (c t + d).  A transport's
 kernel is a pair (A, L): row j of A is phi^j, for phi the series of
-(a t + b)/(c t + d), and L is the series log<c t + d>.  The jet's matrix B,
-whose row j is phi^j * L, is never formed: B m = A (L*m) for the
-correlation (L*m)_i = sum_t L[t] m[i + t], so a transport is
-m' = A m and lam' = A (lam + L*m).  Row j of A is kept mod p^(n_mom - j),
-the precision of moment j, with its trailing zeros dropped; each row
-follows from the one before by the two-term recurrence
-(c t + d) f_j = (a t + b) f_{j-1}, one coefficient at a time, with no
-series product.  A U_p sweep groups the pieces of each target generator by
-matrix and does one transport per (target, matrix) group, on the signed sum
-of its sources.
+(a t + b)/(c t + d), and L is the series log<c t + d>.  A transport of the
+t-moments is m' = A m.  Row j of A is kept mod p^(n_mom - j), the precision
+of moment j, with its trailing zeros dropped; each row follows from the one
+before by the two-term recurrence (c t + d) f_j = (a t + b) f_{j-1}, one
+coefficient at a time, with no series product.  A U_p sweep groups the
+pieces of each target generator by matrix and does one product per
+(target, matrix) group, on the signed sum of its sources.
 
 A path {oo -> x} is evaluated by Horner's rule over its segments, the
 consecutive convergents of x: each step transports the running sum by
 delta = gamma_k^-1 gamma_(k+1), which has small entries and so a kernel the
 cache already holds, in place of a new kernel for each segment's gamma_k.
-The t-moments are exact, because transport is a monoid action on the
-filtered moments: entry (j, k) of A has valuation at least k - j, so the
-moments past n_mom that a product of truncated kernels drops meet row j
-only below its precision p^(n_mom - j).  The jet agrees with one
-transport per segment to n_mom - floor(log_p n_mom) levels only, the
-digits that transport composition keeps.
+The result is exact, because transport is a monoid action on the filtered
+moments: entry (j, k) of A has valuation at least k - j, so the moments past
+n_mom that a product of truncated kernels drops meet row j only below its
+precision p^(n_mom - j).
 """
 
 from __future__ import annotations
@@ -57,23 +57,23 @@ from .arith import MAT_ID, mat_adj, mat_mul, valuation
 
 
 class Distribution:
-    """Moment vectors (m_j) and (lam_j), m_j known mod p^(n_mom - j)."""
+    """Moment vectors (m_j) and (lam_j), m_j known mod p^(n_mom - j).  A
+    vector not given is zero.  lam is the weight-direction jet; the
+    symbol's sweeps and paths return it as zero."""
 
     __slots__ = ("p", "n", "m", "lam")
 
     def __init__(self, p: int, n: int, m=None, lam=None):
         self.p = p
         self.n = n
-        self.m = [0] * n if m is None else list(m)
-        self.lam = [0] * n if lam is None else list(lam)
-        self._reduce()
+        self.m = [0] * n if m is None else self._reduced(m)
+        self.lam = [0] * n if lam is None else self._reduced(lam)
 
-    def _reduce(self):
-        p, n = self.p, self.n
-        for j in range(n):
-            mod = p ** (n - j)
-            self.m[j] %= mod
-            self.lam[j] %= mod
+    def _reduced(self, xs):
+        xs = list(xs)
+        for j in range(self.n):
+            xs[j] %= self.p ** (self.n - j)
+        return xs
 
     def __add__(self, other):
         return Distribution(self.p, self.n,
@@ -124,10 +124,13 @@ class TransportCache:
     Row j of A is phi^j mod p^(n_mom - j), with its trailing zeros dropped;
     L is the series log<c t + d> mod p^n_mom.  Moment j of a transport is
     only known mod p^(n_mom - j), so row j of A is needed to no more digits
-    than that, and the jet's matrix B (row j: phi^j * L) is never formed.
-    The cache also tables, once, what every build of L shares: for each
-    k < n_mom, p^v_p(k) and the signed inverse of k's unit part mod the
-    working modulus, which has slack digits for the divisions by p^v_p(k).
+    than that.  The symbol uses A alone (m' = A m); L and ``transport``,
+    which also moves a jet, serve only bench/workloads.py's seeded jets and
+    transport_composes, and bench/test_tracer.py's pin of iwasawa_log under
+    ``matrices``.  The cache also tables, once, what every build of L
+    shares: for each k < n_mom, p^v_p(k) and the signed inverse of k's unit
+    part mod the working modulus, which has slack digits for the divisions
+    by p^v_p(k).
     """
 
     def __init__(self, p: int, n: int):
@@ -156,7 +159,7 @@ class TransportCache:
 
     def matrices(self, g):
         """(A, L) for the matrix g: m' = A m and lam' = A (lam + L*m), with
-        (L*m)_i = sum_t L[t] m[i + t], both to the filtration (see _act)."""
+        (L*m)_i = sum_t L[t] m[i + t], both to the filtration."""
         key = self._key(g)
         got = self._cache.get(key)
         if got is None:
@@ -204,22 +207,20 @@ class TransportCache:
         return got
 
     def transport(self, dist: Distribution, g) -> Distribution:
+        """dist moved by g, t-moments and jet.  The jet is A lam + B m for B
+        with row j = phi^j * L truncated; its entry k is
+        sum_{s + t = k} A[j][s] L[t], so B m = A (L*m)."""
         A, L = self.matrices(g)
-        return Distribution(dist.p, dist.n, *_act(A, L, dist.m, dist.lam))
+        m = dist.m
+        jet = [x + sum(map(mul, L, m[s:])) for s, x in enumerate(dist.lam)]
+        return Distribution(dist.p, dist.n, _act(A, m), _act(A, jet))
 
 
-def _act(A, L, m, lam):
-    """(A m, A (lam + L*m)) over the integers: the transport of bare moment
-    vectors, exact mod p^(n - j) at moment j and otherwise unreduced.
-
-    The jet is A lam + B m for B with row j = phi^j * L truncated; its
-    entry k is sum_{s + t = k} A[j][s] L[t], so B m = A (L*m) with
-    (L*m)_s = sum_t L[t] m[s + t]: two matrix-vector products with the
-    truncated rows of A and one triangular correlation, in place of B's
-    dense n_mom x n_mom product."""
-    v = [x + sum(map(mul, L, m[s:])) for s, x in enumerate(lam)]
-    return ([sum(map(mul, row, m)) for row in A],
-            [sum(map(mul, row, v)) for row in A])
+def _act(A, m):
+    """A m over the integers, for the truncated rows of A: the transport of
+    a bare moment vector, exact mod p^(n - j) at moment j and otherwise
+    unreduced.  The symbol's only product; the jet's is in transport."""
+    return [sum(map(mul, row, m)) for row in A]
 
 
 def _next_row(prev, a, b, c, mod):
@@ -281,41 +282,40 @@ class OMSymbol:
     # ---------------------------------------------------------- evaluation
 
     def eval_segment(self, g) -> Distribution:
-        """Phi on the unimodular path g{0 -> oo}: values[idx] transported by
-        gamma, for (idx, gamma) = space.generator_of(g)."""
+        """Phi on the unimodular path g{0 -> oo}: the t-moments of
+        values[idx] transported by gamma, for (idx, gamma) =
+        space.generator_of(g)."""
         idx, gamma = self.space.generator_of(g)
-        return self.cache.transport(self.values[idx], gamma)
+        A, _ = self.cache.matrices(gamma)
+        return Distribution(self.p, self.n, _act(A, self.values[idx].m))
 
     def eval_path(self, r, s) -> Distribution:
         return self.eval_path_transported(r, s, MAT_ID)
 
     def eval_path_transported(self, r, s, outer) -> Distribution:
-        """transport(Phi{r -> s}, outer): {oo -> s} minus {oo -> r}, each by
-        Horner's rule over its segments.  The segments g_k of {oo -> x} are
-        consecutive convergents, with generators (i_k, gamma_k), and the
-        path is A(outer gamma_0)(v_0 + A(delta_0)(v_1 + A(delta_1)(...)))
-        for v_k = values[i_k] and delta_k = gamma_k^-1 gamma_(k+1) in
+        """The t-moments of transport(Phi{r -> s}, outer): {oo -> s} minus
+        {oo -> r}, each by Horner's rule over its segments.  The segments
+        g_k of {oo -> x} are consecutive convergents, with generators
+        (i_k, gamma_k), and the path is
+        A(outer gamma_0)(v_0 + A(delta_0)(v_1 + A(delta_1)(...))) for
+        v_k = values[i_k].m and delta_k = gamma_k^-1 gamma_(k+1) in
         Gamma0(N).  delta_k has small entries, so its kernel comes back from
-        the cache.  The accumulator is a Distribution, reduced each step.
-        On the t-moments this is exact: transport is a monoid action on the
-        filtered moments.  The jet agrees with one transport per segment to
-        n_mom - floor(log_p n_mom) levels, as in transport composition."""
-        out = Distribution(self.p, self.n)
-        for x, sign in ((s, 1), (r, -1)):
+        the cache.  The accumulator is reduced each step.  This is exact:
+        transport is a monoid action on the filtered moments."""
+        total = [0] * self.n
+        for x, op in ((s, add), (r, sub)):
             acc = None
             for g, _ in reversed(segments_to_cusp(x)):
                 idx, gamma = self.space.generator_of(g)
-                v = self.values[idx]
+                v = self.values[idx].m
                 if acc is not None:
-                    A, L = self.cache.matrices(mat_mul(mat_adj(gamma), nxt))
-                    dm, dlam = _act(A, L, acc.m, acc.lam)
-                    v = Distribution(self.p, self.n, map(add, v.m, dm),
-                                     map(add, v.lam, dlam))
+                    A, _ = self.cache.matrices(mat_mul(mat_adj(gamma), nxt))
+                    v = Distribution(self.p, self.n, map(add, v, _act(A, acc))).m
                 acc, nxt = v, gamma
             if acc is not None:
-                acc = self.cache.transport(acc, mat_mul(outer, nxt))
-                out = out + acc if sign > 0 else out - acc
-        return out
+                A, _ = self.cache.matrices(mat_mul(outer, nxt))
+                total = list(map(op, total, _act(A, acc)))
+        return Distribution(self.p, self.n, total)
 
     # ---------------------------------------------------------------- U_p
 
@@ -348,30 +348,24 @@ class OMSymbol:
         return plan
 
     def apply_up(self):
-        """One sweep Phi <- a_p^{-1} * (Phi | U_p).  Each matrix of a target's
-        plan acts once, on the signed sum of the values it transports; the
-        sums are exact, so the result is that of one transport per piece."""
+        """One sweep Phi <- a_p^{-1} * (Phi | U_p) on the t-moments.  Each
+        matrix of a target's plan acts once, on the signed sum of the values
+        it transports; the sums are exact, so the result is that of one
+        transport per piece.  The new values have a zero jet."""
         if self._up_plan is None:
             self._up_plan = self._plan_operator(self.space.hecke_paths(self.p))
         n, values = self.n, self.values
         new_values = []
         for groups in self._up_plan:
             m_out = [0] * n
-            lam_out = [0] * n
             for key, sources in groups:
                 m = [0] * n
-                lam = [0] * n
                 for idx, sgn in sources:
-                    op = add if sgn > 0 else sub
-                    m = list(map(op, m, values[idx].m))
-                    lam = list(map(op, lam, values[idx].lam))
-                A, L = self.cache.matrices(key)
-                dm, dlam = _act(A, L, m, lam)
-                m_out = list(map(add, m_out, dm))
-                lam_out = list(map(add, lam_out, dlam))
+                    m = list(map(add if sgn > 0 else sub, m, values[idx].m))
+                A, _ = self.cache.matrices(key)
+                m_out = list(map(add, m_out, _act(A, m)))
             new_values.append(Distribution(self.p, n,
-                                           [self._ap_inv * x for x in m_out],
-                                           [self._ap_inv * x for x in lam_out]))
+                                           [self._ap_inv * x for x in m_out]))
         self.values = new_values
 
     # ------------------------------------------------------------- checks
@@ -412,8 +406,9 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
     contract everything above them, so they reach the unique lift from any
     start (Pollack-Stevens).
 
-    The weight-direction jet is not determined by the lift: its zeroth layer
-    is not contracted.  The returned symbol's jet is zero.
+    The symbol carries t-moments only.  The weight-direction jet is not
+    determined by the lift, since U_p does not contract its zeroth layer;
+    the sweeps leave it zero, and the returned symbol's jet is zero.
 
     Returns (OMSymbol, LiftCertificate).  The certificate measures the
     t-moments.  ``relation_valuation`` is ``relation_residual()``.
@@ -446,7 +441,6 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
         raise ValueError("zeroth moments drifted: the symbol is not a "
                          "U_p-eigensymbol with eigenvalue %d" % a_p)
     eigen = min(a.t_difference_valuation(b) for a, b in zip(prev, phi.values))
-    phi.values = [Distribution(p, n_mom, v.m) for v in phi.values]
     relation = phi.relation_residual()
     cert = LiftCertificate(sweeps, eigen >= n_mom, relation, eigen, len(phi.cache))
     achieved = min(cert.relation_valuation, cert.eigen_valuation)
