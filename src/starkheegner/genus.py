@@ -9,8 +9,14 @@ l* = +-l = 1 mod 4 for each prime l | c.  A split D = D1*D2 over S_D
     chi([Q]) = (D1*f* | a),  a = Q(x, y) odd and prime to Dc,
 
 which cuts out Q(sqrt(D1*f*), sqrt(D2*f*)); its genus pair is
-(Delta1, Delta2) = (D1*f*, D2*f*), with Delta1*Delta2 = D*f^2 and f = |f*|
-its conductor.  These are all 2^(|S_D| - 1 + omega(c)) characters.
+(Delta1, Delta2) = (D1*f*, D2*f*).  These are all 2^(|S_D| - 1 + omega(c))
+characters, and the pair alone fixes the rest of their genus data:
+
+    Delta1*Delta2 = D*f^2,  f = |f*| the conductor (chi factors through
+                            Pic^+(O_f) and through no smaller order);
+    chi(sigma_F) = (Delta1 | -1) = sign(Delta1),  sigma_F the class of the
+                            principal ideal (sqrt(D)), so sign(Delta1) is
+                            the sign w_infinity of chi.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 from .arith import (
-    divisors,
     is_squarefree,
     kronecker,
     lift_to_sl2,
@@ -27,7 +32,7 @@ from .arith import (
     prime_discriminant_factors,
     prime_divisors,
 )
-from .quadforms import BQF, NarrowClassGroup, sqrtD_class
+from .quadforms import BQF, NarrowClassGroup
 
 
 @dataclass
@@ -132,71 +137,36 @@ def pushforward_class(group_c: NarrowClassGroup, group_f: NarrowClassGroup, idx:
     return group_f.class_of(BQF(a, b2, C2))
 
 
-def kernel_of_pushforward(group_c: NarrowClassGroup, group_f: NarrowClassGroup):
-    return sorted(i for i in range(group_c.order)
-                  if pushforward_class(group_c, group_f, i) == group_f.identity)
-
-
-_group_cache: dict = {}
-
-
-def cached_group(D: int, c: int) -> NarrowClassGroup:
-    key = (D, c)
-    if key not in _group_cache:
-        _group_cache[key] = NarrowClassGroup(D, c)
-    return _group_cache[key]
-
-
-_kernel_cache: dict = {}
-
-
-def cached_kernel(group: NarrowClassGroup, f: int):
-    """kernel_of_pushforward(group, cached_group(D, f)), computed once per
-    (D, c, f): NarrowClassGroup numbers its classes by (D, c) alone."""
-    key = (group.D, group.c, f)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = tuple(
-            kernel_of_pushforward(group, cached_group(group.D, f)))
-    return _kernel_cache[key]
-
-
-def character_conductor(chi: RingClassCharacter) -> int:
-    """Minimal divisor f of c such that chi factors through Pic^+(O_f)."""
-    group = chi.group
-    c = group.c
-    for f in divisors(c):
-        if f == c:
-            return c
-        ker = cached_kernel(group, f)
-        if all(chi(i) == 1 for i in ker):
-            return f
-    return c
-
-
-def is_primitive(chi: RingClassCharacter) -> bool:
-    """True iff chi is nontrivial on every ker(Pic^+(O_c) -> Pic^+(O_f)),
-    f a proper divisor of c."""
-    return character_conductor(chi) == chi.group.c
-
-
-def char_sign(chi: RingClassCharacter) -> int:
-    """w_infinity = chi(sigma_F); +1 means the cut-out field is totally real."""
-    return chi(sqrtD_class(chi.group))
-
+# --------------------------------------------------------------- genus data
 
 def attach_genus_data(chi: RingClassCharacter) -> RingClassCharacter:
-    """Fill conductor, primitivity and sign in place, and check the genus
-    pair from enumerate_quadratic_chars against the conductor f:
-    Delta1*Delta2 = D*f^2."""
+    """Fill conductor, primitivity and sign in place from the genus pair
+    (Delta1, Delta2) = (D1*f*, D2*f*) that enumerate_quadratic_chars gave.
+
+    Two facts make the pair enough: Delta1*Delta2 = D*f^2 names the
+    conductor f = |f*|, and chi(sigma_F) = (Delta1 | -1) = sign(Delta1) the
+    sign.  Raises ArithmeticError if the pair is missing, if
+    Delta1*Delta2 is not D*f^2 for some f | c, or if chi differs from
+    (Delta1 | a) at a class, a the value of its representative that
+    enumerate_quadratic_chars reads.
+    """
     if chi.genus_pair is None:
         raise ArithmeticError("character %r has no genus pair" % (chi.values,))
-    chi.conductor = character_conductor(chi)
-    chi.primitive = chi.conductor == chi.group.c
-    chi.sign = char_sign(chi)
+    group = chi.group
+    D, c = group.D, group.c
     d1, d2 = chi.genus_pair
-    if d1 * d2 != chi.group.D * chi.conductor ** 2:
-        raise ArithmeticError("genus pair %r does not multiply to D*f^2 = %d*%d^2"
-                              % (chi.genus_pair, chi.group.D, chi.conductor))
+    f = math.isqrt(d1 * d2 // D) if d1 * d2 > 0 else 0
+    if f == 0 or d1 * d2 != D * f * f or c % f != 0:
+        raise ArithmeticError("genus pair %r is not D*f^2 = %d*f^2 for any f | %d"
+                              % (chi.genus_pair, D, c))
+    for i, Q in enumerate(group.reps):
+        a = _represent_coprime(Q, 2 * D * c)[0]
+        if chi(i) != kronecker(d1, a):
+            raise ArithmeticError("character %r is not (%d | .) at class %d"
+                                  % (chi.values, d1, i))
+    chi.conductor = f
+    chi.primitive = f == c
+    chi.sign = 1 if d1 > 0 else -1
     return chi
 
 

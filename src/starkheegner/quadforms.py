@@ -2,8 +2,10 @@
 class group of a real quadratic order.
 
 Everything here is exact integer arithmetic: indefinite reduction cycles
-decide SL2(Z)-equivalence, Dirichlet composition gives the group law, and the
-continued-fraction expansion of (b + sqrt(D))/2 produces fundamental units.
+decide SL2(Z)-equivalence (a form's class is the rho-cycle its reduction
+lands on; reduction returns forms, not matrices), Dirichlet composition
+gives the group law, and the continued-fraction expansion of
+(b + sqrt(D))/2 produces fundamental units.
 Real-embedding comparisons go through surd_sign, never floats.
 Heegner forms are built, not searched for: the cosets gamma*Gamma0(M)
 match P^1(Z/M) through gamma's first column and the Heegner conditions are
@@ -79,34 +81,32 @@ class BQF:
         B, absA = self.B, abs(self.A)
         return 0 < B <= f and 2 * absA + B >= f + 1 and 2 * absA - B <= f
 
-    def reduction_step(self):
-        """One step of the Gauss rho operator; returns (form, witness)."""
+    def reduction_step(self) -> "BQF":
+        """One step of the Gauss rho operator."""
         f = math.isqrt(self.disc)
         C = self.C
         twoC = 2 * abs(C)
         Bn = f - ((f + self.B) % twoC)
-        s = (self.B + Bn) // (2 * C)
         Cn = (Bn * Bn - self.disc) // (4 * C)
-        return BQF(C, Bn, Cn), (0, -1, 1, s)
+        return BQF(C, Bn, Cn)
 
-    def reduce(self):
-        """Reduce to a form on its cycle; returns (reduced, witness)."""
-        form, g = self, MAT_ID
+    def reduce(self) -> "BQF":
+        """The reduced form on this form's rho-path."""
+        form = self
         for _ in range(10 ** 6):
             if form.is_reduced():
-                return form, g
-            form, step = form.reduction_step()
-            g = mat_mul(g, step)
+                return form
+            form = form.reduction_step()
         raise RuntimeError("reduction did not terminate")  # pragma: no cover
 
     def cycle(self):
         """The full rho-cycle of reduced forms equivalent to this one."""
-        start, _ = self.reduce()
+        start = self.reduce()
         out = [start]
-        cur, _ = start.reduction_step()
+        cur = start.reduction_step()
         while cur != start:
             out.append(cur)
-            cur, _ = cur.reduction_step()
+            cur = cur.reduction_step()
         return out
 
 
@@ -131,60 +131,6 @@ def compose_forms(Q1: BQF, Q2: BQF) -> BQF:
     B3 = (num // m) % (2 * A3)
     C3 = (B3 * B3 - disc) // (4 * A3)
     return BQF(A3, B3, C3)
-
-
-def sl2_witness(Q1: BQF, Q2: BQF):
-    """A matrix g in SL2(Z) with Q1|g = Q2, or None."""
-    if Q1.disc != Q2.disc:
-        raise ValueError("discriminant mismatch")
-    r1, g1 = Q1.reduce()
-    r2, g2 = Q2.reduce()
-    cur, h = r1, MAT_ID
-    while True:
-        if cur == r2:
-            g = mat_mul(mat_mul(g1, h), mat_inv(g2))
-            if Q1.apply(g) != Q2:
-                raise ArithmeticError("bad witness %r: %r, %r" % (g, Q1, Q2))
-            return g
-        cur, step = cur.reduction_step()
-        h = mat_mul(h, step)
-        if cur == r1:
-            return None
-
-
-def fundamental_automorph(Q: BQF):
-    """Generator (up to sign) of the proper automorphs of Q, from the
-    fundamental norm-(+1) Pell solution of t^2 - disc*u^2 = 4."""
-    t, u = plus_unit(Q.disc)
-    g = ((t - Q.B * u) // 2, -Q.C * u, Q.A * u, (t + Q.B * u) // 2)
-    if Q.apply(g) != Q:
-        raise ArithmeticError("automorph %r does not fix %r" % (g, Q))
-    return g
-
-
-def forms_equivalent(Q1: BQF, Q2: BQF, level_m: int | None = None):
-    """Equivalence test; witness returned.  level_m=None means SL2(Z),
-    otherwise Gamma0(level_m)."""
-    g0 = sl2_witness(Q1, Q2)
-    if g0 is None:
-        return False, None
-    if level_m is None or level_m == 1:
-        return True, g0
-    M = level_m
-    aut = fundamental_automorph(Q2)
-    pow_exact = MAT_ID
-    seen = set()
-    while True:
-        cur = mat_mul(g0, pow_exact)
-        if cur[2] % M == 0:
-            if Q1.apply(cur) != Q2:
-                raise ArithmeticError("bad witness %r: %r, %r" % (cur, Q1, Q2))
-            return True, cur
-        state = tuple(x % M for x in pow_exact)
-        if state in seen:
-            return False, None
-        seen.add(state)
-        pow_exact = mat_mul(pow_exact, aut)
 
 
 # ------------------------------------------------------------- units / Pell
@@ -307,11 +253,10 @@ class NarrowClassGroup:
             seen.update(f.tuple() for f in cyc)
         reps = [min(cyc, key=BQF.tuple) for cyc in cycles]
         order = sorted(range(len(reps)), key=lambda i: reps[i].tuple())
-        self.cycles = [cycles[i] for i in order]
         self.reps = [reps[i] for i in order]
         self._where = {}
-        for idx, cyc in enumerate(self.cycles):
-            for q in cyc:
+        for idx, i in enumerate(order):
+            for q in cycles[i]:
                 self._where[q.tuple()] = idx
         self.order = len(self.reps)
         self.identity = self.class_of(principal_form(self.disc))
@@ -323,8 +268,7 @@ class NarrowClassGroup:
     def class_of(self, Q: BQF) -> int:
         if Q.disc != self.disc:
             raise ValueError("wrong discriminant")
-        red, _ = Q.reduce()
-        return self._where[red.tuple()]
+        return self._where[Q.reduce().tuple()]
 
     def compose(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -385,7 +329,7 @@ def narrow_class_number_oracle(D: int, c: int) -> int:
 
 # ------------------------------------------------------------- Heegner forms
 
-def choose_delta(D: int, c: int, M: int) -> int:
+def choose_delta(D: int, M: int) -> int:
     """Smallest delta >= 0 with delta^2 = D mod 4M (Heegner hypothesis)."""
     for ell in prime_divisors(M):
         if kronecker(D, ell) != 1:
@@ -447,7 +391,7 @@ class HeegnerSystem:
     def __init__(self, D: int, c: int, M: int):
         self.group = NarrowClassGroup(D, c)
         self.M = M
-        self.delta = choose_delta(D, c, M)
+        self.delta = choose_delta(D, M)
         self.delta_c = (c * self.delta) % (2 * M)
         self.forms = heegner_representatives(self.group, M, self.delta)
 
@@ -496,24 +440,3 @@ def stabilizer_gamma(Q: HeegnerForm, unit_xy) -> StabilizerData:
     if surd_sign(x - 2, y, disc) <= 0:
         g = mat_inv(g)
     return StabilizerData(Q.form, (x, y), g, Q.level)
-
-
-def sqrtD_class(group: NarrowClassGroup) -> int:
-    """Narrow class of the principal ideal (sqrt(D)) of O_c.
-
-    Trivial exactly when O_c has a unit of norm -1; otherwise it is the
-    nontrivial element of ker(Pic^+ -> Pic), located through the oriented
-    ideal-to-form dictionary.
-    """
-    disc = group.disc
-    if unit_norm(disc, fundamental_unit(disc)) == -1:
-        idx = group.identity
-    else:
-        b = disc % 2
-        q = BQF(-1, -b, (disc - b * b) // 4)
-        idx = group.class_of(q)
-        if idx == group.identity:
-            raise ArithmeticError("(sqrt(D)) is trivial at disc %d" % disc)
-    if group.compose(idx, idx) != group.identity:
-        raise ArithmeticError("class %d of (sqrt(D)) does not square to 1" % idx)
-    return idx

@@ -1,0 +1,149 @@
+"""Test-only oracle: SL2(Z) witnesses between forms, and the kernel route to
+a character's conductor and sign.
+
+The package reduces forms without tracking matrices and reads a genus
+character's conductor and sign off its genus pair.  This file does both the
+long way, to check them:
+
+- a rho step that also returns its matrix, so reduction yields a witness g
+  with Q1|g = Q2, and equivalence under Gamma0(M) follows by powers of a
+  fundamental automorph;
+- the conductor as the least f | c whose pushforward kernel chi kills,
+  with one NarrowClassGroup per divisor f;
+- the sign as chi at the class of the principal ideal (sqrt(D)).
+"""
+
+import math
+
+from starkheegner.arith import MAT_ID, divisors, mat_inv, mat_mul
+from starkheegner.genus import pushforward_class
+from starkheegner.quadforms import (
+    BQF,
+    NarrowClassGroup,
+    fundamental_unit,
+    plus_unit,
+    unit_norm,
+)
+
+
+# ------------------------------------------------------------- witnesses
+
+def rho_step(Q: BQF):
+    """One Gauss rho step with its matrix: (Q|g, g), g = (0, -1, 1, s) and
+    s chosen so the new middle coefficient lies in (f - 2|C|, f], f the
+    integer square root of the discriminant."""
+    f = math.isqrt(Q.disc)
+    Bn = f - ((f + Q.B) % (2 * abs(Q.C)))
+    g = (0, -1, 1, (Q.B + Bn) // (2 * Q.C))
+    return Q.apply(g), g
+
+
+def reduce_with_witness(Q: BQF):
+    """(R, g): R = Q|g the reduced form that Q.reduce() returns."""
+    form, g = Q, MAT_ID
+    while not form.is_reduced():
+        form, step = rho_step(form)
+        g = mat_mul(g, step)
+    if form != Q.reduce():
+        raise ArithmeticError("%r reduces to %r, not %r" % (Q, Q.reduce(), form))
+    return form, g
+
+
+def sl2_witness(Q1: BQF, Q2: BQF):
+    """A matrix g in SL2(Z) with Q1|g = Q2, or None."""
+    if Q1.disc != Q2.disc:
+        raise ValueError("discriminant mismatch")
+    r1, g1 = reduce_with_witness(Q1)
+    r2, g2 = reduce_with_witness(Q2)
+    cur, h = r1, MAT_ID
+    while True:
+        if cur == r2:
+            g = mat_mul(mat_mul(g1, h), mat_inv(g2))
+            if Q1.apply(g) != Q2:
+                raise ArithmeticError("bad witness %r: %r, %r" % (g, Q1, Q2))
+            return g
+        cur, step = rho_step(cur)
+        h = mat_mul(h, step)
+        if cur == r1:
+            return None
+
+
+def fundamental_automorph(Q: BQF):
+    """Generator (up to sign) of the proper automorphs of Q, from the
+    fundamental norm-(+1) Pell solution of t^2 - disc*u^2 = 4."""
+    t, u = plus_unit(Q.disc)
+    g = ((t - Q.B * u) // 2, -Q.C * u, Q.A * u, (t + Q.B * u) // 2)
+    if Q.apply(g) != Q:
+        raise ArithmeticError("automorph %r does not fix %r" % (g, Q))
+    return g
+
+
+def forms_equivalent(Q1: BQF, Q2: BQF, level_m: int | None = None):
+    """Equivalence test; witness returned.  level_m=None means SL2(Z),
+    otherwise Gamma0(level_m)."""
+    g0 = sl2_witness(Q1, Q2)
+    if g0 is None:
+        return False, None
+    if level_m is None or level_m == 1:
+        return True, g0
+    M = level_m
+    aut = fundamental_automorph(Q2)
+    pow_exact = MAT_ID
+    seen = set()
+    while True:
+        cur = mat_mul(g0, pow_exact)
+        if cur[2] % M == 0:
+            if Q1.apply(cur) != Q2:
+                raise ArithmeticError("bad witness %r: %r, %r" % (cur, Q1, Q2))
+            return True, cur
+        state = tuple(x % M for x in pow_exact)
+        if state in seen:
+            return False, None
+        seen.add(state)
+        pow_exact = mat_mul(pow_exact, aut)
+
+
+# -------------------------------------------------- conductor and sign
+
+def kernel_of_pushforward(group_c: NarrowClassGroup, group_f: NarrowClassGroup):
+    return sorted(i for i in range(group_c.order)
+                  if pushforward_class(group_c, group_f, i) == group_f.identity)
+
+
+def character_conductor(chi) -> int:
+    """Least divisor f of c such that chi factors through Pic^+(O_f), i.e.
+    is trivial on ker(Pic^+(O_c) -> Pic^+(O_f))."""
+    c = chi.group.c
+    for f in divisors(c):
+        if f == c:
+            return c
+        ker = kernel_of_pushforward(chi.group, NarrowClassGroup(chi.group.D, f))
+        if all(chi(i) == 1 for i in ker):
+            return f
+
+
+def is_primitive(chi) -> bool:
+    """True iff chi is nontrivial on every ker(Pic^+(O_c) -> Pic^+(O_f)),
+    f a proper divisor of c."""
+    return character_conductor(chi) == chi.group.c
+
+
+def sqrtD_class(group: NarrowClassGroup) -> int:
+    """Narrow class of the principal ideal (sqrt(D)) of O_c.
+
+    Trivial exactly when O_c has a unit of norm -1; otherwise it is the
+    nontrivial element of ker(Pic^+ -> Pic), located through the oriented
+    ideal-to-form dictionary.
+    """
+    disc = group.disc
+    if unit_norm(disc, fundamental_unit(disc)) == -1:
+        idx = group.identity
+    else:
+        b = disc % 2
+        q = BQF(-1, -b, (disc - b * b) // 4)
+        idx = group.class_of(q)
+        if idx == group.identity:
+            raise ArithmeticError("(sqrt(D)) is trivial at disc %d" % disc)
+    if group.compose(idx, idx) != group.identity:
+        raise ArithmeticError("class %d of (sqrt(D)) does not square to 1" % idx)
+    return idx

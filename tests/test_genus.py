@@ -4,15 +4,18 @@ from starkheegner.arith import is_prime, kronecker, sqrt_mod_prime
 from starkheegner.genus import (
     RingClassCharacter,
     attach_genus_data,
-    char_sign,
-    character_conductor,
     enumerate_quadratic_chars,
-    is_primitive,
-    kernel_of_pushforward,
     order_by_sign,
     pushforward_class,
 )
 from starkheegner.quadforms import BQF, NarrowClassGroup
+
+from oracle_classes import (
+    character_conductor,
+    is_primitive,
+    kernel_of_pushforward,
+    sqrtD_class,
+)
 
 
 def G(D, c=1):
@@ -56,7 +59,7 @@ def test_char_counts():
     assert len(enumerate_quadratic_chars(G(13))) == 1       # trivial group
     assert len(enumerate_quadratic_chars(G(40))) == 2       # Z/2
     assert len(enumerate_quadratic_chars(G(13, 3))) == 2
-    # rank-2 example: disc 480 = 4*120, h+ = ... pick one with (2,2) quotient
+    # 2-rank 3: disc 2940 = 60*7^2, h+ = 8, Pic+ = (Z/2)^3
     g = G(60, 7)
     n2 = sum(1 for i in range(g.order) if g.compose(i, i) == g.identity)
     assert len(enumerate_quadratic_chars(g)) == n2  # duality with 2-torsion
@@ -210,21 +213,33 @@ def test_attach_rejects_missing_or_inconsistent_pair():
     # conductor 3, so Delta1*Delta2 must be 13*9, not 13
     with pytest.raises(ArithmeticError):
         attach_genus_data(RingClassCharacter(g, chi.values, genus_pair=(1, 13)))
+    # (-7)*(-91) = 13*7^2, but f = 7 does not divide c = 3
+    with pytest.raises(ArithmeticError):
+        attach_genus_data(RingClassCharacter(g, chi.values, genus_pair=(-7, -91)))
 
 
 # ------------------------------------------------------------------- sign
 
 def test_sign_trivial_char():
     chi = enumerate_quadratic_chars(G(13))[0]
-    assert char_sign(chi) == 1
+    assert chi(sqrtD_class(chi.group)) == 1
+    assert attach_genus_data(chi).sign == 1
 
 
 def test_sign_matches_genus_positivity():
-    for D, c in ((13, 3), (40, 1), (5, 7), (21, 1), (13, 77), (60, 7), (105, 11)):
-        for chi in enumerate_quadratic_chars(G(D, c)):
+    # conductor, primitivity and sign read off the genus pair agree with the
+    # kernel route and with chi at the class of (sqrt(D))
+    for D, c in ((13, 3), (40, 1), (5, 7), (21, 1), (13, 77), (60, 7), (105, 11),
+                 (8, 7), (21, 11), (105, 1)):
+        g = G(D, c)
+        s = sqrtD_class(g)
+        for chi in enumerate_quadratic_chars(g):
             attach_genus_data(chi)
             d1, d2 = chi.genus_pair
             assert (chi.sign == 1) == (d1 > 0 and d2 > 0)
+            assert chi.conductor == character_conductor(chi)
+            assert chi.primitive == is_primitive(chi)
+            assert chi(s) == chi.sign
 
 
 # ------------------------------------------------------------ sign ordering

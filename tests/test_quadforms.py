@@ -23,19 +23,18 @@ from starkheegner.quadforms import (
     NarrowClassGroup,
     choose_delta,
     compose_forms,
-    forms_equivalent,
     fundamental_unit,
     heegner_representatives,
     narrow_class_number_oracle,
     plus_unit,
     principal_form,
     reduced_forms,
-    sqrtD_class,
     stabilizer_gamma,
     totally_positive_unit,
     unit_norm,
 )
 
+from oracle_classes import forms_equivalent, sqrtD_class
 from oracle_ideals import QuadOrderIdeal
 
 rng = random.Random(12)
@@ -202,19 +201,19 @@ def test_conductor_three_class_number_formula():
 # ----------------------------------------------------------------- delta
 
 def test_choose_delta_examples():
-    assert choose_delta(13, 1, 3) == 1
-    assert choose_delta(5, 1, 1) == 1
+    assert choose_delta(13, 3) == 1
+    assert choose_delta(5, 1) == 1
     # 13 is inert at 7, so use a split pair; oracle is the exhaustive scan
-    d = choose_delta(53, 1, 7)
+    d = choose_delta(53, 7)
     assert (d * d - 53) % 28 == 0
     assert d == min(x for x in range(28) if (x * x - 53) % 28 == 0)
     with pytest.raises(ValueError):
-        choose_delta(13, 1, 7)  # (13|7) = -1
+        choose_delta(13, 7)  # (13|7) = -1
 
 
 def test_choose_delta_failure():
     with pytest.raises(ValueError):
-        choose_delta(5, 1, 3)  # (5|3) = -1, 3 not split
+        choose_delta(5, 3)  # (5|3) = -1, 3 not split
 
 
 # --------------------------------------------------------------- Heegner
@@ -246,7 +245,7 @@ def test_heegner_reps_count_and_inequivalence():
 
 def test_heegner_reps_level_one():
     G = NarrowClassGroup(13, 1)
-    reps = heegner_representatives(G, 1, choose_delta(13, 1, 1))
+    reps = heegner_representatives(G, 1, choose_delta(13, 1))
     assert [reps[i].form for i in range(G.order)] == G.reps
 
 
