@@ -8,12 +8,14 @@ bound, at ell = 3 and at bad ell it is the Legendre sum -sum_x (d(x) | ell).
 
 Curves are semistable in our setting (N = Mp squarefree), which keeps the
 conductor check elementary: every bad prime must be multiplicative and their
-product must be the stated conductor.
+product must be the stated conductor.  It also makes the Atkin-Lehner signs
+exact: at a multiplicative prime ell the W_ell eigenvalue of f_E is -a_ell
+(Atkin-Lehner, "Hecke operators on Gamma0(m)", Math. Ann. 1970), so the
+Fricke sign is w_N = prod_{ell | N} (-a_ell), read off the traces.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,7 +60,6 @@ class EllipticCurveData:
                      - 27 * self.b6 * self.b6 + 9 * self.b2 * self.b4 * self.b6)
         if self.disc == 0:
             raise CurveError("singular Weierstrass equation")
-        self.j_num = self.c4 ** 3
         bad = [ell for ell, _ in factorize(self.disc)]
         for ell in bad:
             if self.c4 % ell == 0:
@@ -74,7 +75,6 @@ class EllipticCurveData:
         if self.p == 2:
             raise CurveError("p must be odd")
         self.level_m = self.conductor // self.p
-        self._w_fricke = None
 
     # ------------------------------------------------------------- counting
 
@@ -94,14 +94,13 @@ class EllipticCurveData:
         return a
 
     @property
-    def w_p(self) -> int:
-        return -self.a_p
-
-    @property
     def w_fricke(self) -> int:
-        if self._w_fricke is None:
-            self._w_fricke = _fricke_sign(self)
-        return self._w_fricke
+        """Sign of the Fricke involution W_N on f_E: the product of the
+        W_ell signs -a_ell over the multiplicative primes ell | N."""
+        w = 1
+        for ell in prime_divisors(self.conductor):
+            w *= -self.ap(ell)
+        return w
 
     def an_list(self, length: int):
         """[a_0..a_length] with a_0 = 0, filled multiplicatively."""
@@ -135,9 +134,6 @@ class EllipticCurveData:
         via (x, y) -> (36x + 3b2, 108(2y + a1x + a3))."""
         return -27 * self.c4, -54 * self.c6
 
-    def rhs(self, x):
-        return (x * x + self.a2 * x + self.a4) * x + self.a6
-
 
 # Cremona-Sutherland, "On a theorem of Mestre and Schoof" (JTNB 2010): for
 # a prime ell > 229, E or its quadratic twist over F_ell has a point whose
@@ -161,10 +157,10 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
     if ell > _MESTRE_BOUND and E.conductor % ell:
         A, B = E.short_model()
         return _trace_by_bsgs(A % ell, B % ell, ell)
-    # a_ell = -sum_x (d(x) | ell), d(x) = (a1x+a3)^2 + 4 rhs(x) the discriminant
-    # of y^2 + (a1x+a3) y - rhs(x), with (0 | ell) = 0: at good ell that is
-    # ell + 1 - #E; at a node the one d = 0 root is the singular point, which
-    # #E_ns = ell - a_ell leaves out.
+    # a_ell = -sum_x (d(x) | ell), d(x) = (a1x+a3)^2 + 4 r(x) the discriminant
+    # of y^2 + (a1x+a3) y - r(x), r(x) = x^3 + a2x^2 + a4x + a6, with
+    # (0 | ell) = 0: at good ell that is ell + 1 - #E; at a node the one
+    # d = 0 root is the singular point, which #E_ns = ell - a_ell leaves out.
     a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
     sq = bytearray(ell)
     for t in range((ell + 1) // 2 + 1):
@@ -259,32 +255,6 @@ def _annihilators(P, a: int, ell: int, lo: int, hi: int):
     return [k for k in out if lo <= k <= hi]
 
 
-def _fricke_sign(E: EllipticCurveData) -> int:
-    """Sign of the Fricke involution W_N on f_E, computed from the
-    functional equation f(-1/(Nz)) = w_N N z^2 f(z) at z = i*t/sqrt(N)."""
-    N = E.conductor
-    terms = 60 + int(12 * math.sqrt(N))
-    an = E.an_list(terms)
-
-    def f(z):
-        q = cmath.exp(2j * cmath.pi * z)
-        tot, qn = 0.0 + 0j, 1.0 + 0j
-        for n in range(1, terms + 1):
-            qn *= q
-            tot += an[n] * qn
-        return tot
-
-    t = 1.13
-    z = 1j * t / math.sqrt(N)
-    lhs = f(-1 / (N * z))
-    rhs = N * z * z * f(z)
-    ratio = lhs / rhs
-    w = round(ratio.real)
-    if abs(ratio - w) > 1e-6 or w not in (1, -1):
-        raise CurveError("Fricke sign did not converge: %r" % ratio)
-    return w
-
-
 # ---------------------------------------------------------------- hypothesis
 
 def check_sh_hypothesis(E: EllipticCurveData, D: int, c: int):
@@ -294,12 +264,15 @@ def check_sh_hypothesis(E: EllipticCurveData, D: int, c: int):
         fails.append("D is not a fundamental discriminant > 1")
     if D > 1 and math.gcd(D, E.conductor) != 1:
         fails.append("D shares a factor with N")
-    if math.gcd(c, D * E.conductor) != 1:
-        fails.append("c not coprime to DN")
-    if c % 2 == 0:
-        fails.append("c must be odd")
-    if not is_squarefree(c):
-        fails.append("c must be squarefree")
+    if c < 1:
+        fails.append("c must be a positive integer")
+    else:
+        if math.gcd(c, D * E.conductor) != 1:
+            fails.append("c not coprime to DN")
+        if c % 2 == 0:
+            fails.append("c must be odd")
+        if not is_squarefree(c):
+            fails.append("c must be squarefree")
     if not fails:
         for ell in prime_divisors(E.level_m):
             if kronecker(D, ell) != 1:
@@ -424,9 +397,6 @@ class QuadRat:
                                  % (self.delta, o.delta))
             return o
         return QuadRat(Fraction(o), Fraction(0), self.delta)
-
-    def conj(self):
-        return QuadRat(self.a, -self.b, self.delta)
 
     def __eq__(self, o):
         o = self._co(o)

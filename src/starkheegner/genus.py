@@ -47,9 +47,6 @@ class RingClassCharacter:
     def __call__(self, idx: int) -> int:
         return self.values[idx]
 
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values)
-
     def to_json_dict(self):
         return {
             "D": self.group.D,

@@ -11,6 +11,10 @@ eliminates it sparsely (Cremona, Algorithms for Modular Elliptic Curves,
 ch. 2); the space keeps its rref basis as well as, for each P^1 index, the
 basis vectors that are non-zero there, so an operator matrix costs one
 product per non-zero rather than one per basis vector.
+
+The Birch sums and the geodesic period sums over a class group, rational
+combinations of symbol values, are test oracles (tests/oracle_symbols.py):
+the pipeline integrates the overconvergent lift, not the rational symbol.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, kronecker, lift_to_sl2, mat_inv, mat_mul, prime_divisors
+from .arith import is_prime, lift_to_sl2, mat_inv, mat_mul, prime_divisors
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
-from .quadforms import HeegnerSystem, stabilizer_gamma, totally_positive_unit
 
 
 INF = None  # the cusp at infinity
@@ -211,11 +214,6 @@ class ManinSymbolSpace:
             rows.append(row)
         return rows
 
-    def _op_full(self, vec, paths):
-        """The operator applied to the full P^1-indexed vector vec."""
-        return [sum((c * vec[idx] for idx, c in row.items()), Fraction(0))
-                for row in self._rows(paths, range(len(self.p1)))]
-
     def _operator_matrix(self, paths):
         """Matrix of the operator on rref coordinates.  coordinates reads
         only the pivot rows, so only those are decomposed; each entry of a
@@ -334,35 +332,3 @@ def _normalize_content(vec):
     if lead < 0:
         scaled = [-x for x in scaled]
     return scaled
-
-
-# -------------------------------------------------------------- Birch sums
-
-def birch_sum(symbol: RationalModularSymbol, delta: int) -> Fraction:
-    """sum_a (delta|a) I{oo -> a/m}, m = |delta|; the twisted-L rational."""
-    m = abs(delta)
-    if math.gcd(m, symbol.space.N) != 1:
-        raise ValueError("twist modulus must be coprime to the level")
-    parity = 1 if delta > 0 else -1
-    if parity != symbol.sign:
-        raise ValueError("sign mismatch: the sum vanishes on this component")
-    total = Fraction(0)
-    for a in range(1, m + 1):
-        chi = kronecker(delta, a)
-        if chi:
-            total += chi * symbol.value(INF, Fraction(a, m))
-    return total
-
-
-def geodesic_period_sum(symbol: RationalModularSymbol, chi,
-                        heegner: HeegnerSystem, base=INF) -> Fraction:
-    """sum over classes of chi(sigma) * I{r -> gamma_sigma(r)}: the rational
-    geodesic period combination (weight 2, so the polynomial factor is 1)."""
-    unit = totally_positive_unit(heegner.group.D, heegner.group.c)
-    total = Fraction(0)
-    for idx in range(heegner.group.order):
-        q = heegner.forms[idx]
-        st = stabilizer_gamma(q, unit)
-        r2 = apply_moebius(st.gamma, base)
-        total += chi(idx) * symbol.value(base, r2)
-    return total

@@ -270,6 +270,9 @@ class OMSymbol:
             raise ValueError("p = %d must divide N = %d exactly once" % (p, self.N))
         if a_p % p == 0:
             raise ValueError("a_p = %d is not a %d-adic unit" % (a_p, p))
+        if n_mom < 1:
+            raise ValueError("n_mom = %d: a symbol needs at least one moment"
+                             % n_mom)
         self.n = n_mom
         self.a_p = a_p
         self._ap_inv = pow(a_p, -1, p ** n_mom)

@@ -5,7 +5,8 @@ p^N").  Precision bookkeeping is pessimistic by construction: a sum is known
 to the coarser of the two absolute precisions, a product to
 min(v1+N2, v2+N1).  The quadratic extension is realized on the basis (1, w)
 with w^2 a Teichmueller lift of the smallest quadratic non-residue mod p, so
-that Frobenius is the sign flip b -> -b.
+that Frobenius is the sign flip b -> -b.  That lift is ``teichmuller``, the
+package's one Teichmueller lift, applied to the non-residue as a Q_p value.
 
 Both types answer ``valuation()``, ``precision()``, ``p`` and ``shift(k)``
 (an exact multiplication by p^k), share the arithmetic written once in
@@ -276,9 +277,6 @@ class QuadExtScalar(_Capped):
     def p(self):
         return self.ctx.p
 
-    def is_scalar(self) -> bool:
-        return self.b.is_zero()
-
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
@@ -361,8 +359,7 @@ class QuadExtContext:
         self.p = p
         self.N = N
         r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-        self.nonresidue = r
-        self.eps = _teichmuller_int(r, p, N)
+        self.eps = teichmuller(PadicScalar.from_int(p, r, N)).residue()
         self.eps_scalar = PadicScalar.from_int(p, self.eps, N)
 
     def embed(self, a: PadicScalar) -> QuadExtScalar:
@@ -375,9 +372,6 @@ class QuadExtContext:
 
     def one(self, N: int | None = None) -> QuadExtScalar:
         return self.from_ints(1, 0, N)
-
-    def omega(self, N: int | None = None) -> QuadExtScalar:
-        return self.from_ints(0, 1, N)
 
     def sqrt_of_int(self, n: int, N: int | None = None) -> QuadExtScalar:
         """A square root of the integer n in F_p (n a p-adic unit)."""
@@ -392,20 +386,6 @@ class QuadExtContext:
 
 
 # -- integer-level kernels --------------------------------------------------
-
-def _teichmuller_int(u: int, p: int, N: int) -> int:
-    m = p ** N
-    x = u % m
-    for _ in range(N + 1):
-        y = pow(x, p, m)
-        if y == x:
-            break
-        x = y
-    if pow(x, p, m) != x:
-        raise ArithmeticError("Teichmueller iteration of %d mod %d^%d did "
-                              "not converge" % (u, p, N))
-    return x
-
 
 def _sqrt_int(n: int, p: int, N: int) -> int:
     """Hensel-lifted square root of a quadratic-residue unit mod p^N."""

@@ -395,11 +395,6 @@ class HeegnerSystem:
         self.delta_c = (c * self.delta) % (2 * M)
         self.forms = heegner_representatives(self.group, M, self.delta)
 
-    def translate(self, sigma: int, Q: HeegnerForm) -> HeegnerForm:
-        """Q^sigma: the Heegner representative of sigma * class(Q)."""
-        idx = self.group.class_of(Q.form)
-        return self.forms[self.group.compose(sigma, idx)]
-
     def to_json_dict(self):
         doc = self.group.to_json_dict()
         doc["M"] = self.M

@@ -215,16 +215,6 @@ def curve_add(E: EllipticCurveData, P, Q):
     return (x3, y3)
 
 
-def curve_mul(E: EllipticCurveData, n: int, P):
-    out, base = None, P
-    while n:
-        if n & 1:
-            out = curve_add(E, out, base)
-        base = curve_add(E, base, base)
-        n >>= 1
-    return out
-
-
 def on_curve(E: EllipticCurveData, P) -> bool:
     if P is None:
         return True
@@ -258,16 +248,6 @@ def formal_log(E: EllipticCurveData, P, prec: int):
 
 
 # --------------------------------------------------------- Tate curve series
-
-def _tate_a4_a6(q: PadicScalar, depth: int):
-    s3 = _sigma_series(3, depth)
-    s5 = _sigma_series(5, depth)
-    s3v = _eval_series([0] + [s3[n] for n in range(1, depth + 1)], q)
-    s5v = _eval_series([0] + [s5[n] for n in range(1, depth + 1)], q)
-    a4 = -5 * s3v
-    a6 = (-5 * s3v - 7 * s5v) * Fraction(1, 12)
-    return a4, a6
-
 
 def tate_curve_invariants(q: PadicScalar, depth: int):
     """c4, c6 of the Tate curve y^2 + xy = x^3 + a4(q) x + a6(q): the

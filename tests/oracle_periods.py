@@ -1,16 +1,23 @@
-"""Test-only oracle: the real periods of an elliptic curve by the AGM.
+"""Test-only oracles: the real periods of an elliptic curve by the AGM, and
+its Fricke sign by the functional equation in floating point.
 
 The roots e1, e2, e3 of 4x^3 + b2 x^2 + 2 b4 x + b6 come from numpy.roots;
 Omega+ (one loop of the real locus) and the magnitude Omega- of the
 imaginary period are pi over an arithmetic-geometric mean of their
 differences.  Used to normalise modular-symbol periods and L-values in the
 tests, and itself checked against scipy.integrate.quad in test_curves.
+
+The Fricke sign w_N is read off f(-1/(Nz)) = w_N N z^2 f(z) at one point of
+the imaginary axis, from the q-expansion of f_E; it checks the exact sign
+that the package takes from the a_ell at the bad primes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+from starkheegner.curves import CurveError, EllipticCurveData
 
 
 def _agm_real(a: float, b: float) -> float:
@@ -40,3 +47,29 @@ def real_periods(E: EllipticCurveData):
     om1 = math.pi / _agm_real(abs(a.real), abs(a))
     om2 = math.pi / _agm_real(abs(a.imag), abs(a))
     return om1, om2
+
+
+def fricke_sign_numeric(E: EllipticCurveData) -> int:
+    """Sign of the Fricke involution W_N on f_E, computed from the
+    functional equation f(-1/(Nz)) = w_N N z^2 f(z) at z = i*t/sqrt(N)."""
+    N = E.conductor
+    terms = 60 + int(12 * math.sqrt(N))
+    an = E.an_list(terms)
+
+    def f(z):
+        q = cmath.exp(2j * cmath.pi * z)
+        tot, qn = 0.0 + 0j, 1.0 + 0j
+        for n in range(1, terms + 1):
+            qn *= q
+            tot += an[n] * qn
+        return tot
+
+    t = 1.13
+    z = 1j * t / math.sqrt(N)
+    lhs = f(-1 / (N * z))
+    rhs = N * z * z * f(z)
+    ratio = lhs / rhs
+    w = round(ratio.real)
+    if abs(ratio - w) > 1e-6 or w not in (1, -1):
+        raise CurveError("Fricke sign did not converge: %r" % ratio)
+    return w

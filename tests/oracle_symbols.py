@@ -1,0 +1,55 @@
+"""Test-only oracle: rational combinations of modular-symbol values.
+
+The package integrates the overconvergent lift of an eigensymbol; these sums
+read the rational symbol itself, to check it against facts it must satisfy:
+
+- an operator applied to a full P^1-indexed vector, one Manin-trick row
+  per generator (the package builds only the pivot rows);
+- the Birch sum sum_a (delta|a) I{oo -> a/|delta|}, the rational behind
+  L(E, chi_delta, 1);
+- the geodesic period sum over a class group, sum_sigma chi(sigma)
+  I{r -> gamma_sigma r}.
+"""
+
+import math
+from fractions import Fraction
+
+from starkheegner.arith import kronecker
+from starkheegner.modsym import INF, apply_moebius
+from starkheegner.quadforms import stabilizer_gamma, totally_positive_unit
+
+
+def op_full(space, vec, paths):
+    """The operator with path matrices paths applied to the full
+    P^1-indexed vector vec."""
+    return [sum((c * vec[idx] for idx, c in row.items()), Fraction(0))
+            for row in space._rows(paths, range(len(space.p1)))]
+
+
+def birch_sum(symbol, delta: int) -> Fraction:
+    """sum_a (delta|a) I{oo -> a/m}, m = |delta|; the twisted-L rational."""
+    m = abs(delta)
+    if math.gcd(m, symbol.space.N) != 1:
+        raise ValueError("twist modulus must be coprime to the level")
+    parity = 1 if delta > 0 else -1
+    if parity != symbol.sign:
+        raise ValueError("sign mismatch: the sum vanishes on this component")
+    total = Fraction(0)
+    for a in range(1, m + 1):
+        chi = kronecker(delta, a)
+        if chi:
+            total += chi * symbol.value(INF, Fraction(a, m))
+    return total
+
+
+def geodesic_period_sum(symbol, chi, heegner, base=INF) -> Fraction:
+    """sum over classes of chi(sigma) * I{r -> gamma_sigma(r)}: the rational
+    geodesic period combination (weight 2, so the polynomial factor is 1)."""
+    unit = totally_positive_unit(heegner.group.D, heegner.group.c)
+    total = Fraction(0)
+    for idx in range(heegner.group.order):
+        q = heegner.forms[idx]
+        st = stabilizer_gamma(q, unit)
+        r2 = apply_moebius(st.gamma, base)
+        total += chi(idx) * symbol.value(base, r2)
+    return total

@@ -29,7 +29,7 @@ from starkheegner.curves import (
 from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars, order_by_sign
 from starkheegner.quadforms import NarrowClassGroup
 
-from oracle_periods import real_periods
+from oracle_periods import fricke_sign_numeric, real_periods
 
 
 def E37():
@@ -133,9 +133,27 @@ def test_hasse_bound():
 def test_multiplicative_ap_is_pm1():
     for E in (E15(), E21()):
         assert E.a_p in (1, -1)
-        assert E.w_p == -E.a_p
         for ell in [q for q in (3, 5, 7) if E.conductor % q == 0]:
             assert E.ap(ell) in (1, -1)
+
+
+def test_fricke_sign_is_the_product_of_the_local_signs():
+    # w_N = prod_{ell | N} (-a_ell) exactly, against the functional equation
+    # in floating point.  The root number is -w_N: 11a1 and 14a1 (rank 0)
+    # have w_N = -1, 37a (rank 1) has w_N = +1
+    curves = [EllipticCurveData(*a, conductor=N, p=p) for a, N, p in (
+        ((0, -1, 1, -10, -20), 11, 11),
+        ((1, 0, 1, 4, -6), 14, 7),
+        ((1, 1, 1, -10, -10), 15, 5),
+        ((1, 0, 0, -4, -1), 21, 7),
+        ((0, 1, 1, -1, 0), 35, 5),
+        ((0, 0, 1, -1, 0), 37, 37),
+        ((0, 0, 1, 7, -11), 115, 5),
+    )]
+    for E in curves:
+        assert E.w_fricke == fricke_sign_numeric(E), E.conductor
+    assert [E.w_fricke for E in curves[:2]] == [-1, -1]
+    assert curves[5].w_fricke == 1
 
 
 def test_an_multiplicativity():
@@ -164,6 +182,11 @@ def test_sh_hypothesis_failures():
     assert not ok and any("coprime" in f for f in fails)
     ok, fails = check_sh_hypothesis(E15(), 17, 1)
     assert not ok  # 17 = 2 mod 3 and 2 mod 5: not split at 3
+    # c = -7 and -1 pass every other test (odd, squarefree, coprime to DN),
+    # but no order has conductor c < 1
+    for c in (-7, -1, 0):
+        ok, fails = check_sh_hypothesis(E15(), 13, c)
+        assert not ok and fails == ["c must be a positive integer"], (c, fails)
 
 
 # ----------------------------------------------------------------- L-values
@@ -310,7 +333,8 @@ def test_twist_map_round_trip():
         As, Bs = E.short_model()
         assert P.on_short_model(As, Bs)
         # Galois conjugate is the negative (up to 2-torsion): x fixed, y flips
-        conj = GlobalPoint(P.x.conj(), P.y.conj(), delta)
+        conj = GlobalPoint(QuadRat(P.x.a, -P.x.b, delta),
+                           QuadRat(P.y.a, -P.y.b, delta), delta)
         assert conj.x == P.x and conj.y == P.y * QuadRat.of(-1, 0, delta)
 
 

@@ -13,6 +13,9 @@ The package has no runtime dependencies: every import in it, at module or
 function level, names a package module or a standard-library one, and
 importing the package's modules loads neither scipy nor numpy, which only
 the tests' oracles use.
+Every function, class, method and property of the package has a caller in
+the package or in bench/, unless RESERVED names the ROADMAP item that will
+call it; code only the tests call lives in the tests' oracles.
 """
 
 import ast
@@ -23,6 +26,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PKG = TESTS.parent / "src" / "starkheegner"
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__init__")
 
 
@@ -195,3 +199,69 @@ def test_import_loads_no_numerics_stack():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]", out.stdout
+
+
+# Names nothing calls yet, each with the ROADMAP item that will call it.  A
+# name leaves the dict when it gains a caller, so the dict only shrinks.
+RESERVED = {
+    "lift_pair": "item 1: the Darmon-point route lifts the symbol of each sign",
+    "Distribution.moment": "item 1: each moment m_j with its precision n - j",
+    "reconstruct_scalar": "item 1: the ratios are read back as rationals",
+    "QuadExtScalar.frobenius": "item 1: the omega-part is the part Frobenius negates",
+    "exp_p": "item 2: P_chi recovered from log_E(P_chi)",
+    "pushforward_class": "item 4: norm relations between conductors f | c",
+    "HeegnerSystem.to_json_dict": "item 7: the stage record and the JSON report",
+}
+
+
+def _definitions_and_loads(path):
+    """(defs, loads) of a file.  defs holds (node, qualified name) for each
+    function, class, method and property at module or class level, dunder
+    methods left out; loads holds (name, enclosing definitions) for each name
+    the file loads, bare or as an attribute."""
+    defs, loads = [], []
+
+    def visit(node, owners, cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if (cls or not owners) and not (name.startswith("__") and name.endswith("__")):
+                defs.append((node, name if cls is None else "%s.%s" % (cls, name)))
+            owners = owners + (node,)
+            cls = name if isinstance(node, ast.ClassDef) else None
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.append((node.id, owners))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.append((node.attr, owners))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners, cls)
+
+    visit(ast.parse(path.read_text()), (), None)
+    return defs, loads
+
+
+def _uncalled():
+    """{qualified name: "module.py:line"} for each definition of the package
+    whose name nothing loads, in the package outside its own body or in
+    bench/*.py.  Matching is by name, as in _unused_locals."""
+    defs, loads = [], {}
+    for m in MODULES:
+        path = PKG / ("%s.py" % m)
+        file_defs, file_loads = _definitions_and_loads(path)
+        defs += [(node, qual, "%s:%d" % (path.name, node.lineno))
+                 for node, qual in file_defs]
+        for name, owners in file_loads:
+            loads.setdefault(name, []).append(owners)
+    bench = {name for path in BENCH.glob("*.py")
+             for name, _ in _definitions_and_loads(path)[1]}
+    return {qual: where for node, qual, where in defs
+            if node.name not in bench
+            and all(node in owners for owners in loads.get(node.name, ()))}
+
+
+def test_every_src_name_has_a_caller():
+    uncalled = _uncalled()
+    bad = sorted("%s %s" % (where, qual) for qual, where in uncalled.items()
+                 if qual not in RESERVED)
+    assert not bad, "no caller in src/ or bench/: %s" % bad
+    stale = sorted(qual for qual in RESERVED if qual not in uncalled)
+    assert not stale, "reserved, but called or no longer defined: %s" % stale

@@ -24,6 +24,8 @@ from starkheegner.oms import (
 )
 from starkheegner.padics import PadicScalar, iwasawa_log
 
+from oracle_symbols import op_full
+
 P = 5
 NMOM = 8
 
@@ -217,7 +219,7 @@ def test_up_specializes_to_classical_up():
         v = [sum(b[i] for b in sp.basis) for i in range(len(sp.p1))]
         den = math.lcm(*(x.denominator for x in v))
         v = [int(x * den) for x in v]
-        up = sp._op_full(v, sp.hecke_paths(P))
+        up = op_full(sp, v, sp.hecke_paths(P))
         assert any(up[i] * v[j] != up[j] * v[i]
                    for i in range(len(v)) for j in range(len(v)))
         phi = OMSymbol(sp, P, nmom, E.a_p, 1)
@@ -336,6 +338,18 @@ def test_transport_matrices_reject_matrices_outside_the_monoid():
                   (2, 1, 3, 4), (1, 1, -2, 1)):
             with pytest.raises(ValueError):
                 TransportCache(P, n).matrices(g)
+
+
+def test_symbol_rejects_fewer_than_one_moment():
+    # checked before any work: past the check, n_mom = 0 fails with an
+    # IndexError inside the sweeps and n_mom = -2 with a TypeError from pow
+    E = E15()
+    sym = build_eigensymbol(E, 1)
+    for n_mom in (0, -2):
+        with pytest.raises(ValueError, match="at least one moment"):
+            lift_to_oms(sym, E.a_p, P, n_mom)
+        with pytest.raises(ValueError, match="at least one moment"):
+            OMSymbol(sym.space, P, n_mom, E.a_p, 1)
 
 
 def test_grouped_up_sweep_matches_per_piece_transports():

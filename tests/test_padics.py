@@ -50,6 +50,16 @@ def test_teichmuller_non_unit_rejected():
         teichmuller(S(5))
 
 
+def test_extension_constant_is_teichmuller_lift_of_least_nonresidue():
+    for p in (3, 5, 7, 11, 13):
+        squares = {x * x % p for x in range(1, p)}
+        r = min(set(range(1, p)) - squares)
+        for prec in (1, 5, 20, 40):
+            eps = QuadExtContext(p, prec).eps
+            assert 0 <= eps < p ** prec and eps % p == r, (p, prec)
+            assert pow(eps, p - 1, p ** prec) == 1, (p, prec)
+
+
 def test_teichmuller_quadratic_full_order():
     ctx = QuadExtContext(P, 8)
     u = ctx.from_ints(2, 3, 8)
@@ -148,7 +158,7 @@ def test_iwasawa_log_on_quadratic_units_matches_teichmuller_route():
     for prec in (8, 20):
         ctx = QuadExtContext(P, prec)
         for x in _quadratic_samples(ctx, prec, 8, rng):
-            assert not x.is_scalar()
+            assert not x.b.is_zero()
             got = iwasawa_log(x)
             want = _teichmuller_route_log(x)
             assert got == want
@@ -260,7 +270,7 @@ def test_exp_log_round_trip_on_quadratic_inputs():
             a, b, c, d = (P * rng.randrange(1, P ** (prec - 1)) for _ in range(4))
             x = ctx.from_ints(1 + a, b, prec)   # in 1 + pO, not in Q_p
             z = ctx.from_ints(c, d, prec)       # in pO, not in Q_p
-            assert not x.is_scalar() and not z.is_scalar()
+            assert not x.b.is_zero() and not z.b.is_zero()
             assert exp_p(iwasawa_log(x)) == x
             assert iwasawa_log(exp_p(z)) == z
 
@@ -299,7 +309,7 @@ def test_frobenius_fixes_scalars_and_flips_omega():
     ctx = QuadExtContext(P, N)
     x = ctx.embed(S(17))
     assert x.frobenius() == x
-    w = ctx.omega()
+    w = ctx.from_ints(0, 1)
     assert w.frobenius() == -w
     y = ctx.from_ints(2, 9)
     assert y.frobenius().frobenius() == y

