@@ -88,10 +88,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-def is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
 def primes_up_to(n: int):
     if n < 2:
         return []

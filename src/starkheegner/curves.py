@@ -70,8 +70,9 @@ class EllipticCurveData:
         if rad != self.conductor:
             raise CurveError("conductor %d does not match rad(disc) = %d"
                              % (self.conductor, rad))
-        if self.conductor % self.p != 0 or (self.conductor // self.p) % self.p == 0:
-            raise CurveError("p must exactly divide the conductor")
+        if self.p not in prime_divisors(self.conductor):
+            raise CurveError("p = %d is not a prime dividing the conductor %d"
+                             % (self.p, self.conductor))
         if self.p == 2:
             raise CurveError("p must be odd")
         self.level_m = self.conductor // self.p

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, lift_to_sl2, mat_inv, mat_mul, prime_divisors
+from .arith import lift_to_sl2, mat_inv, mat_mul, prime_divisors, primes_up_to
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
 
@@ -269,21 +269,21 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
     # whole space, whose first cut is the kernel of m - a itself
     dim = space.dim
     sub = None
-    ell = 1
-    while sub is None or len(sub) > 2:
-        ell += 1
-        if ell > EIGEN_PRIME_BOUND:
-            raise RuntimeError("eigenspace did not shrink to dimension 2")
-        if E.conductor % ell == 0 or not is_prime(ell):
+    for ell in primes_up_to(EIGEN_PRIME_BOUND):
+        if E.conductor % ell == 0:
             continue
         shifted = _minus_scalar(space.hecke_matrix(ell), E.ap(ell))
         if sub is None:
             sub = kernel_basis(shifted, dim)
-            continue
-        # restrict m - a to the span of sub: column i is (m - a) sub[i]
-        cols = [matvec(shifted, v) for v in sub]
-        ker = kernel_basis([list(r) for r in zip(*cols)], len(sub))
-        sub = [lincomb(ker_vec, sub) for ker_vec in ker]
+        else:
+            # restrict m - a to the span of sub: column i is (m - a) sub[i]
+            cols = [matvec(shifted, v) for v in sub]
+            ker = kernel_basis([list(r) for r in zip(*cols)], len(sub))
+            sub = [lincomb(ker_vec, sub) for ker_vec in ker]
+        if len(sub) <= 2:
+            break
+    else:
+        raise RuntimeError("eigenspace did not shrink to dimension 2")
     if len(sub) != 2:
         raise RuntimeError("multiplicity-one failure: dim %d" % len(sub))
     # check U_q eigenvalue for q | N on the 2-dim space (consistency)

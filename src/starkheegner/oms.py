@@ -53,7 +53,7 @@ from .modsym import (
     segments_to_cusp,
 )
 from .padics import PadicScalar, PrecisionError, iwasawa_log
-from .arith import MAT_ID, mat_adj, mat_mul, valuation
+from .arith import MAT_ID, mat_adj, mat_mul, prime_divisors, valuation
 
 
 class Distribution:
@@ -266,8 +266,9 @@ class OMSymbol:
         self.space = space
         self.N = space.N
         self.p = p
-        if self.N % p or (self.N // p) % p == 0:
-            raise ValueError("p = %d must divide N = %d exactly once" % (p, self.N))
+        if p not in prime_divisors(self.N) or (self.N // p) % p == 0:
+            raise ValueError("p = %d must be a prime dividing N = %d exactly "
+                             "once" % (p, self.N))
         if a_p % p == 0:
             raise ValueError("a_p = %d is not a %d-adic unit" % (a_p, p))
         if n_mom < 1:

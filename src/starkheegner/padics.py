@@ -515,24 +515,6 @@ def exp_p(x):
     return total
 
 
-class LogBranch:
-    """The branch log_q of the p-adic logarithm with log_q(q) = 0."""
-
-    def __init__(self, q: PadicScalar):
-        if q.is_zero() or q.valuation() < 1:
-            raise ValueError("Tate period must have positive valuation")
-        self.q = q
-        self.p = q.p
-        self.ord_q = q.valuation()
-        self._l0q = iwasawa_log(q)
-
-    def log(self, x):
-        """log_q(x) = L0(x) - (ord(x)/ord(q)) * L0(q)."""
-        if x.is_zero():
-            raise ValueError("log of zero")
-        return iwasawa_log(x) - self._l0q * Fraction(x.valuation(), self.ord_q)
-
-
 def rational_reconstruct(x: int, modulus: int, bound: int):
     """Recover (a, b) coprime, |a|,|b| <= bound, b > 0, a = x*b mod modulus.
 

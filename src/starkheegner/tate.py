@@ -1,5 +1,16 @@
-"""Tate parameter, Tate-curve parametrization, and the formal-group
-logarithm of the minimal model.
+"""Tate parameter, the Weierstrass map from the Tate curve to the minimal
+model, the conversion constant kappa, and the formal-group logarithm of the
+minimal model.
+
+The map is x = lambda^2 X + r, y = lambda^3 Y + s lambda^2 X + t.  The Tate
+curve's invariant differential dX/(2Y + X) is du/u (Silverman, Advanced
+Topics in the Arithmetic of Elliptic Curves, V.1.1), and 2y + a1 x + a3 is
+lambda^3 (2Y + X), so omega_E = lambda^-1 du/u: the constant that turns
+Tate-side logarithms into formal-group logarithms is kappa = 1/lambda, in
+closed form, as the Darmon-Pollack route (Israel J. Math. 2006) needs.  A
+wrong q is caught by lambda^4 c4(q) = c4(E), which holds exactly when
+j(q) = j(E).  The tests measure kappa the long way, on Tate points
+(tests/oracle_tate.py).
 
 Series are computed exactly over Z (or Q) and evaluated at capped-precision
 p-adics, so precision loss only enters through the final evaluations.
@@ -13,7 +24,6 @@ from functools import lru_cache
 from .arith import valuation
 from .curves import EllipticCurveData
 from .padics import (
-    LogBranch,
     PadicScalar,
     PrecisionError,
     QuadExtContext,
@@ -259,31 +269,9 @@ def tate_curve_invariants(q: PadicScalar, depth: int):
     return c4, c6
 
 
-def tate_point(q, u: QuadExtScalar, depth: int):
-    """(X, Y) on the Tate curve for the parameter u (not a power of q)."""
-    ctx = u.ctx
-    one = ctx.one(u.precision() + 6)
-    qe = ctx.embed(q)
-    s1 = _sigma_series(1, depth)
-    s1v = ctx.embed(_eval_series([0] + [s1[n] for n in range(1, depth + 1)],
-                                 q))
-    X = u / ((one - u) * (one - u))
-    Y = (u * u) / ((one - u) ** 3)
-    qn = one
-    for _ in range(1, depth + 1):
-        qn = qn * qe
-        t1 = qn * u
-        t2 = qn / u
-        X = X + t1 / ((one - t1) * (one - t1)) + t2 / ((one - t2) * (one - t2))
-        Y = Y + t1 * t1 / ((one - t1) ** 3) - t2 / ((one - t2) ** 3)
-    X = X - 2 * s1v
-    Y = Y + s1v
-    return X, Y
-
-
 def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
                       depth: int):
-    """The Weierstrass transformation (u, r, s, t) carrying Tate-curve
+    """The Weierstrass transformation (lambda, r, s, t) carrying Tate-curve
     coordinates to the minimal model of E."""
     c4q, c6q = tate_curve_invariants(q, depth)
     lam2 = (PadicScalar.from_int(E.p, E.c6, q.N) * c4q) / \
@@ -308,34 +296,31 @@ def _quad_sqrt(ctx: QuadExtContext, a: PadicScalar) -> QuadExtScalar:
     return ctx.sqrt_of_int(unit.residue(rel), rel).shift(v // 2)
 
 
-def tate_to_curve_point(E, transform, XY):
-    lam, r, s, t = transform
-    X, Y = XY
-    x = lam * lam * X + r
-    y = lam ** 3 * Y + s * (lam * lam) * X + t
-    return (x, y)
-
-
 def log_conversion_constant(E: EllipticCurveData, q: PadicScalar,
-                            ctx: QuadExtContext, prec: int):
-    """kappa with formal_log(Phi_Tate(u)) = kappa * log_q(u): converts
-    Tate-side logarithms into minimal-model formal-group units."""
+                            ctx: QuadExtContext, prec: int) -> QuadExtScalar:
+    """kappa = 1/lambda, with formal_log(Phi_Tate(u)) = kappa * log_q(u):
+    converts Tate-side logarithms into minimal-model formal-group units.
+
+    The Tate curve's invariant differential dX/(2Y + X) is du/u (Silverman,
+    Advanced Topics in the Arithmetic of Elliptic Curves, V.1.1).  Under
+    x = lambda^2 X + r, y = lambda^3 Y + s lambda^2 X + t, the minimal
+    model's 2y + a1 x + a3 is lambda^3 (2Y + X) and dx is lambda^2 dX, so
+    omega_E = lambda^-1 du/u.  This is the constant the Darmon-Pollack route
+    (Israel J. Math. 2006) needs.  A wrong q is caught by
+    lambda^4 c4(q) = c4(E) mod p^prec, which holds exactly when
+    j(q) = j(E)."""
     depth = prec // q.v + 2
-    transform = iso_tate_to_curve(E, q, ctx, depth)
-    branch = LogBranch(q)
-    u0 = ctx.embed(PadicScalar.from_int(E.p, 1 + E.p, q.N))
-    P = tate_to_curve_point(E, transform, tate_point(q, u0, depth))
-    if not on_curve(E, P):
-        raise ValueError("Tate parametrization image is off the curve")
-    kappa = formal_log(E, P, prec) / branch.log(u0)
-    u1 = ctx.embed(PadicScalar.from_fraction(E.p, Fraction(1 + E.p) ** 2, q.N))
-    P1 = tate_to_curve_point(E, transform, tate_point(q, u1, depth))
-    kappa1 = formal_log(E, P1, prec) / branch.log(u1)
-    agree = (kappa - kappa1).valuation()
-    if agree < prec - 2:
-        raise PrecisionError("conversion unstable: the two kappa agree to %d "
-                             "of %d digits" % (agree, prec - 2), agree)
-    return kappa
+    lam = iso_tate_to_curve(E, q, ctx, depth)[0]
+    kappa = lam.inverse()
+    if kappa.precision() < prec:
+        raise PrecisionError("kappa = 1/lambda has %d of %d digits"
+                             % (kappa.precision(), prec), kappa.precision())
+    residual = lam ** 4 * tate_curve_invariants(q, depth)[0] - E.c4
+    if not residual.is_zero() and residual.valuation() < prec:
+        raise ValueError("j(q) != j(E): lambda^4 c4(q) - c4(E) has valuation "
+                         "%d < %d" % (residual.valuation(), prec))
+    return QuadExtScalar(ctx, kappa.a.with_precision(prec),
+                         kappa.b.with_precision(prec))
 
 
 # ----------------------------------------------------------- localization

@@ -3,18 +3,11 @@ import math
 import pytest
 
 from starkheegner.arith import (
-    is_prime,
     lift_to_sl2,
     primes_up_to,
     sqrt_mod_prime,
     valuation,
 )
-
-
-def test_is_prime_matches_sieve():
-    primes = set(primes_up_to(500))
-    for n in range(-5, 501):  # n <= 1 included: never prime
-        assert is_prime(n) == (n in primes), n
 
 
 def test_sqrt_mod_prime_every_residue():

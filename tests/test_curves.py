@@ -55,6 +55,17 @@ def test_conductor_validation():
         EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=3**2)
 
 
+def test_p_must_be_a_prime_divisor_of_the_conductor():
+    # 15 and -5 divide N = 15 exactly once but are not primes; before the
+    # check, p = 15 gave a "trace" a_15 = 1 and p = -5 a negative count
+    for p in (15, -5):
+        with pytest.raises(CurveError, match="not a prime dividing"):
+            EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=p)
+    for p in (3, 5):
+        E = EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=p)
+        assert E.level_m == 15 // p and E.a_p in (1, -1)
+
+
 # -------------------------------------------------------------- point counts
 
 def test_a2_of_37a_by_hand_count():

@@ -1,6 +1,6 @@
 import pytest
 
-from starkheegner.arith import is_prime, kronecker, sqrt_mod_prime
+from starkheegner.arith import kronecker, primes_up_to, sqrt_mod_prime
 from starkheegner.genus import (
     RingClassCharacter,
     attach_genus_data,
@@ -41,16 +41,13 @@ def frobenius_class(group: NarrowClassGroup, ell: int) -> int:
 
 
 def split_primes(group: NarrowClassGroup, avoid: int, count: int, skip: int = 0):
-    """Split primes of F prime to `avoid`, by increasing size."""
-    out = []
-    ell = 1
-    while len(out) < count + skip:
-        ell += 2
-        if avoid % ell == 0 or not is_prime(ell):
-            continue
-        if kronecker(group.D, ell) == 1:
-            out.append(ell)
-    return out[skip:]
+    """Split primes of F prime to `avoid`, by increasing size, odd and below
+    2000."""
+    out = [ell for ell in primes_up_to(2000)[1:]
+           if avoid % ell and kronecker(group.D, ell) == 1][skip:skip + count]
+    if len(out) < count:
+        raise ValueError("fewer than %d split primes below 2000" % (count + skip))
+    return out
 
 
 # ------------------------------------------------------------- enumeration

@@ -6,9 +6,11 @@ cycle, function-level imports included.  Only modsym takes the Manin step
 (segment -> generator index), so no other module reaches into P^1 for it.
 No module uses assert, which python -O strips: invariants raise instead.
 No function, in the package or in its tests, stores a local name (other
-than _) that it never reads.  In padics and tate, only the two ``_coerce``
-methods ask whether a value is a PadicScalar or a QuadExtScalar: every other
-function serves Q_p and Q_p^2 through one body.
+than _) that it never reads, and no file of the package, of its tests or
+of bench/ imports a name it never reads (__future__ imports aside).  In
+padics and tate, only the two ``_coerce`` methods ask whether a value is a
+PadicScalar or a QuadExtScalar: every other function serves Q_p and Q_p^2
+through one body.
 The package has no runtime dependencies: every import in it, at module or
 function level, names a package module or a standard-library one, and
 importing the package's modules loads neither scipy nor numpy, which only
@@ -133,6 +135,33 @@ def test_no_unused_locals():
     files = [PKG / ("%s.py" % m) for m in MODULES] + sorted(TESTS.glob("*.py"))
     bad = sorted({"%s/%s:%d %s: %s" % (path.parent.name, path.name, line, f, name)
                   for path in files for line, f, name in _unused_locals(path)})
+    assert not bad, bad
+
+
+def _unused_imports(path):
+    """(line, name) for each name an import of the file binds, at module or
+    function level, that the file never loads; __future__ imports are
+    directives, not names."""
+    tree = ast.parse(path.read_text())
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            if name not in loaded:
+                yield node.lineno, name
+
+
+def test_no_unused_imports():
+    files = ([PKG / ("%s.py" % m) for m in MODULES] + sorted(TESTS.glob("*.py"))
+             + sorted(BENCH.glob("*.py")))
+    bad = ["%s/%s:%d %s" % (path.parent.name, path.name, line, name)
+           for path in files for line, name in _unused_imports(path)]
     assert not bad, bad
 
 

@@ -17,7 +17,6 @@ from starkheegner.modsym import (
     ManinSymbolSpace,
     apply_moebius,
     build_eigensymbol,
-    segments_between,
 )
 from starkheegner.quadforms import HeegnerSystem
 

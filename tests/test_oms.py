@@ -352,6 +352,17 @@ def test_symbol_rejects_fewer_than_one_moment():
             OMSymbol(sym.space, P, n_mom, E.a_p, 1)
 
 
+def test_symbol_rejects_p_not_a_prime_divisor_of_N():
+    sp = ManinSymbolSpace(15)
+    for p in (15, -5):
+        with pytest.raises(ValueError, match="must be a prime dividing"):
+            OMSymbol(sp, p, 4, 1, 1)
+    for p in (3, 5):
+        assert OMSymbol(sp, p, 4, 1, 1).p == p
+    with pytest.raises(ValueError, match="exactly once"):
+        OMSymbol(ManinSymbolSpace(45), 3, 4, 1, 1)
+
+
 def test_grouped_up_sweep_matches_per_piece_transports():
     # one apply_up, from a random start that is no eigensymbol and has a
     # random jet, equals a_p^{-1} * the sum of one transport per piece of U_p

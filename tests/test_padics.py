@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from starkheegner.arith import valuation
 from starkheegner.padics import (
-    LogBranch,
     PadicScalar,
     PrecisionError,
     QuadExtContext,
@@ -18,6 +17,8 @@ from starkheegner.padics import (
     reconstruct_scalar,
     teichmuller,
 )
+
+from oracle_tate import LogBranch
 
 
 P = 5

@@ -27,11 +27,9 @@ from starkheegner.quadforms import (
     heegner_representatives,
     narrow_class_number_oracle,
     plus_unit,
-    principal_form,
     reduced_forms,
     stabilizer_gamma,
     totally_positive_unit,
-    unit_norm,
 )
 
 from oracle_classes import forms_equivalent, sqrtD_class

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from starkheegner.curves import EllipticCurveData, GlobalPoint, QuadRat
-from starkheegner.padics import LogBranch, PadicScalar, QuadExtContext
+from starkheegner.padics import PadicScalar, PrecisionError, QuadExtContext
 from starkheegner.tate import (
     _eval_series,
     _sigma_series,
@@ -16,8 +16,12 @@ from starkheegner.tate import (
     localize_short_point,
     log_conversion_constant,
     on_curve,
-    tate_curve_invariants,
     tate_parameter,
+)
+
+from oracle_tate import (
+    LogBranch,
+    kappa_from_points,
     tate_point,
     tate_to_curve_point,
 )
@@ -223,6 +227,51 @@ def test_log_conversion_constant_matches_formal_log():
         rhs = kappa * branch.log(u)
         diff = lhs - rhs
         assert diff.is_zero() or diff.valuation() >= PREC - 2
+
+
+def kappa_curves():
+    # a_p = +1: 15x, 11a1, 14a1 and 35 at p = 7; a_p = -1: 115, 21x and 35
+    # at p = 5
+    return (E15(),
+            EllipticCurveData(0, -1, 1, -10, -20, conductor=11, p=11),
+            EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5),
+            E21(),
+            EllipticCurveData(1, 0, 1, 4, -6, conductor=14, p=7),
+            EllipticCurveData(0, 1, 1, -1, 0, conductor=35, p=5),
+            EllipticCurveData(0, 1, 1, -1, 0, conductor=35, p=7))
+
+
+def test_log_conversion_constant_matches_points_oracle():
+    # kappa = 1/lambda in closed form is kappa measured on two Tate points,
+    # to every digit it claims
+    for E in kappa_curves():
+        for prec in (6, 20, 38):
+            q = tate_parameter(E, prec + 2)
+            ctx = QuadExtContext(E.p, q.N)
+            kappa = log_conversion_constant(E, q, ctx, prec)
+            assert kappa.precision() == prec, (E.conductor, E.p, prec)
+            assert (kappa - kappa_from_points(E, q, ctx, prec)).is_zero(), \
+                (E.conductor, E.p, prec)
+
+
+def test_log_conversion_constant_rejects_wrong_q():
+    # q + p^(v(q) + k) has j(q) != j(E): lambda^4 c4(q) - c4(E) has
+    # valuation v(q) + k < prec
+    for E in (E15(), E21()):
+        q = tate_parameter(E, 22)
+        ctx = QuadExtContext(E.p, q.N)
+        for k in (1, 5, 15):
+            wrong = q + PadicScalar.from_int(E.p, E.p ** (q.v + k), q.N)
+            with pytest.raises(ValueError, match="valuation %d <" % (q.v + k)):
+                log_conversion_constant(E, wrong, ctx, 20)
+
+
+def test_log_conversion_constant_claims_only_lambdas_digits():
+    # q to 8 digits backs 1/lambda to 12 digits, not 30
+    E = E15()
+    q = tate_parameter(E, 8)
+    with pytest.raises(PrecisionError, match="12 of 30"):
+        log_conversion_constant(E, q, QuadExtContext(5, q.N), 30)
 
 
 def test_split_vs_nonsplit_conversion_field():
