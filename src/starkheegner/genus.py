@@ -67,9 +67,39 @@ def _subset_products(factors):
     return out
 
 
+def _generator_rows(group: NarrowClassGroup):
+    """{g: [g*j for every class j]} over a generating set S of the group.
+
+    S is built greedily: walk the classes in index order and add each one
+    the subgroup generated so far misses; the new row closes the subgroup.
+    """
+    rows = {}
+    reached = {group.identity}
+    for k in range(group.order):
+        if k in reached:
+            continue
+        rows[k] = [group.compose(k, j) for j in range(group.order)]
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for row in rows.values():
+                if row[x] not in reached:
+                    reached.add(row[x])
+                    frontier.append(row[x])
+    return rows
+
+
 def enumerate_quadratic_chars(group: NarrowClassGroup):
     """All homomorphisms Pic^+(O_c) -> {+-1}, as value vectors, each with
-    its genus pair (see the module docstring)."""
+    its genus pair (see the module docstring).
+
+    Each vector chi is checked on the rows of a generating set S only:
+    chi(e) = 1 and chi(g*j) = chi(g)*chi(j) for g in S and every j give
+    chi(w*j) = chi(w)*chi(j) for every word w in S, by induction on its
+    length, and the words reach every class, so chi is a homomorphism.
+    That costs |S|*h compositions, not h^2.  Raises ArithmeticError if the
+    count of vectors is wrong or one fails the check.
+    """
     D, c, h = group.D, group.c, group.order
     if c % 2 == 0 or not is_squarefree(c):
         raise ValueError("genus characters need c odd and squarefree, not %d" % c)
@@ -88,12 +118,14 @@ def enumerate_quadratic_chars(group: NarrowClassGroup):
     if len(pairs) != want:
         raise ArithmeticError("%d distinct genus characters at D = %d, c = %d, "
                               "not %d" % (len(pairs), D, c, want))
-    # sanity: homomorphism property on the full table
+    rows = _generator_rows(group)
     for values in pairs:
-        for i in range(h):
+        if values[group.identity] != 1:
+            raise ArithmeticError("no character: %r at the identity" % (values,))
+        for g, row in rows.items():
             for j in range(h):
-                if values[group.compose(i, j)] != values[i] * values[j]:
-                    raise ArithmeticError("no character: %r at %d, %d" % (values, i, j))
+                if values[row[j]] != values[g] * values[j]:
+                    raise ArithmeticError("no character: %r at %d, %d" % (values, g, j))
     return [RingClassCharacter(group, v, genus_pair=pairs[v])
             for v in sorted(pairs, reverse=True)]
 

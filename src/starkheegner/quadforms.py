@@ -4,7 +4,8 @@ class group of a real quadratic order.
 Everything here is exact integer arithmetic: indefinite reduction cycles
 decide SL2(Z)-equivalence (a form's class is the rho-cycle its reduction
 lands on; reduction returns forms, not matrices), Dirichlet composition
-gives the group law, and the continued-fraction expansion of
+gives the group law one pair of classes at a time (the h^2 table is built
+only on request), and the continued-fraction expansion of
 (b + sqrt(D))/2 produces fundamental units.
 Real-embedding comparisons go through surd_sign, never floats.
 Heegner forms are built, not searched for: the cosets gamma*Gamma0(M)
@@ -233,7 +234,11 @@ def reduced_forms(disc: int):
 
 class NarrowClassGroup:
     """SL2(Z)-classes of primitive forms of discriminant D*c^2 with the
-    Gauss composition group law (a model of Pic^+(O_c))."""
+    Gauss composition group law (a model of Pic^+(O_c)).
+
+    compose(i, j) composes and reduces the two representatives on demand;
+    nothing is stored per pair.  The property table builds all h^2 products.
+    """
 
     def __init__(self, D: int, c: int):
         if not is_fundamental_discriminant(D) or D <= 1:
@@ -260,8 +265,6 @@ class NarrowClassGroup:
                 self._where[q.tuple()] = idx
         self.order = len(self.reps)
         self.identity = self.class_of(principal_form(self.disc))
-        self.table = [[self.class_of(compose_forms(self.reps[i], self.reps[j]))
-                       for j in range(self.order)] for i in range(self.order)]
         self.inverse = [self.class_of(self.reps[i].inverse_form())
                         for i in range(self.order)]
 
@@ -271,24 +274,28 @@ class NarrowClassGroup:
         return self._where[Q.reduce().tuple()]
 
     def compose(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        """Class of the product, by one composition and one reduction."""
+        return self.class_of(compose_forms(self.reps[i], self.reps[j]))
+
+    @property
+    def table(self):
+        """The full h x h composition table, built afresh on each access."""
+        return [[self.compose(i, j) for j in range(self.order)]
+                for i in range(self.order)]
 
     def check_group_axioms(self) -> bool:
         """Exhaustive closure/associativity/identity/inverse check."""
-        h = self.order
+        h, e, t = self.order, self.identity, self.table
         for i in range(h):
-            if self.compose(self.identity, i) != i or self.compose(i, self.identity) != i:
-                return False
-            if self.compose(i, self.inverse[i]) != self.identity:
+            if t[e][i] != i or t[i][e] != i or t[i][self.inverse[i]] != e:
                 return False
             for j in range(h):
-                if not 0 <= self.table[i][j] < h:
+                if not 0 <= t[i][j] < h:
                     return False
-                if self.table[i][j] != self.table[j][i]:
+                if t[i][j] != t[j][i]:
                     return False
                 for k in range(h):
-                    if (self.compose(self.compose(i, j), k)
-                            != self.compose(i, self.compose(j, k))):
+                    if t[t[i][j]][k] != t[i][t[j][k]]:
                         return False
         return True
 

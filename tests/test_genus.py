@@ -1,14 +1,31 @@
-import pytest
+import math
 
-from starkheegner.arith import kronecker, primes_up_to, sqrt_mod_prime
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from starkheegner import genus, quadforms
+from starkheegner.arith import (
+    is_fundamental_discriminant,
+    is_squarefree,
+    kronecker,
+    primes_up_to,
+    sqrt_mod_prime,
+)
 from starkheegner.genus import (
     RingClassCharacter,
+    _represent_coprime,
     attach_genus_data,
     enumerate_quadratic_chars,
     order_by_sign,
     pushforward_class,
 )
-from starkheegner.quadforms import BQF, NarrowClassGroup
+from starkheegner.quadforms import (
+    BQF,
+    HeegnerSystem,
+    NarrowClassGroup,
+    compose_forms,
+    narrow_class_number_oracle,
+)
 
 from oracle_classes import (
     character_conductor,
@@ -70,6 +87,55 @@ def test_chars_are_homomorphisms():
             for i in range(g.order):
                 for j in range(g.order):
                     assert chi(g.compose(i, j)) == chi(i) * chi(j)
+
+
+@pytest.mark.parametrize("c", (1463, 1309))
+def test_characters_need_no_composition_table(monkeypatch, c):
+    # the check reads the rows of a few generators, not all h^2 products
+    calls = []
+
+    def counted(q1, q2):
+        calls.append(None)
+        return compose_forms(q1, q2)
+
+    monkeypatch.setattr(quadforms, "compose_forms", counted)
+    H = HeegnerSystem(13, c, 3)
+    assert len(enumerate_quadratic_chars(H.group)) == 8
+    assert len(calls) < 8 * H.group.order
+
+
+def test_check_rejects_one_wrong_value(monkeypatch):
+    # a symbol flipped at one class is no character, and the check says so
+    g = G(13, 77)
+    represented = [_represent_coprime(Q, 2 * g.D * g.c)[0] for Q in g.reps]
+    for k in (1, 5, 23):
+        monkeypatch.setattr(genus, "kronecker", lambda d, a, ak=represented[k]:
+                            -kronecker(d, a) if a == ak else kronecker(d, a))
+        with pytest.raises(ArithmeticError, match="no character"):
+            enumerate_quadratic_chars(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([d for d in range(5, 100) if is_fundamental_discriminant(d)]),
+       st.integers(0, 49))
+def test_generators_generate(D, k):
+    # the sweep of test_quadforms.test_group_axioms_on_random_orders
+    c = 2 * k + 1
+    assume(is_squarefree(c) and math.gcd(c, D) == 1)
+    assume(narrow_class_number_oracle(D, c) <= 64)
+    g = G(D, c)
+    rows = genus._generator_rows(g)
+    for s, row in rows.items():
+        assert row == [g.compose(s, j) for j in range(g.order)]
+    reached, frontier = {g.identity}, [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in rows:
+            y = g.compose(s, x)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert reached == set(range(g.order))
 
 
 # ------------------------------------------------------------- kronecker

@@ -122,6 +122,7 @@ def test_lift_specializes_exactly():
 
 def test_lift_is_up_eigen_and_satisfies_relations():
     (_, cert), _ = _lift(sign=1)
+    assert cert.iterations == NMOM + 1
     assert cert.eigen_valuation >= NMOM
     assert cert.relation_valuation >= NMOM
 

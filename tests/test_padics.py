@@ -248,8 +248,17 @@ def test_iwasawa_log_without_known_digits_raises():
     # p^3 (0 + u w) known mod p^3: no digit of the unit is known
     ctx = QuadExtContext(P, 6)
     x = QuadExtScalar(ctx, PadicScalar.zero(P, 3), PadicScalar(P, 3, 2, 9))
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError) as err:
         iwasawa_log(x)
+    assert err.value.achievable == 0
+
+
+def test_precision_errors_carry_the_digits_known():
+    x = S(7, 10)
+    for ask in (lambda: x.residue(11), lambda: x.with_precision(11)):
+        with pytest.raises(PrecisionError) as err:
+            ask()
+        assert err.value.achievable == 10
 
 
 def test_log_q_additive_on_quadratic_inputs():

@@ -270,8 +270,9 @@ def test_log_conversion_constant_claims_only_lambdas_digits():
     # q to 8 digits backs 1/lambda to 12 digits, not 30
     E = E15()
     q = tate_parameter(E, 8)
-    with pytest.raises(PrecisionError, match="12 of 30"):
+    with pytest.raises(PrecisionError, match="12 of 30") as err:
         log_conversion_constant(E, q, QuadExtContext(5, q.N), 30)
+    assert err.value.achievable == 12
 
 
 def test_split_vs_nonsplit_conversion_field():
