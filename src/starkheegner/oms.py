@@ -23,9 +23,9 @@ kernel is a pair (A, L): row j of A is phi^j, for phi the series of
 t-moments is m' = A m.  Row j of A is kept mod p^(n_mom - j), the precision
 of moment j, with its trailing zeros dropped; each row follows from the one
 before by the two-term recurrence (c t + d) f_j = (a t + b) f_{j-1}, one
-coefficient at a time, with no series product.  A U_p sweep groups the
-pieces of each target generator by matrix and does one product per
-(target, matrix) group, on the signed sum of its sources.
+coefficient at a time, with no series product.  A U_p sweep does one
+product per (source generator, matrix) pair and adds it, with its sign, to
+every target generator whose pieces move that source by that matrix.
 
 A path {oo -> x} is evaluated by Horner's rule over its segments, the
 consecutive convergents of x: each step transports the running sum by
@@ -325,20 +325,19 @@ class OMSymbol:
 
     def _plan_operator(self, paths):
         """Transport plan for the operator given by the path matrices
-        ``paths`` (as from space.hecke_paths): for each generator, a list of
-        (matrix-key, ((idx, sign), ...)) with one entry per distinct matrix,
-        in order of first use.
+        ``paths`` (as from space.hecke_paths): for each source generator, a
+        list of (matrix-key, ((target, sign), ...)) with one entry per
+        distinct matrix that moves that source, in order of first use.
 
         Each path is paired with its value transport by the adjoint rule:
         the path matrix m carries the value transport mat_adj(m), so that
         m * mat_adj(m) = det(m) * I.  For U_p, the path r -> (r + a)/p, by
         (1, a; 0, p), carries the value transport (p, -a; 0, 1)."""
-        plan = []
-        pieces = {}  # one (idx, sign) tuple each, shared, to keep the plan small
-        for g in self.lifts:
+        by_source = [{} for _ in self.lifts]
+        pieces = {}  # one (target, sign) tuple each, shared, to keep the plan small
+        for target, g in enumerate(self.lifts):
             r = apply_moebius(g, Fraction(0))
             s = apply_moebius(g, INF)
-            groups = {}
             for path_mat in paths:
                 value_mat = mat_adj(path_mat)
                 ra = apply_moebius(path_mat, r)
@@ -346,31 +345,29 @@ class OMSymbol:
                 for seg, sgn in segments_between(ra, sa):
                     idx, gamma = self.space.generator_of(seg)
                     key = self.cache._key(mat_mul(value_mat, gamma))
-                    piece = pieces.setdefault((idx, sgn), (idx, sgn))
-                    groups.setdefault(key, []).append(piece)
-            plan.append([(key, tuple(sources)) for key, sources in groups.items()])
-        return plan
+                    piece = pieces.setdefault((target, sgn), (target, sgn))
+                    by_source[idx].setdefault(key, []).append(piece)
+        return [[(key, tuple(targets)) for key, targets in groups.items()]
+                for groups in by_source]
 
     def apply_up(self):
         """One sweep Phi <- a_p^{-1} * (Phi | U_p) on the t-moments.  Each
-        matrix of a target's plan acts once, on the signed sum of the values
-        it transports; the sums are exact, so the result is that of one
-        transport per piece.  The new values have a zero jet."""
+        matrix of a source's plan acts once on that source's value, and the
+        product is added or subtracted into every target that uses it; the
+        sums are exact, so the result is that of one transport per piece.
+        The new values have a zero jet."""
         if self._up_plan is None:
             self._up_plan = self._plan_operator(self.space.hecke_paths(self.p))
-        n, values = self.n, self.values
-        new_values = []
-        for groups in self._up_plan:
-            m_out = [0] * n
-            for key, sources in groups:
-                m = [0] * n
-                for idx, sgn in sources:
-                    m = list(map(add if sgn > 0 else sub, m, values[idx].m))
+        n = self.n
+        acc = [[0] * n for _ in self.lifts]
+        for value, groups in zip(self.values, self._up_plan):
+            for key, targets in groups:
                 A, _ = self.cache.matrices(key)
-                m_out = list(map(add, m_out, _act(A, m)))
-            new_values.append(Distribution(self.p, n,
-                                           [self._ap_inv * x for x in m_out]))
-        self.values = new_values
+                v = _act(A, value.m)
+                for target, sgn in targets:
+                    acc[target] = list(map(add if sgn > 0 else sub, acc[target], v))
+        self.values = [Distribution(self.p, n, [self._ap_inv * x for x in m])
+                       for m in acc]
 
     # ------------------------------------------------------------- checks
 

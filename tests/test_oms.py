@@ -368,10 +368,9 @@ def test_grouped_up_sweep_matches_per_piece_transports():
     # one apply_up, from a random start that is no eigensymbol and has a
     # random jet, equals a_p^{-1} * the sum of one transport per piece of U_p
     # on the t-moments
-    nmom = 6
-    mod = P ** nmom
     rng = random.Random(13)
-    for E in (E15(), E115()):
+    for E, nmom in ((E15(), 6), (E115(), 6), (E15(), 20)):
+        mod = P ** nmom
         sp = ManinSymbolSpace(E.conductor)
         phi = OMSymbol(sp, P, nmom, E.a_p, 1)
         phi.values = [Distribution(P, nmom, [rng.randrange(mod) for _ in range(nmom)],
@@ -391,7 +390,57 @@ def test_grouped_up_sweep_matches_per_piece_transports():
             want.append(total.scale(ap_inv))
         phi.apply_up()
         assert sum(len(groups) for groups in phi._up_plan) < pieces
-        assert [d.m for d in phi.values] == [d.m for d in want], E.conductor
+        assert [d.m for d in phi.values] == [d.m for d in want], (E.conductor, nmom)
+
+
+@pytest.mark.parametrize("E", (E15, E115), ids=("15", "115"))
+def test_up_sweep_does_one_product_per_source_and_matrix(E):
+    # a warm sweep looks up one kernel, and does one product, per distinct
+    # (source generator, value matrix) pair of the pieces of U_p; one
+    # product per (target, matrix) group would do 439 at N = 15 and 3,569
+    # at N = 115
+    E = E()
+    nmom = 10
+    sp = ManinSymbolSpace(E.conductor)
+    phi = OMSymbol(sp, P, nmom, E.a_p, 1)
+    rng = random.Random(7)
+    phi.values = [Distribution(P, nmom, [rng.randrange(P ** nmom) for _ in range(nmom)])
+                  for _ in range(len(sp.p1))]
+    phi.apply_up()
+    want = len({(idx, phi.cache._key(value_mat))
+                for g in sp.lifts for idx, value_mat, _ in _up_pieces(sp, g)})
+    lookups = []
+    kernels = phi.cache.matrices
+
+    def counted(key):
+        lookups.append(key)
+        return kernels(key)
+
+    phi.cache.matrices = counted
+    phi.apply_up()
+    assert len(lookups) == want == sum(len(groups) for groups in phi._up_plan)
+
+
+def test_eigen_residual_leaves_the_symbol_as_it_was():
+    # n_mom on a certified lift, below n_mom from a random start that is no
+    # eigensymbol; either way phi.values is the same list, holding the same
+    # moments, afterwards
+    nmom = 6
+    (phi, cert), _ = _lift(sign=1, nmom=nmom)
+    rng = random.Random(19)
+    seeded = [Distribution(P, nmom, [v.m[0]] + [rng.randrange(P ** (nmom - j))
+                                                for j in range(1, nmom)])
+              for v in phi.values]
+    for values, certified in ((phi.values, True), (seeded, False)):
+        phi.values = values
+        before = [(list(v.m), list(v.lam)) for v in values]
+        got = phi.eigen_residual()
+        assert phi.values is values
+        assert [(v.m, v.lam) for v in phi.values] == before
+        if certified:
+            assert got == cert.eigen_valuation == nmom
+        else:
+            assert 0 <= got < nmom
 
 
 # ------------------------------------------- paths by Horner's rule, against
