@@ -76,14 +76,6 @@ def prime_divisors(n: int):
     return [p for p, _ in factorize(n)]
 
 
-def divisors(n: int):
-    n = abs(n)
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 

@@ -31,6 +31,8 @@ A path {oo -> x} is evaluated by Horner's rule over its segments, the
 consecutive convergents of x: each step transports the running sum by
 delta = gamma_k^-1 gamma_(k+1), which has small entries and so a kernel the
 cache already holds, in place of a new kernel for each segment's gamma_k.
+Each step reduces the running sum, moment j mod p^(n_mom - j), with the
+moduli computed once per (p, n_mom), as every Distribution is reduced.
 The result is exact, because transport is a monoid action on the filtered
 moments: entry (j, k) of A has valuation at least k - j, so the moments past
 n_mom that a product of truncated kernels drops meet row j only below its
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from functools import lru_cache
+from operator import add, mod, mul, sub
 
 from .modsym import (
     INF,
@@ -71,9 +74,10 @@ class Distribution:
 
     def _reduced(self, xs):
         xs = list(xs)
-        for j in range(self.n):
-            xs[j] %= self.p ** (self.n - j)
-        return xs
+        if len(xs) != self.n:
+            raise ValueError("%d moments given for a distribution of %d"
+                             % (len(xs), self.n))
+        return list(map(mod, xs, _moduli(self.p, self.n)))
 
     def __add__(self, other):
         return Distribution(self.p, self.n,
@@ -104,6 +108,12 @@ class Distribution:
     def t_difference_valuation(self, other) -> int:
         """The same minimum over the t-moments alone."""
         return _filtration_valuation(self.p, self.n, self.m, other.m)
+
+
+@lru_cache(maxsize=None)
+def _moduli(p: int, n: int):
+    """(p^n, p^(n-1), ..., p): the precision of each of n moments."""
+    return tuple(p ** (n - j) for j in range(n))
 
 
 def _filtration_valuation(p: int, n: int, xs, ys) -> int:
@@ -155,7 +165,9 @@ class TransportCache:
         return len(self._cache)
 
     def _key(self, g):
-        return tuple(x % self.mod for x in g)
+        a, b, c, d = g
+        mod = self.mod
+        return (a % mod, b % mod, c % mod, d % mod)
 
     def matrices(self, g):
         """(A, L) for the matrix g: m' = A m and lam' = A (lam + L*m), with
@@ -304,8 +316,10 @@ class OMSymbol:
         A(outer gamma_0)(v_0 + A(delta_0)(v_1 + A(delta_1)(...))) for
         v_k = values[i_k].m and delta_k = gamma_k^-1 gamma_(k+1) in
         Gamma0(N).  delta_k has small entries, so its kernel comes back from
-        the cache.  The accumulator is reduced each step.  This is exact:
-        transport is a monoid action on the filtered moments."""
+        the cache.  The accumulator is reduced each step, moment j mod
+        p^(n_mom - j).  This is exact: transport is a monoid action on the
+        filtered moments."""
+        moduli = _moduli(self.p, self.n)
         total = [0] * self.n
         for x, op in ((s, add), (r, sub)):
             acc = None
@@ -314,7 +328,7 @@ class OMSymbol:
                 v = self.values[idx].m
                 if acc is not None:
                     A, _ = self.cache.matrices(mat_mul(mat_adj(gamma), nxt))
-                    v = Distribution(self.p, self.n, map(add, v, _act(A, acc))).m
+                    v = list(map(mod, map(add, v, _act(A, acc)), moduli))
                 acc, nxt = v, gamma
             if acc is not None:
                 A, _ = self.cache.matrices(mat_mul(outer, nxt))

@@ -1,12 +1,14 @@
 """Integral binary quadratic forms of positive discriminant and the narrow
 class group of a real quadratic order.
 
-Everything here is exact integer arithmetic: indefinite reduction cycles
-decide SL2(Z)-equivalence (a form's class is the rho-cycle its reduction
-lands on; reduction returns forms, not matrices), Dirichlet composition
-gives the group law one pair of classes at a time (the h^2 table is built
-only on request), and the continued-fraction expansion of
-(b + sqrt(D))/2 produces fundamental units.
+Everything here is exact integer arithmetic.  The reduced forms come from
+one sieve over B that factors every (disc - B^2)/4 at once, through the
+roots of B^2 = disc mod each odd prime up to sqrt(disc/4).  Indefinite
+reduction cycles decide SL2(Z)-equivalence (a form's class is the
+rho-cycle its reduction lands on; reduction returns forms, not matrices),
+Dirichlet composition gives the group law one pair of classes at a time
+(the h^2 table is built only on request), and the continued-fraction
+expansion of (b + sqrt(D))/2 produces fundamental units.
 Real-embedding comparisons go through surd_sign, never floats.
 Heegner forms are built, not searched for: the cosets gamma*Gamma0(M)
 match P^1(Z/M) through gamma's first column and the Heegner conditions are
@@ -22,7 +24,6 @@ from fractions import Fraction
 
 from .arith import (
     MAT_ID,
-    divisors,
     is_fundamental_discriminant,
     is_square,
     kronecker,
@@ -31,6 +32,8 @@ from .arith import (
     mat_inv,
     mat_mul,
     prime_divisors,
+    primes_up_to,
+    sqrt_mod_prime,
     surd_sign,
     xgcd,
 )
@@ -216,19 +219,56 @@ def unit_index(D: int, c: int) -> int:
 # --------------------------------------------------------- narrow class group
 
 def reduced_forms(disc: int):
-    """All reduced primitive forms of the given positive discriminant."""
+    """All reduced primitive forms of the given positive discriminant, by B
+    ascending and then |A| ascending, A > 0 before A < 0.
+
+    A reduced form has 0 < B <= f = isqrt(disc), B = disc mod 2, and |A| a
+    divisor of n(B) = (disc - B^2)/4 in [(f + 1 - B)/2, (f + B)/2].  The
+    n(B) are factored by one sieve over B: the 2s come off directly, and an
+    odd prime l <= sqrt(disc/4) divides n(B) exactly when B is a root of
+    B^2 = disc mod l (B = 0 if l | disc, +-sqrt_mod_prime otherwise; none if
+    disc is a non-residue), so it is divided out of every n(B) in those two
+    classes of B mod l.  What is left of n(B) is 1 or a prime.
+    """
     f = math.isqrt(disc)
+    b0 = 2 - disc % 2  # smallest positive B with the right parity
+    bs = range(b0, f + 1, 2)
+    ns = [(disc - B * B) // 4 for B in bs]
+    rest = list(ns)  # n(B) with the primes sieved so far divided out
+    factors = [[] for _ in bs]
+    for i, n in enumerate(rest):
+        e = (n & -n).bit_length() - 1
+        if e:
+            factors[i].append((2, e))
+            rest[i] = n >> e
+    for ell in primes_up_to(math.isqrt(disc // 4))[1:]:
+        k = kronecker(disc, ell)
+        if k < 0:
+            continue
+        r = sqrt_mod_prime(disc, ell) if k else 0
+        half = (ell + 1) // 2  # the inverse of 2 mod ell: B = b0 + 2i
+        for root in (r, ell - r) if r else (0,):
+            for i in range((root - b0) * half % ell, len(bs), ell):
+                n, e = rest[i] // ell, 1
+                while n % ell == 0:
+                    n //= ell
+                    e += 1
+                factors[i].append((ell, e))
+                rest[i] = n
     out = []
-    B = 2 - (disc % 2)  # smallest positive B with right parity
-    while B <= f:
-        n = (disc - B * B) // 4
-        for absA in divisors(n):
+    for B, n, cofactor, fac in zip(bs, ns, rest, factors):
+        if cofactor > 1:
+            fac.append((cofactor, 1))
+        divs = [1]
+        for q, e in fac:
+            divs = [d * q ** k for d in divs for k in range(e + 1)]
+        divs.sort()
+        for absA in divs:
             if 2 * absA + B >= f + 1 and 2 * absA - B <= f:
                 absC = n // absA
                 for A, C in ((absA, -absC), (-absA, absC)):
                     if math.gcd(math.gcd(A, B), C) == 1:
                         out.append(BQF(A, B, C))
-        B += 2
     return out
 
 

@@ -1,9 +1,12 @@
-"""Test-only oracle: SL2(Z) witnesses between forms, and the kernel route to
-a character's conductor and sign.
+"""Test-only oracle: the reduced forms by trial division, SL2(Z) witnesses
+between forms, and the kernel route to a character's conductor and sign.
 
-The package reduces forms without tracking matrices and reads a genus
-character's conductor and sign off its genus pair.  This file does both the
-long way, to check them:
+The package sieves the reduced forms, reduces forms without tracking
+matrices and reads a genus character's conductor and sign off its genus
+pair.  This file does each the long way, to check them:
+
+- the reduced forms of a discriminant, with the divisors of each
+  (disc - B^2)/4 from its trial-division factorization;
 
 - a rho step that also returns its matrix, so reduction yields a witness g
   with Q1|g = Q2, and equivalence under Gamma0(M) follows by powers of a
@@ -15,7 +18,7 @@ long way, to check them:
 
 import math
 
-from starkheegner.arith import MAT_ID, divisors, mat_inv, mat_mul
+from starkheegner.arith import MAT_ID, factorize, mat_inv, mat_mul
 from starkheegner.genus import pushforward_class
 from starkheegner.quadforms import (
     BQF,
@@ -24,6 +27,32 @@ from starkheegner.quadforms import (
     plus_unit,
     unit_norm,
 )
+
+
+# ------------------------------------------------------- reduced forms
+
+def divisors(n: int):
+    """The positive divisors of n, ascending."""
+    out = [1]
+    for p, e in factorize(abs(n)):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def reduced_forms_by_trial_division(disc: int):
+    """The reduced primitive forms of disc as (A, B, C) tuples, in the order
+    of quadforms.reduced_forms: B ascending, then |A| ascending over the
+    divisors of (disc - B^2)/4, A > 0 before A < 0."""
+    f = math.isqrt(disc)
+    out = []
+    for B in range(2 - disc % 2, f + 1, 2):
+        n = (disc - B * B) // 4
+        for absA in divisors(n):
+            if 2 * absA + B >= f + 1 and 2 * absA - B <= f:
+                for A, C in ((absA, -(n // absA)), (-absA, n // absA)):
+                    if math.gcd(math.gcd(A, B), C) == 1:
+                        out.append((A, B, C))
+    return out
 
 
 # ------------------------------------------------------------- witnesses

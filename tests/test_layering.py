@@ -16,8 +16,9 @@ function level, names a package module or a standard-library one, and
 importing the package's modules loads neither scipy nor numpy, which only
 the tests' oracles use.
 Every function, class, method and property of the package has a caller in
-the package or in bench/, unless RESERVED names the ROADMAP item that will
-call it; code only the tests call lives in the tests' oracles.
+the package or in bench/, and every dataclass field and self.x store of the
+package is read there, unless RESERVED names the ROADMAP item that will
+call or read it; code only the tests call lives in the tests' oracles.
 """
 
 import ast
@@ -230,8 +231,9 @@ def test_import_loads_no_numerics_stack():
     assert out.stdout.strip() == "[]", out.stdout
 
 
-# Names nothing calls yet, each with the ROADMAP item that will call it.  A
-# name leaves the dict when it gains a caller, so the dict only shrinks.
+# Names nothing calls or reads yet, each with the ROADMAP item that will.  A
+# name leaves the dict when it gains a caller or reader, so the dict only
+# shrinks.
 RESERVED = {
     "lift_pair": "item 1: the Darmon-point route lifts the symbol of each sign",
     "Distribution.moment": "item 1: each moment m_j with its precision n - j",
@@ -240,6 +242,11 @@ RESERVED = {
     "exp_p": "item 2: P_chi recovered from log_E(P_chi)",
     "pushforward_class": "item 4: norm relations between conductors f | c",
     "HeegnerSystem.to_json_dict": "item 7: the stage record and the JSON report",
+    "EllipticCurveData.label": "item 7: the sweep names each row's curve",
+    "PrecisionError.achievable": "item 8: the stage record's digits achieved",
+    "LiftCertificate.iterations": "item 8: the stage record's iterations",
+    "LiftCertificate.converged": "item 8: the stage record's residuals",
+    "LiftCertificate.matrices_cached": "item 8: the stage record's cache sizes",
 }
 
 
@@ -287,10 +294,52 @@ def _uncalled():
             and all(node in owners for owners in loads.get(node.name, ()))}
 
 
+def _is_dataclass(decorator):
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(f, ast.Name) and f.id == "dataclass"
+
+
+def _unread():
+    """{qualified name: "module.py:line"} for each field of a @dataclass and
+    each self.x store of the package whose attribute name nothing loads, in
+    the package or in bench/*.py.  Matching is by name, as in _uncalled."""
+    stores = {}
+    for m in MODULES:
+        path = PKG / ("%s.py" % m)
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = []
+            if any(map(_is_dataclass, cls.decorator_list)):
+                fields += [(node.target.id, node.lineno) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+            fields += [(node.attr, node.lineno) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "self"]
+            for name, line in fields:
+                stores.setdefault((cls.name, name), "%s:%d" % (path.name, line))
+    files = [PKG / ("%s.py" % m) for m in MODULES] + sorted(BENCH.glob("*.py"))
+    loads = {node.attr for path in files
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {"%s.%s" % (cls, name): where
+            for (cls, name), where in stores.items() if name not in loads}
+
+
 def test_every_src_name_has_a_caller():
     uncalled = _uncalled()
     bad = sorted("%s %s" % (where, qual) for qual, where in uncalled.items()
                  if qual not in RESERVED)
     assert not bad, "no caller in src/ or bench/: %s" % bad
-    stale = sorted(qual for qual in RESERVED if qual not in uncalled)
-    assert not stale, "reserved, but called or no longer defined: %s" % stale
+    unused = {**uncalled, **_unread()}
+    stale = sorted(qual for qual in RESERVED if qual not in unused)
+    assert not stale, "reserved, but used or no longer defined: %s" % stale
+
+
+def test_every_stored_field_is_read():
+    bad = sorted("%s %s" % (where, qual) for qual, where in _unread().items()
+                 if qual not in RESERVED)
+    assert not bad, "stored, but read nowhere in src/ or bench/: %s" % bad

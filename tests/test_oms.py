@@ -52,6 +52,16 @@ def test_distribution_filtration_storage():
     assert d.m[1] == 1  # reduced mod p^(4-1)
 
 
+def test_distribution_rejects_a_moment_vector_of_the_wrong_length():
+    # a fifth moment of a 4-moment distribution has no precision to be
+    # reduced to, and a vector one short would leave the top moment unset
+    for xs in ([1, 2, 3, 4, 10 ** 9], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            Distribution(5, 4, m=xs)
+        with pytest.raises(ValueError):
+            Distribution(5, 4, lam=xs)
+
+
 def test_transport_identity():
     cache = TransportCache(P, 6)
     d = Distribution(P, 6, m=[3, 1, 4, 1, 5, 9], lam=[2, 7, 1, 8, 2, 8])
@@ -181,6 +191,29 @@ def test_hecke_eigen_transported():
             total = total + d
             want = phi.eval_path(r, s).scale(a)
             assert total.t_difference_valuation(want) >= 5, (ell, i)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lift_is_hecke_eigen_through_the_sweep_plan(sign):
+    # T_ell commutes with U_p, so the unique a_p-eigenlift is a T_ell
+    # eigenlift too: T_ell, applied through the plan a U_p sweep uses (one
+    # transport per source and matrix, no a_p^-1), gives a_ell Phi to every
+    # filtration level of the certified lift
+    nmom = 10
+    (phi, _), _ = _lift(sign=sign, nmom=nmom)
+    E = E15()
+    for ell in (2, 7, 11):
+        acc = [[0] * nmom for _ in phi.lifts]
+        plan = phi._plan_operator(phi.space.hecke_paths(ell))
+        for value, groups in zip(phi.values, plan):
+            for key, targets in groups:
+                v = _matvec(phi.cache.matrices(key)[0], value.m)
+                for target, sgn in targets:
+                    acc[target] = [a + sgn * x for a, x in zip(acc[target], v)]
+        for i, (got, want) in enumerate(zip(acc, phi.values)):
+            got = Distribution(P, nmom, got)
+            assert got.t_difference_valuation(want.scale(E.ap(ell))) == nmom, \
+                (sign, ell, i)
 
 
 def test_filtration_honesty_more_moments():

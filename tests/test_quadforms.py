@@ -32,7 +32,11 @@ from starkheegner.quadforms import (
     totally_positive_unit,
 )
 
-from oracle_classes import forms_equivalent, sqrtD_class
+from oracle_classes import (
+    forms_equivalent,
+    reduced_forms_by_trial_division,
+    sqrtD_class,
+)
 from oracle_ideals import QuadOrderIdeal
 
 rng = random.Random(12)
@@ -56,6 +60,30 @@ def test_reduced_cycle_for_disc_40():
     assert len(forms) == 8
     G = NarrowClassGroup(40, 1)
     assert G.order == 2
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 17, 21, 24, 40])
+def test_sieved_reduced_forms_match_trial_division(D):
+    # even, odd and non-fundamental discriminants D*c^2, c sharing primes
+    # with D or not: the same forms in the same order
+    for c in (1, 3, 7, 9, 15, 77, 133, 209, 1309, 1463):
+        got = [q.tuple() for q in reduced_forms(D * c * c)]
+        assert got == reduced_forms_by_trial_division(D * c * c), (D, c)
+
+
+def test_reduced_forms_factor_nothing(monkeypatch):
+    # the sieve factors every (disc - B^2)/4 at once; trial division of
+    # each one took one factorize call per B, 2637 at this discriminant
+    calls = []
+    factorize = starkheegner.arith.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(starkheegner.arith, "factorize", counted)
+    assert len(reduced_forms(13 * 1463 ** 2)) > 0
+    assert calls == []
 
 
 def test_action_is_right_action():
