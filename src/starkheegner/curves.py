@@ -12,6 +12,14 @@ product must be the stated conductor.  It also makes the Atkin-Lehner signs
 exact: at a multiplicative prime ell the W_ell eigenvalue of f_E is -a_ell
 (Atkin-Lehner, "Hecke operators on Gamma0(m)", Math. Ann. 1970), so the
 Fricke sign is w_N = prod_{ell | N} (-a_ell), read off the traces.
+
+The L-series of a twist E^(delta) is the exponentially smoothed sum of
+Cremona, Algorithms for Modular Elliptic Curves, 2.13.  Its twisting
+character chi_delta = (delta | .) is read from one table of its values on the
+residues mod |delta|, its period for delta = 1 or a fundamental discriminant,
+the only twists it accepts.  The point search sieves each denominator e by
+residue patterns built once per (modulus, residue class of the model), and
+the torsion test stops at the first non-integral multiple (Lutz-Nagell).
 """
 
 from __future__ import annotations
@@ -285,32 +293,46 @@ def check_sh_hypothesis(E: EllipticCurveData, D: int, c: int):
 
 # ------------------------------------------------------------------ L-values
 
+def _require_twist(E: EllipticCurveData, delta: int):
+    """Raise CurveError unless delta is 1 or a fundamental discriminant
+    coprime to N: only then is chi_delta = (delta | .) a primitive character
+    of period |delta| and the twist's conductor N delta^2."""
+    if not is_fundamental_discriminant(delta):
+        raise CurveError("twist %d is not 1 or a fundamental discriminant"
+                         % delta)
+    if math.gcd(delta, E.conductor) != 1:
+        raise CurveError("twist not coprime to conductor")
+
+
 def sign_of_twist(E: EllipticCurveData, delta: int) -> int:
     """Sign of the functional equation of L(E, chi_delta, s),
     -w_N * (delta | -N), for fundamental delta coprime to N."""
-    if math.gcd(delta, E.conductor) != 1:
-        raise CurveError("twist not coprime to conductor")
+    _require_twist(E, delta)
     return -E.w_fricke * kronecker(delta, -E.conductor)
 
 
-def _twist_series_data(E: EllipticCurveData, delta: int, length_factor=1.0):
+def _twist_series_data(E: EllipticCurveData, delta: int):
     """(A, L, terms): the scale A = sqrt(N delta^2)/(2 pi), the length L of
     the series, and (n, a_n chi_delta(n)) for each n <= L where that product
-    is non-zero."""
+    is non-zero.
+
+    chi_delta(n) is read from the table of (delta | r) for 0 <= r < |delta|,
+    at r = n mod |delta|: |delta| Kronecker symbols in place of one per
+    n <= L with a_n != 0.  The period holds because delta is 1 or a
+    fundamental discriminant, which is checked (CurveError otherwise)."""
+    _require_twist(E, delta)
     cond = E.conductor * delta * delta
     A = math.sqrt(cond) / (2 * math.pi)
-    L = int(A * (math.log(2 * A + 4) + 9 * math.log(10)) * 1.3 * length_factor) + 40
+    L = int(A * (math.log(2 * A + 4) + 9 * math.log(10)) * 1.3) + 40
     an = E.an_list(L)
-    terms = []
-    for n in range(1, L + 1):
-        if an[n]:
-            c = an[n] * kronecker(delta, n)
-            if c:
-                terms.append((n, c))
+    q = abs(delta)
+    chi = [kronecker(delta, r) for r in range(q)]
+    terms = [(n, a * chi[n % q]) for n, a in enumerate(an)
+             if a and chi[n % q]]
     return A, L, terms
 
 
-def complex_L_value(E: EllipticCurveData, delta: int, length_factor=1.0):
+def complex_L_value(E: EllipticCurveData, delta: int):
     """L(E, chi_delta, 1) by the exponentially-smoothed series.
 
     Only meaningful when the functional-equation sign is +1; for sign -1 the
@@ -318,19 +340,19 @@ def complex_L_value(E: EllipticCurveData, delta: int, length_factor=1.0):
     """
     if sign_of_twist(E, delta) == -1:
         return 0.0, 0.0
-    A, L, terms = _twist_series_data(E, delta, length_factor)
+    A, L, terms = _twist_series_data(E, delta)
     tot = math.fsum(c / n * math.exp(-n / A) for n, c in terms)
     err = 4 * A * math.exp(-L / A)
     return 2 * tot, err
 
 
-def complex_L_derivative(E: EllipticCurveData, delta: int, length_factor=1.0):
+def complex_L_derivative(E: EllipticCurveData, delta: int):
     """L'(E, chi_delta, 1) for twists with functional-equation sign -1:
     2 sum_n a_n chi_delta(n)/n E1(n/A) (Cremona, Algorithms for Modular
     Elliptic Curves, 2.13)."""
     if sign_of_twist(E, delta) == 1:
         raise CurveError("derivative requested at sign +1")
-    A, L, terms = _twist_series_data(E, delta, length_factor)
+    A, L, terms = _twist_series_data(E, delta)
     tot = math.fsum(c / n * _e1(n / A) for n, c in terms)
     err = 4 * A * math.exp(-L / A)
     return 2 * tot, err
@@ -436,13 +458,16 @@ def naive_point_search(A: int, B: int, height: int):
 
     For each e a residue sieve drops every m for which
     m^3 + A e^4 m + B e^6 is a non-square modulo one of _SIEVE_MODULI; only
-    the survivors reach the exact tests, in increasing m."""
+    the survivors reach the exact tests, in increasing m.  The pattern of
+    modulus q depends on e only through (A e^4 mod q, B e^6 mod q), so each
+    is built, and tiled over the width, once per such residue class."""
     width = 2 * height + 1
     squares = {q: {x * x % q for x in range(q)} for q in _SIEVE_MODULI}
     # repunit[q] * pattern repeats a q-bit pattern over the width bits
     repunit = {q: ((1 << (q * -(-width // q))) - 1) // ((1 << q) - 1)
                for q in _SIEVE_MODULI}
     full = (1 << width) - 1
+    tiled = {}  # (q, a mod q, b mod q) -> tiled pattern
     out = []
     for e in range(1, math.isqrt(height) + 1):
         e2, e3 = e * e, e ** 3
@@ -450,13 +475,17 @@ def naive_point_search(A: int, B: int, height: int):
         # bit k of mask stands for m = k - height
         mask = full
         for q in _SIEVE_MODULI:
-            sq, aq, bq = squares[q], a % q, b % q
-            pattern = 0
-            for j in range(q):
-                x = (j - height) % q
-                if (x * x * x + aq * x + bq) % q in sq:
-                    pattern |= 1 << j
-            mask &= pattern * repunit[q]
+            key = (q, a % q, b % q)
+            tile = tiled.get(key)
+            if tile is None:
+                sq, aq, bq = squares[q], key[1], key[2]
+                pattern = 0
+                for j in range(q):
+                    x = (j - height) % q
+                    if (x * x * x + aq * x + bq) % q in sq:
+                        pattern |= 1 << j
+                tile = tiled[key] = pattern * repunit[q]
+            mask &= tile
         bits = bin(mask)[:1:-1]
         k = bits.find("1")
         while k >= 0:
@@ -493,7 +522,18 @@ def twist_point_to_curve(E: EllipticCurveData, delta: int, xy) -> GlobalPoint:
 
 
 def point_order_divides(A: int, B: int, xy, n: int) -> bool:
-    """Torsion test on Y^2 = X^3 + AX + B over Q by exact multiplication."""
+    """Whether n P = O for the rational point P = xy on Y^2 = X^3 + AX + B,
+    A and B integers, by exact double-and-add.
+
+    By the Lutz-Nagell theorem (Silverman, The Arithmetic of Elliptic
+    Curves, VIII.7.2) a torsion point of this integral model has integer
+    coordinates, and so has each of its multiples.  So the first point of
+    the double-and-add with a non-integral coordinate shows that P has
+    infinite order, and the answer False is returned there, before the
+    heights of the multiples grow."""
+    if Fraction(A).denominator != 1 or Fraction(B).denominator != 1:
+        raise CurveError("the torsion test needs an integral model")
+
     def add(P, Q):
         if P is None:
             return Q
@@ -509,12 +549,18 @@ def point_order_divides(A: int, B: int, xy, n: int) -> bool:
         x3 = lam * lam - x1 - x2
         return (x3, lam * (x1 - x3) - y1)
 
-    P = (Fraction(xy[0]), Fraction(xy[1]))
-    R, Q0 = None, P
-    m = n
-    while m:
-        if m & 1:
-            R = add(R, Q0)
-        Q0 = add(Q0, Q0)
-        m >>= 1
+    def integral(P):
+        return P is None or (P[0].denominator == 1 and P[1].denominator == 1)
+
+    R, Q = None, (Fraction(xy[0]), Fraction(xy[1]))
+    while n:
+        if not integral(Q):
+            return False
+        if n & 1:
+            R = add(R, Q)
+            if not integral(R):
+                return False
+        n >>= 1
+        if n:
+            Q = add(Q, Q)
     return R is None

@@ -10,6 +10,10 @@ tests, and itself checked against scipy.integrate.quad in test_curves.
 The Fricke sign w_N is read off f(-1/(Nz)) = w_N N z^2 f(z) at one point of
 the imaginary axis, from the q-expansion of f_E; it checks the exact sign
 that the package takes from the a_ell at the bad primes.
+
+twisted_l_series is the slow reference for complex_L_value and
+complex_L_derivative: the same smoothed series, a given factor longer, with
+one Kronecker symbol per term and scipy's E1.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from starkheegner.arith import kronecker
 from starkheegner.curves import CurveError, EllipticCurveData
 
 
@@ -73,3 +78,19 @@ def fricke_sign_numeric(E: EllipticCurveData) -> int:
     if abs(ratio - w) > 1e-6 or w not in (1, -1):
         raise CurveError("Fricke sign did not converge: %r" % ratio)
     return w
+
+
+def twisted_l_series(E: EllipticCurveData, delta: int, length_factor: float,
+                     derivative: bool = False) -> float:
+    """L(E, chi_delta, 1), or L'(E, chi_delta, 1) if derivative, by the
+    smoothed series of Cremona, Algorithms for Modular Elliptic Curves,
+    2.13, summed to length_factor times the package's length."""
+    from scipy.special import exp1
+
+    A = math.sqrt(E.conductor * delta * delta) / (2 * math.pi)
+    L = int(A * (math.log(2 * A + 4) + 9 * math.log(10)) * 1.3
+            * length_factor) + 40
+    an = E.an_list(L)
+    weight = exp1 if derivative else (lambda x: math.exp(-x))
+    return 2 * math.fsum(an[n] * kronecker(delta, n) / n * weight(n / A)
+                         for n in range(1, L + 1) if an[n])

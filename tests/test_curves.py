@@ -29,7 +29,8 @@ from starkheegner.curves import (
 from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars, order_by_sign
 from starkheegner.quadforms import NarrowClassGroup
 
-from oracle_periods import fricke_sign_numeric, real_periods
+from oracle_periods import fricke_sign_numeric, real_periods, twisted_l_series
+from oracle_points import order_divides_by_multiplication
 
 
 def E37():
@@ -208,7 +209,7 @@ def test_l_derivative_37a():
     val, _ = complex_L_derivative(E, 1)
     assert abs(val - 0.3059997738) < 1e-6
     # slow oracle: much longer series
-    val2, _ = complex_L_derivative(E, 1, length_factor=6.0)
+    val2 = twisted_l_series(E, 1, 6.0, derivative=True)
     assert abs(val - val2) < 1e-8
 
 
@@ -233,12 +234,69 @@ def test_l_derivative_matches_scipy_series(delta):
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("delta", [1, 77, -91, -143])
+def test_l_value_matches_per_term_kronecker_series(delta):
+    # the sign +1 path: every n <= L, zero terms included, one Kronecker
+    # symbol per n in place of the table of chi_delta mod |delta|
+    E = E15()
+    assert sign_of_twist(E, delta) == 1
+    A, L, _ = _twist_series_data(E, delta)
+    an = E.an_list(L)
+    ref = 2 * math.fsum(an[n] * kronecker(delta, n) / n * math.exp(-n / A)
+                        for n in range(1, L + 1))
+    val, _ = complex_L_value(E, delta)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_twist_series_reads_chi_from_one_period(monkeypatch):
+    # chi_1001 takes |delta| = 1001 Kronecker symbols, not one per a_n != 0
+    # (about 14.5k over the series' 22k terms)
+    import starkheegner.curves as curves
+
+    calls = []
+
+    def counted(a, n):
+        calls.append(n)
+        return kronecker(a, n)
+
+    monkeypatch.setattr(curves, "kronecker", counted)
+    _, L, terms = _twist_series_data(E15(), 1001)
+    assert len(terms) > 10000 and L > 20000
+    assert len(calls) <= 1001
+
+
+@pytest.mark.parametrize("delta", [7, -1, 52, 117])
+def test_twist_must_be_fundamental(delta):
+    # coprime to 15 but not 1 or a fundamental discriminant: (delta | n) has
+    # no period |delta| (e.g. (-1 | 2) = 1, (-1 | 6) = -1) and N delta^2 is
+    # not the twist's conductor
+    E = E15()
+    for f in (_twist_series_data, complex_L_value, complex_L_derivative,
+              sign_of_twist):
+        with pytest.raises(CurveError, match="fundamental"):
+            f(E, delta)
+
+
+def test_every_twist_in_use_is_accepted():
+    # the twists of the tests and of the twists-d13 workload
+    E11 = EllipticCurveData(0, -1, 1, -10, -20, conductor=11, p=11)
+    cases = [(E11, 5), (E11, 1), (E37(), 1)]
+    cases += [(E15(), d) for d in (1, 13, -7, -11, 1001, -91, -143, 77)]
+    for E, delta in cases:
+        A, L, terms = _twist_series_data(E, delta)
+        assert terms and L > A > 0
+        if sign_of_twist(E, delta) == 1:
+            complex_L_value(E, delta)
+        else:
+            complex_L_derivative(E, delta)
+
+
 def test_l_value_rank0():
     E = E15()
     if sign_of_twist(E, 1) == 1:
         val, _ = complex_L_value(E, 1)
         assert val > 0.1
-        val2, _ = complex_L_value(E, 1, length_factor=4.0)
+        val2 = twisted_l_series(E, 1, 4.0)
         assert abs(val - val2) < 1e-8
 
 
@@ -316,10 +374,9 @@ def _scan_point_search(A, B, height):
     return res
 
 
-def test_sieved_point_search_matches_scan():
-    # the nine genus twists of 15x at D = 13, c | 77, as the twists are
-    # searched for global points, and models with A, B of both signs; at
-    # height 600, e runs to 24, so m with gcd(m, e) > 1 occur for e > 1
+def _genus_twist_models():
+    """The nine genus twists E^(D1) of 15x at D = 13, c | 77, as the twists
+    are searched for global points."""
     E = E15()
     models = []
     for c in (1, 7, 11, 77):
@@ -328,6 +385,13 @@ def test_sieved_point_search_matches_scan():
                                   attach_genus_data(chi).genus_pair)
             models.append(twist_model(E, d1))
     assert len(models) == 9
+    return models
+
+
+def test_sieved_point_search_matches_scan():
+    # the nine genus twists, and models with A, B of both signs; at
+    # height 600, e runs to 24, so m with gcd(m, e) > 1 occur for e > 1
+    models = _genus_twist_models()
     models += [(-1, 0), (-2, 5), (3, -7), (-7, -6), (5, 9), (0, 1), (-43, 166)]
     for A, B in models:
         assert naive_point_search(A, B, 600) == _scan_point_search(A, B, 600), (A, B)
@@ -353,6 +417,36 @@ def test_point_order_divides():
     # (0,0) on y^2 = x^3 - x is 2-torsion
     assert point_order_divides(-1, 0, (Fraction(0), Fraction(0)), 2)
     assert not point_order_divides(-1, 0, (Fraction(0), Fraction(0)), 3)
+
+
+def test_torsion_filter_matches_exact_multiplication():
+    # every point of height <= 600 on the nine genus twists, the 2-torsion
+    # of y^2 = x^3 - x, and 2(3, 5) = (129/100, -383/1000) on y^2 = x^3 - 2,
+    # which is not integral and so of infinite order
+    cases = [((A, B), xy) for A, B in _genus_twist_models()
+             for xy in naive_point_search(A, B, 600)]
+    cases += [((-1, 0), (x, 0)) for x in (0, 1, -1)]
+    cases.append(((0, -2), (Fraction(129, 100), Fraction(383, 1000))))
+    mazur = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+    torsion = []
+    for (A, B), xy in cases:
+        for n in range(1, 13):
+            assert point_order_divides(A, B, xy, n) == \
+                order_divides_by_multiplication(A, B, xy, n), (A, B, xy, n)
+        # Mazur: P is torsion iff k P = O for an order k above, each of
+        # which divides 2520; the oracle's 2520 P is only computed for
+        # torsion P, as on other points its numerators run to millions
+        # of digits
+        tors = any(order_divides_by_multiplication(A, B, xy, k) for k in mazur)
+        assert point_order_divides(A, B, xy, 2520) == tors, (A, B, xy)
+        if tors:
+            assert order_divides_by_multiplication(A, B, xy, 2520)
+        torsion.append(tors)
+    assert not any(point_order_divides(0, -2, cases[-1][1], n)
+                   for n in list(range(1, 13)) + [2520])
+    assert True in torsion[:-4] and False in torsion[:-4]
+    with pytest.raises(CurveError, match="integral model"):
+        point_order_divides(Fraction(1, 4), 0, (0, 0), 2)
 
 
 def test_quadrat_mismatched_delta_raises():
