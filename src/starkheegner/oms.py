@@ -6,37 +6,29 @@ preserves this filtration.  a_p^{-1} U_p fixes the zeroth layer of an
 eigenlift and contracts everything above it, which is why the naive
 lift-and-iterate construction converges to a unique lift.
 
-The symbol carries t-moments only: U_p sweeps, path integrals and segment
-values act on m alone, and every value they return has a zero
-weight-direction jet (moments against log<u> in the scaling direction).
-The jet is not part of the lift, since U_p does not contract its zeroth
-layer, and no result of this package reads it.  Distribution.lam, the L
-half of each kernel and TransportCache.transport, the one transport that
-still moves a jet, stay only for bench/workloads.py: seeded_symbol seeds a
-jet, transport_composes checks it, and bench/test_tracer.py requires
-iwasawa_log to be called under TransportCache.matrices.
+The symbol carries t-moments only, and returns a zero weight-direction jet
+(moments against log<u>), which U_p does not contract.  Distribution.lam,
+the L half of each kernel and TransportCache.transport stay only for
+bench/: seeded jets, transport_composes, and the tracer's iwasawa_log pin.
 
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
 through t -> (a t + b)/(c t + d) and u -> u * (c t + d).  A transport's
-kernel is a pair (A, L): row j of A is phi^j, for phi the series of
-(a t + b)/(c t + d), and L is the series log<c t + d>.  A transport of the
-t-moments is m' = A m.  Row j of A is kept mod p^(n_mom - j), the precision
-of moment j, with its trailing zeros dropped; each row follows from the one
-before by the two-term recurrence (c t + d) f_j = (a t + b) f_{j-1}, one
-coefficient at a time, with no series product.  A U_p sweep does one
-product per (source generator, matrix) pair and adds it, with its sign, to
-every target generator whose pieces move that source by that matrix.
+kernel is a pair (C, L).  Row j of A is phi^j mod p^(n_mom - j), the
+precision of moment j, for phi the series of (a t + b)/(c t + d).  C is A
+packed by columns, C[k] = sum_j A[j][k] 2^(w j), one w-bit slot per row for
+w = bitlen(n_mom p^(2 n_mom)) + 16, and m' = A m is read from the slots of
+one sum sum_k C[k] m[k].  Entries and moments lie in [0, p^n_mom), so a
+slot of one product is below n_mom p^(2 n_mom); the 16 spare bits let a U_p
+sweep add and subtract fewer than 2^15 products in one integer per target,
+read back exactly with the bias 2^(w-1) added to each slot.  A moment
+outside [0, p^n_mom) would carry into the next slot: it raises ValueError.
+A sweep does one product per (source generator, matrix) pair.  L is the
+series log<c t + d>.
 
-A path {oo -> x} is evaluated by Horner's rule over its segments, the
-consecutive convergents of x: each step transports the running sum by
-delta = gamma_k^-1 gamma_(k+1), which has small entries and so a kernel the
-cache already holds, in place of a new kernel for each segment's gamma_k.
-Each step reduces the running sum, moment j mod p^(n_mom - j), with the
-moduli computed once per (p, n_mom), as every Distribution is reduced.
-The result is exact, because transport is a monoid action on the filtered
-moments: entry (j, k) of A has valuation at least k - j, so the moments past
-n_mom that a product of truncated kernels drops meet row j only below its
-precision p^(n_mom - j).
+A path {oo -> x} is evaluated by Horner's rule over its segments: each
+step transports the running sum by gamma_k^-1 gamma_(k+1), whose kernel the
+cache already holds.  This is exact, because transport is a monoid action
+on the filtered moments: entry (j, k) of A has valuation at least k - j.
 """
 
 from __future__ import annotations
@@ -100,8 +92,7 @@ class Distribution:
         return self.m[0]
 
     def max_difference_valuation(self, other) -> int:
-        """min over j of (valuation of (self - other) at layer j) + j, over
-        the t-moments and the jet."""
+        """min over j of v_p((self - other)_j) + j, t-moments and jet."""
         return min(self.t_difference_valuation(other),
                    _filtration_valuation(self.p, self.n, self.lam, other.lam))
 
@@ -129,24 +120,23 @@ def _filtration_valuation(p: int, n: int, xs, ys) -> int:
 # ------------------------------------------------------- transport matrices
 
 class TransportCache:
-    """Per-(p, n_mom) cache of the transport kernel (A, L) of each matrix.
+    """Per-(p, n_mom) cache of the transport kernel (C, L) of each matrix.
 
-    Row j of A is phi^j mod p^(n_mom - j), with its trailing zeros dropped;
-    L is the series log<c t + d> mod p^n_mom.  Moment j of a transport is
-    only known mod p^(n_mom - j), so row j of A is needed to no more digits
-    than that.  The symbol uses A alone (m' = A m); L and ``transport``,
-    which also moves a jet, serve only bench/workloads.py's seeded jets and
-    transport_composes, and bench/test_tracer.py's pin of iwasawa_log under
-    ``matrices``.  The cache also tables, once, what every build of L
-    shares: for each k < n_mom, p^v_p(k) and the signed inverse of k's unit
-    part mod the working modulus, which has slack digits for the divisions
-    by p^v_p(k).
+    C[k] = sum_j A[j][k] 2^(w j) for w = ``width`` = bitlen(n p^(2n)) + 16:
+    for moments m[k] in [0, p^n), A m is slot j of sum_k C[k] m[k], and a
+    signed sum of fewer than 2^15 such products is read back with the bias
+    2^(w-1) added to each slot.  L is log<c t + d> mod p^n; for it the cache
+    tables p^v_p(k) and the signed inverse of k's unit part, each k < n.
     """
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
         self.mod = p ** n
+        self.width = w = (n * p ** (2 * n)).bit_length() + 16
+        self._shifts = range(0, n * w, w)
+        self._mask, self._half = (1 << w) - 1, 1 << (w - 1)
+        self._bias = sum(self._half << s for s in self._shifts)
         extra = 1
         while p ** extra <= n:
             extra += 1
@@ -170,7 +160,7 @@ class TransportCache:
         return (a % mod, b % mod, c % mod, d % mod)
 
     def matrices(self, g):
-        """(A, L) for the matrix g: m' = A m and lam' = A (lam + L*m), with
+        """(C, L) for the matrix g: m' = A m and lam' = A (lam + L*m), with
         (L*m)_i = sum_t L[t] m[i + t], both to the filtration."""
         key = self._key(g)
         got = self._cache.get(key)
@@ -180,6 +170,9 @@ class TransportCache:
         return got
 
     def _build(self, g):
+        """(C, L) for a reduced key g.  Row j of A, entries in [0, p^(n - j)),
+        is a working vector of the recurrence; the rows go into w-bit slots
+        at the end, read by products with moments in [0, p^n)."""
         p, n, mod, work = self.p, self.n, self.mod, self.work
         a, b, c, d = g
         if d % p == 0 or c % p != 0:
@@ -194,22 +187,16 @@ class TransportCache:
             xk = xk * x % work
             pe, inv = self._log_inverses[k]
             if xk % pe:
-                raise ArithmeticError("log coefficient %d of %r is not integral"
-                                      % (k, g))
+                raise ArithmeticError("log coefficient %d of %r is not integral" % (k, g))
             logser.append((xk // pe) * inv % mod)
-        # Row j of A is phi^j for phi(t) = (a t + b) / (c t + d): (c t + d)
-        # f_j = (a t + b) f_{j-1}, so f_j[k] = a' f_{j-1}[k-1] +
-        # b' f_{j-1}[k] - c' f_j[k-1] with (a', b', c') = (a, b, c) / d.
-        # The recurrence has integer coefficients, so row j mod p^(n - j)
-        # needs row j - 1 only mod p^(n - j): each row is computed to the
-        # digits it keeps.
+        # (c t + d) f_j = (a t + b) f_{j-1} for f_j = phi^j has integer
+        # coefficients once divided by d, so row j mod p^(n - j) needs row
+        # j - 1 only to the digits it keeps.
         ad, bd, cd = (v * dinv % mod for v in (a, b, c))
-        row = [1] + [0] * (n - 1)
-        A = [[1]]
+        rows = [[1] + [0] * (n - 1)]
         for j in range(1, n):
-            row = _next_row(row, ad, bd, cd, p ** (n - j))
-            A.append(_trimmed(row))
-        return A, logser
+            rows.append(_next_row(rows[-1], ad, bd, cd, p ** (n - j)))
+        return _packed_columns(rows, self.width), logser
 
     def _log_unit(self, d: int) -> int:
         got = self._logs.get(d)
@@ -221,18 +208,44 @@ class TransportCache:
     def transport(self, dist: Distribution, g) -> Distribution:
         """dist moved by g, t-moments and jet.  The jet is A lam + B m for B
         with row j = phi^j * L truncated; its entry k is
-        sum_{s + t = k} A[j][s] L[t], so B m = A (L*m)."""
-        A, L = self.matrices(g)
-        m = dist.m
-        jet = [x + sum(map(mul, L, m[s:])) for s, x in enumerate(dist.lam)]
-        return Distribution(dist.p, dist.n, _act(A, m), _act(A, jet))
+        sum_{s + t = k} A[j][s] L[t], so B m = A (L*m), reduced first."""
+        C, L = self.matrices(g)
+        m = _in_range(dist.m, self.mod)
+        jet = list(map(mod, [x + sum(map(mul, L, m[s:])) for s, x in enumerate(dist.lam)],
+                       _moduli(self.p, self.n)))
+        return Distribution(dist.p, dist.n, _unpacked(sum(map(mul, C, m)), self),
+                            _unpacked(sum(map(mul, C, jet)), self))
 
 
-def _act(A, m):
-    """A m over the integers, for the truncated rows of A: the transport of
-    a bare moment vector, exact mod p^(n - j) at moment j and otherwise
-    unreduced.  The symbol's only product; the jet's is in transport."""
-    return [sum(map(mul, row, m)) for row in A]
+_MAX_PRODUCTS = 1 << 15  # per accumulator, for the 16 spare bits of a slot
+
+
+def _packed_columns(rows, width):
+    """[sum_j rows[j][k] 2^(width j) for each k]: rows merge in pairs."""
+    while len(rows) > 1:
+        merged = [[lo | hi << width for lo, hi in zip(r0, r1)]
+                  for r0, r1 in zip(rows[::2], rows[1::2])]
+        if len(rows) % 2:
+            merged.append(rows[-1])
+        rows, width = merged, 2 * width
+    return rows[0]
+
+
+def _unpacked(x, cache, signed=False):
+    """Slot j of a packed product x >= 0, for each j < n.  With ``signed``,
+    of a signed sum x of fewer than 2^15 products: the bias 2^(w-1) added to
+    each slot brings it into [0, 2^w), so no borrow crosses slots."""
+    mask, shifts = cache._mask, cache._shifts
+    if not signed:
+        return [x >> s & mask for s in shifts]
+    x, half = x + cache._bias, cache._half
+    return [(x >> s & mask) - half for s in shifts]
+
+
+def _in_range(m, top):
+    if min(m) < 0 or max(m) >= top:
+        raise ValueError("a moment outside [0, %d) would carry" % top)
+    return m
 
 
 def _next_row(prev, a, b, c, mod):
@@ -246,22 +259,13 @@ def _next_row(prev, a, b, c, mod):
     return row
 
 
-def _trimmed(row):
-    """row without its trailing zeros."""
-    end = len(row)
-    while end and not row[end - 1]:
-        end -= 1
-    return row[:end]
-
-
 # ------------------------------------------------------------- the symbol
 
 @dataclass
 class LiftCertificate:
     """How lift_to_oms reached its lift: U_p sweeps run, whether the last one
     left the t-moments unchanged, the filtration levels to which the Manin
-    relations and the U_p eigen-equation hold on the t-moments, and how many
-    transport kernels the lift's TransportCache holds after the checks."""
+    relations and the U_p eigen-equation hold, and the kernels cached."""
 
     iterations: int
     converged: bool
@@ -284,8 +288,7 @@ class OMSymbol:
         if a_p % p == 0:
             raise ValueError("a_p = %d is not a %d-adic unit" % (a_p, p))
         if n_mom < 1:
-            raise ValueError("n_mom = %d: a symbol needs at least one moment"
-                             % n_mom)
+            raise ValueError("n_mom = %d: a symbol needs at least one moment" % n_mom)
         self.n = n_mom
         self.a_p = a_p
         self._ap_inv = pow(a_p, -1, p ** n_mom)
@@ -298,42 +301,39 @@ class OMSymbol:
     # ---------------------------------------------------------- evaluation
 
     def eval_segment(self, g) -> Distribution:
-        """Phi on the unimodular path g{0 -> oo}: the t-moments of
-        values[idx] transported by gamma, for (idx, gamma) =
-        space.generator_of(g)."""
+        """Phi on the unimodular path g{0 -> oo}: values[idx] transported by
+        gamma, for (idx, gamma) = space.generator_of(g)."""
         idx, gamma = self.space.generator_of(g)
-        A, _ = self.cache.matrices(gamma)
-        return Distribution(self.p, self.n, _act(A, self.values[idx].m))
+        C, _ = self.cache.matrices(gamma)
+        m = _in_range(self.values[idx].m, self.cache.mod)
+        return Distribution(self.p, self.n, _unpacked(sum(map(mul, C, m)), self.cache))
 
     def eval_path(self, r, s) -> Distribution:
         return self.eval_path_transported(r, s, MAT_ID)
 
     def eval_path_transported(self, r, s, outer) -> Distribution:
         """The t-moments of transport(Phi{r -> s}, outer): {oo -> s} minus
-        {oo -> r}, each by Horner's rule over its segments.  The segments
-        g_k of {oo -> x} are consecutive convergents, with generators
-        (i_k, gamma_k), and the path is
-        A(outer gamma_0)(v_0 + A(delta_0)(v_1 + A(delta_1)(...))) for
-        v_k = values[i_k].m and delta_k = gamma_k^-1 gamma_(k+1) in
-        Gamma0(N).  delta_k has small entries, so its kernel comes back from
-        the cache.  The accumulator is reduced each step, moment j mod
-        p^(n_mom - j).  This is exact: transport is a monoid action on the
-        filtered moments."""
+        {oo -> r}, each by Horner's rule over its segments g_k, generators
+        (i_k, gamma_k): A(outer gamma_0)(v_0 + A(delta_0)(v_1 + ...)), v_k =
+        values[i_k].m, delta_k = gamma_k^-1 gamma_(k+1), reduced each step.
+        Raises ValueError for a value read with a moment outside [0, p^n)."""
+        cache = self.cache
         moduli = _moduli(self.p, self.n)
-        total = [0] * self.n
+        total = 0
         for x, op in ((s, add), (r, sub)):
             acc = None
             for g, _ in reversed(segments_to_cusp(x)):
                 idx, gamma = self.space.generator_of(g)
-                v = self.values[idx].m
+                v = _in_range(self.values[idx].m, cache.mod)
                 if acc is not None:
-                    A, _ = self.cache.matrices(mat_mul(mat_adj(gamma), nxt))
-                    v = list(map(mod, map(add, v, _act(A, acc)), moduli))
+                    C, _ = cache.matrices(mat_mul(mat_adj(gamma), nxt))
+                    step = _unpacked(sum(map(mul, C, acc)), cache)
+                    v = list(map(mod, map(add, v, step), moduli))
                 acc, nxt = v, gamma
             if acc is not None:
-                A, _ = self.cache.matrices(mat_mul(outer, nxt))
-                total = list(map(op, total, _act(A, acc)))
-        return Distribution(self.p, self.n, total)
+                C, _ = cache.matrices(mat_mul(outer, nxt))
+                total = op(total, sum(map(mul, C, acc)))
+        return Distribution(self.p, self.n, _unpacked(total, cache, True))
 
     # ---------------------------------------------------------------- U_p
 
@@ -343,15 +343,16 @@ class OMSymbol:
         list of (matrix-key, ((target, sign), ...)) with one entry per
         distinct matrix that moves that source, in order of first use.
 
-        Each path is paired with its value transport by the adjoint rule:
-        the path matrix m carries the value transport mat_adj(m), so that
-        m * mat_adj(m) = det(m) * I.  For U_p, the path r -> (r + a)/p, by
-        (1, a; 0, p), carries the value transport (p, -a; 0, 1)."""
+        The path matrix m carries the value transport mat_adj(m) (adjoint
+        rule, m * mat_adj(m) = det(m) * I): for U_p, the path r -> (r + a)/p,
+        by (1, a; 0, p), carries (p, -a; 0, 1).  Raises ArithmeticError for a
+        target of 2^15 pieces, too many to accumulate."""
         by_source = [{} for _ in self.lifts]
         pieces = {}  # one (target, sign) tuple each, shared, to keep the plan small
         for target, g in enumerate(self.lifts):
             r = apply_moebius(g, Fraction(0))
             s = apply_moebius(g, INF)
+            received = 0
             for path_mat in paths:
                 value_mat = mat_adj(path_mat)
                 ra = apply_moebius(path_mat, r)
@@ -361,27 +362,33 @@ class OMSymbol:
                     key = self.cache._key(mat_mul(value_mat, gamma))
                     piece = pieces.setdefault((target, sgn), (target, sgn))
                     by_source[idx].setdefault(key, []).append(piece)
+                    received += 1
+            if received >= _MAX_PRODUCTS:
+                raise ArithmeticError("target %d has %d pieces" % (target, received))
         return [[(key, tuple(targets)) for key, targets in groups.items()]
                 for groups in by_source]
 
     def apply_up(self):
         """One sweep Phi <- a_p^{-1} * (Phi | U_p) on the t-moments.  Each
         matrix of a source's plan acts once on that source's value, and the
-        product is added or subtracted into every target that uses it; the
-        sums are exact, so the result is that of one transport per piece.
-        The new values have a zero jet."""
+        packed product is added or subtracted into the accumulator of every
+        target that uses it: the result of one transport per piece, exactly,
+        with a zero jet.  Raises ValueError for a moment outside [0, p^n)."""
         if self._up_plan is None:
             self._up_plan = self._plan_operator(self.space.hecke_paths(self.p))
-        n = self.n
-        acc = [[0] * n for _ in self.lifts]
+        cache = self.cache
+        acc = [0] * len(self.lifts)
         for value, groups in zip(self.values, self._up_plan):
+            m = _in_range(value.m, cache.mod)
             for key, targets in groups:
-                A, _ = self.cache.matrices(key)
-                v = _act(A, value.m)
+                C, _ = cache.matrices(key)
+                x = sum(map(mul, C, m))
                 for target, sgn in targets:
-                    acc[target] = list(map(add if sgn > 0 else sub, acc[target], v))
-        self.values = [Distribution(self.p, n, [self._ap_inv * x for x in m])
-                       for m in acc]
+                    acc[target] = acc[target] + x if sgn > 0 else acc[target] - x
+        ap_inv = self._ap_inv
+        self.values = [Distribution(self.p, self.n,
+                                    [ap_inv * y for y in _unpacked(x, cache, True)])
+                       for x in acc]
 
     # ------------------------------------------------------------- checks
 
@@ -419,35 +426,26 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
     given, at values it draws uniformly mod p^(n_mom - j).  Then n_mom + 1
     sweeps of a_p^{-1} U_p run.  The sweeps fix the zeroth moments and
     contract everything above them, so they reach the unique lift from any
-    start (Pollack-Stevens).
+    start (Pollack-Stevens).  The returned symbol's jet is zero.
 
-    The symbol carries t-moments only.  The weight-direction jet is not
-    determined by the lift, since U_p does not contract its zeroth layer;
-    the sweeps leave it zero, and the returned symbol's jet is zero.
-
-    Returns (OMSymbol, LiftCertificate).  The certificate measures the
-    t-moments.  ``relation_valuation`` is ``relation_residual()``.
-    ``eigen_valuation`` is the filtration level at which the final sweep
-    changed the t-moments.  ``converged`` says that level is n_mom.
-    ``matrices_cached`` is the number of transport kernels built.
+    Returns (OMSymbol, LiftCertificate), on the t-moments: ``relation_valuation``
+    is ``relation_residual()``, ``eigen_valuation`` the filtration level at which
+    the final sweep changed them, ``converged`` whether that is n_mom, and
+    ``matrices_cached`` the number of transport kernels built.
 
     Raises ValueError for a non-integral classical value or if the zeroth
-    moments drift (the symbol is not a U_p-eigensymbol with eigenvalue a_p).
-    Raises PrecisionError if either residual is below n_mom.
+    moments drift (no U_p-eigensymbol of eigenvalue a_p), and PrecisionError
+    if either residual is below n_mom.
     """
-    space = symbol.space
-    phi = OMSymbol(space, p, n_mom, a_p, symbol.sign)
-    zeroth = []
-    for val in symbol.vector:
-        val = Fraction(val)
+    phi = OMSymbol(symbol.space, p, n_mom, a_p, symbol.sign)
+    higher = [0] * (n_mom - 1)
+    for i, val in enumerate(map(Fraction, symbol.vector)):
         if val.denominator != 1:
             raise ValueError("classical value %s is not integral" % val)
-        zeroth.append(int(val) % p ** n_mom)
-    for v, m0 in zip(phi.values, zeroth):
-        v.m[0] = m0
         if randomize is not None:
-            for j in range(1, n_mom):
-                v.m[j] = randomize.randrange(p ** (n_mom - j))
+            higher = [randomize.randrange(p ** (n_mom - j)) for j in range(1, n_mom)]
+        phi.values[i] = Distribution(p, n_mom, [int(val)] + higher)
+    zeroth = [v.m[0] for v in phi.values]
     sweeps = n_mom + 1
     for _ in range(sweeps):
         prev = phi.values

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starkheegner.arith import mat_adj, mat_mul
+from starkheegner.arith import MAT_ID, mat_adj, mat_mul
 from starkheegner.curves import EllipticCurveData
 from starkheegner.modsym import (
     INF,
@@ -18,6 +18,7 @@ from starkheegner.oms import (
     Distribution,
     OMSymbol,
     TransportCache,
+    _unpacked,
     lift_pair,
     lift_to_oms,
     specialize_weight2,
@@ -207,7 +208,7 @@ def test_lift_is_hecke_eigen_through_the_sweep_plan(sign):
         plan = phi._plan_operator(phi.space.hecke_paths(ell))
         for value, groups in zip(phi.values, plan):
             for key, targets in groups:
-                v = _matvec(phi.cache.matrices(key)[0], value.m)
+                v = _matvec(_rows(phi.cache, phi.cache.matrices(key)[0]), value.m)
                 for target, sgn in targets:
                     acc[target] = [a + sgn * x for a, x in zip(acc[target], v)]
         for i, (got, want) in enumerate(zip(acc, phi.values)):
@@ -328,12 +329,26 @@ def _matvec(M, v):
     return [sum(x * y for x, y in zip(row, v)) for row in M]
 
 
+def _rows(cache, C):
+    """The rows of A from its packed columns C[k] = sum_j A[j][k] 2^(w j),
+    each without its trailing zeros."""
+    mask = (1 << cache.width) - 1
+    rows = []
+    for j in range(cache.n):
+        row = [c >> (cache.width * j) & mask for c in C]
+        while row and row[-1] == 0:
+            row.pop()
+        rows.append(row)
+    return rows
+
+
 def test_transport_matrices_match_schoolbook_build():
     # keys with c = 0, with negative entries, with entries >= p^n, and the
     # U_p value matrices of 15x (every one up to n_mom 8, a sample above).
     # n = 5, 6, 25 and 26 are where the log's slack digits and the largest
     # v_p(k) of its coefficients step up.
-    # The cache keeps row j of A mod p^(n - j) without its trailing zeros
+    # The cache keeps row j of A mod p^(n - j), packed by columns (read
+    # back by _rows without its trailing zeros),
     # and L = row 0 of B; a transport by it is m' = A m, lam' = A lam + B m
     sp = ManinSymbolSpace(15)
     up = sorted({m for g in sp.lifts for _, m, _ in _up_pieces(sp, g)})
@@ -351,8 +366,8 @@ def test_transport_matrices_match_schoolbook_build():
             for row in rows:
                 while row and row[-1] == 0:
                     row.pop()
-            A, L = cache.matrices(g)
-            assert A == rows, (n, g)
+            C, L = cache.matrices(g)
+            assert _rows(cache, C) == rows, (n, g)
             assert L == B_ref[0], (n, g)
             for _ in range(2):
                 d = Distribution(P, n, [rng.randrange(big) for _ in range(n)],
@@ -372,6 +387,93 @@ def test_transport_matrices_reject_matrices_outside_the_monoid():
                   (2, 1, 3, 4), (1, 1, -2, 1)):
             with pytest.raises(ValueError):
                 TransportCache(P, n).matrices(g)
+
+
+# ------------------------------------------- packed kernels: products,
+# signed accumulators and their preconditions
+
+def _monoid_matrix(rng):
+    """(a, b; c, d) with p | c and d a unit, entries of either sign, any
+    determinant."""
+    d = rng.randint(-10 ** 6, 10 ** 6)
+    while d % P == 0:
+        d += 1
+    return (rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6),
+            P * rng.randint(-10 ** 4, 10 ** 4), d)
+
+
+def test_packed_product_is_the_reference_rows_times_m():
+    # slot j of sum_k C[k] m[k] is, as an integer, row j of the schoolbook
+    # A (mod p^(n - j)) times m, for random, all-zero and extreme moments
+    # m_k = p^(n - k) - 1 and p^n - 1, the largest a product may read
+    rng = random.Random(41)
+    for n in (1, 2, 5, 8, 20, 40):
+        cache = TransportCache(P, n)
+        vectors = [[0] * n, [P ** (n - k) - 1 for k in range(n)], [P ** n - 1] * n]
+        vectors += [[rng.randrange(P ** (n - k)) for k in range(n)] for _ in range(2)]
+        for g in [_monoid_matrix(rng) for _ in range(6)] + [(1, 0, 0, 1), (P, -2, 0, 1)]:
+            A_ref, _ = _reference_matrices(P, n, g)
+            rows = [[x % P ** (n - j) for x in row] for j, row in enumerate(A_ref)]
+            C, _ = cache.matrices(g)
+            for m in vectors:
+                assert _unpacked(sum(x * y for x, y in zip(C, m)), cache) == \
+                    _matvec(rows, m), (n, g, m)
+
+
+def test_signed_accumulation_of_extreme_products_unpacks_exactly():
+    # 2^15 - 1 products, each with every slot at the largest value one product
+    # can reach (n entries and n moments of p^n - 1), summed with random
+    # signs, all minus and all plus, read back slot by slot; and the same for
+    # a real kernel against the extreme moments m_k = p^(n - k) - 1
+    rng = random.Random(43)
+    count = (1 << 15) - 1
+    for n in (1, 8, 40):
+        cache = TransportCache(P, n)
+        top = P ** n - 1
+        full = sum(top << (cache.width * j) for j in range(n))
+        C, _ = cache.matrices(_monoid_matrix(rng))
+        m = [P ** (n - k) - 1 for k in range(n)]
+        for x, slots in ((full * n * top, [n * top * top] * n),
+                         (sum(c * y for c, y in zip(C, m)), _matvec(_rows(cache, C), m))):
+            assert _unpacked(x, cache) == slots
+            for signs in ([rng.choice((1, -1)) for _ in range(count)],
+                          [-1] * count, [1] * count):
+                acc = 0
+                for sgn in signs:
+                    acc = acc + x if sgn > 0 else acc - x
+                assert _unpacked(acc, cache, True) == [sum(signs) * y for y in slots], n
+
+
+@pytest.mark.parametrize("bad", ("low", "high"))
+def test_moments_outside_the_packed_range_are_rejected(bad):
+    # a moment of -1 or p^n, written into a value in place, would borrow
+    # from or carry into the next slot of a packed product; the sweep, the
+    # path and the segment raise ValueError instead of returning moments
+    n = 6
+    sp = ManinSymbolSpace(15)
+    phi = OMSymbol(sp, P, n, 1, 1)
+    rng = random.Random(47)
+    phi.values = [Distribution(P, n, [rng.randrange(P ** (n - j)) for j in range(n)])
+                  for _ in range(len(sp.p1))]
+    for v in phi.values:
+        v.m[n - 1] = -1 if bad == "low" else P ** n
+    for call in (phi.apply_up, lambda: phi.eval_path(INF, Fraction(2, 7)),
+                 lambda: phi.eval_path_transported(Fraction(1, 3), Fraction(2, 7),
+                                                   (P, 1, 0, 1)),
+                 lambda: phi.eval_segment(sp.lifts[3])):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
+
+def test_plan_rejects_a_target_with_2_15_pieces():
+    # at N = 2 the identity path gives targets 0 and 1 one piece each and
+    # target 2 two: 2^15 paths overflow target 0's accumulator, and 2^15 - 1
+    # paths pass targets 0 and 1 and overflow target 2 (2^16 - 2 pieces)
+    phi = OMSymbol(ManinSymbolSpace(2), 2, 3, 1, 1)
+    with pytest.raises(ArithmeticError, match="target 0 has 32768 pieces"):
+        phi._plan_operator([MAT_ID] * (1 << 15))
+    with pytest.raises(ArithmeticError, match="target 2 has 65534 pieces"):
+        phi._plan_operator([MAT_ID] * ((1 << 15) - 1))
 
 
 def test_symbol_rejects_fewer_than_one_moment():
