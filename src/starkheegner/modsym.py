@@ -6,11 +6,13 @@ the space, Hecke operators act through path matrices and the Manin
 trick, and the eigensymbols of a curve are found by exact kernel
 intersections.
 
-The relation matrix has at most three non-zeros a row, and linalg.rref
-eliminates it sparsely (Cremona, Algorithms for Modular Elliptic Curves,
-ch. 2); the space keeps its rref basis as well as, for each P^1 index, the
-basis vectors that are non-zero there, so an operator matrix costs one
-product per non-zero rather than one per basis vector.
+The relation matrix has integer rows with at most three non-zeros each,
+and linalg eliminates it sparsely over the integers (Cremona, Algorithms
+for Modular Elliptic Curves, ch. 2); Fractions are made only where linalg
+returns its rows, and the basis, operator matrices and eigensymbol vectors
+hold Fraction entries.  The space keeps its rref basis as well as, for each
+P^1 index, the basis vectors that are non-zero there, so an operator matrix
+costs one product per non-zero rather than one per basis vector.
 
 The Birch sums and the geodesic period sums over a class group, rational
 combinations of symbol values, are test oracles (tests/oracle_symbols.py):
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import lift_to_sl2, mat_inv, mat_mul, prime_divisors, primes_up_to
+from .arith import (is_squarefree, lift_to_sl2, mat_inv, mat_mul, prime_divisors,
+                    primes_up_to)
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
 
@@ -136,13 +139,13 @@ class ManinSymbolSpace:
         rows = []
         for i, (c, d) in enumerate(self.p1.reps):
             js = self.p1.index(d, -c)                  # (c,d)*S
-            row = [Fraction(0)] * n
+            row = [0] * n
             row[i] += 1
             row[js] += 1
             rows.append(row)
             jt = self.p1.index(d, -c - d)              # (c,d)*T
             jt2 = self.p1.index(-c - d, c)             # (c,d)*T^2
-            row = [Fraction(0)] * n
+            row = [0] * n
             row[i] += 1
             row[jt] += 1
             row[jt2] += 1
@@ -160,6 +163,7 @@ class ManinSymbolSpace:
                         (k, x.numerator if x.denominator == 1 else x))
         self.lifts = [self.p1.lift(i) for i in range(n)]
         self._hecke = {}
+        self._atkin_lehner = None
 
     # ------------------------------------------------------------ evaluation
 
@@ -217,14 +221,16 @@ class ManinSymbolSpace:
     def _operator_matrix(self, paths):
         """Matrix of the operator on rref coordinates.  coordinates reads
         only the pivot rows, so only those are decomposed; each entry of a
-        row meets only the basis vectors that are non-zero at its index."""
+        row meets only the basis vectors that are non-zero at its index.
+        The zero entries, most of the matrix, share one Fraction(0)."""
+        zero = Fraction(0)
         out = []
         for row in self._rows(paths, self.pivots):
             mrow = [0] * self.dim
             for idx, c in row.items():
                 for k, x in self._basis_columns[idx]:
                     mrow[k] += c * x
-            out.append([Fraction(x) for x in mrow])
+            out.append([Fraction(x) if x else zero for x in mrow])
         return out
 
     def hecke_matrix(self, ell: int):
@@ -237,16 +243,28 @@ class ManinSymbolSpace:
         return got
 
     def atkin_lehner_infinity_matrix(self):
-        """Matrix of the involution {r -> s} -> {-r -> -s}."""
-        return self._operator_matrix([(-1, 0, 0, 1)])
+        """Matrix of the involution {r -> s} -> {-r -> -s} on rref
+        coordinates.  Built once; callers share the rows and must not
+        change them."""
+        if self._atkin_lehner is None:
+            self._atkin_lehner = self._operator_matrix([(-1, 0, 0, 1)])
+        return self._atkin_lehner
 
     def cuspidal_dimension(self) -> int:
-        """Rank of T_ell - (ell + 1) for the first good ell: the Eisenstein
-        part is exactly the (ell + 1)-eigenspace (Hasse bound)."""
+        """Rank of T_ell - (ell + 1) for the least prime ell not dividing N.
+
+        N must be squarefree (the package's levels are semistable): then
+        every Eisenstein series of level N has T_ell-eigenvalue ell + 1, so
+        the Eisenstein part is exactly the (ell + 1)-eigenspace (Hasse
+        bound).  For N with a square factor the Eisenstein series with
+        non-trivial characters break this, and ValueError is raised."""
+        if not is_squarefree(self.N):
+            raise ValueError("cuspidal_dimension needs a squarefree level, "
+                             "not N = %d" % self.N)
         ell = 2
-        while self.N % ell == 0:
+        while self.N % ell == 0 or prime_divisors(ell) != [ell]:
             ell += 1
-        _, piv = rref(_minus_scalar(self.hecke_matrix(ell), ell + 1))
+        _, piv = rref(_integer_matrix(self.hecke_matrix(ell), ell + 1))
         return len(piv)
 
 
@@ -262,7 +280,12 @@ class RationalModularSymbol:
 
 def build_eigensymbol(E: EllipticCurveData, sign: int,
                       space: ManinSymbolSpace | None = None) -> RationalModularSymbol:
-    """The normalized eigensymbol of E with the given sign at infinity."""
+    """The normalized eigensymbol of E with the given sign at infinity.
+
+    The cuts run over the integers: each operator is scaled by the lcm of
+    its denominators (_integer_matrix) and each vector of the current
+    subspace by its own (_primitive), and neither moves a kernel or a span;
+    Fractions come back from linalg and make up the returned vector."""
     if space is None:
         space = ManinSymbolSpace(E.conductor)
     # basis of the current subspace, as coordinate vectors; None is the
@@ -272,7 +295,7 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
     for ell in primes_up_to(EIGEN_PRIME_BOUND):
         if E.conductor % ell == 0:
             continue
-        shifted = _minus_scalar(space.hecke_matrix(ell), E.ap(ell))
+        shifted = _integer_matrix(space.hecke_matrix(ell), E.ap(ell))
         if sub is None:
             sub = kernel_basis(shifted, dim)
         else:
@@ -280,6 +303,7 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
             cols = [matvec(shifted, v) for v in sub]
             ker = kernel_basis([list(r) for r in zip(*cols)], len(sub))
             sub = [lincomb(ker_vec, sub) for ker_vec in ker]
+        sub = [_primitive(v) for v in sub]
         if len(sub) <= 2:
             break
     else:
@@ -288,47 +312,40 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
         raise RuntimeError("multiplicity-one failure: dim %d" % len(sub))
     # check U_q eigenvalue for q | N on the 2-dim space (consistency)
     for q in prime_divisors(E.conductor):
-        m = space.hecke_matrix(q)
         aq = E.ap(q)
+        shifted = _integer_matrix(space.hecke_matrix(q), aq)
         for v in sub:
-            w = matvec(m, v)
-            if w != [aq * x for x in v]:
+            if any(matvec(shifted, v)):
                 raise ValueError("U_%d eigenvalue mismatch: a_%d = %d, but "
-                                 "U_%d v = %s for v = %s" % (q, q, aq, q, w, v))
-    w = space.atkin_lehner_infinity_matrix()
-    eig = []
-    for v in sub:
-        img = matvec(w, v)
-        cand = [img[k] + sign * v[k] for k in range(dim)]  # (W + sign) v
-        if any(cand):
-            eig.append(cand)
+                                 "(U_%d - %d) v != 0 for v = %s" % (q, q, aq, q, aq, v))
+    # (W + sign) v, up to one positive factor, which leaves the span alone
+    plus = _integer_matrix(space.atkin_lehner_infinity_matrix(), -sign)
+    eig = [cand for cand in (matvec(plus, v) for v in sub) if any(cand)]
     red, _ = rref(eig)
     if len(red) != 1:
         raise RuntimeError("sign %d eigenspace has dimension %d, not 1"
                            % (sign, len(red)))
     full = lincomb(red[0], space.basis)
-    return RationalModularSymbol(space, _normalize_content(full), sign)
+    return RationalModularSymbol(space, [Fraction(x) for x in _primitive(full)], sign)
 
 
-def _minus_scalar(m, a):
-    """The rows of m - a * I, as new lists."""
-    return [[x - a if i == k else x for k, x in enumerate(row)]
-            for i, row in enumerate(m)]
+def _integer_matrix(m, a):
+    """The rows of d * (m - a * I) as new int lists, where d is the lcm of
+    the denominators of m's entries."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) - (d * a if i == k else 0)
+             for k, x in enumerate(row)] for i, row in enumerate(m)]
 
 
-def _normalize_content(vec):
-    nums = [x for x in vec if x != 0]
+def _primitive(vec):
+    """The non-zero vector vec scaled to integers with content 1 and a
+    positive first non-zero entry."""
+    nums = [x for x in vec if x]
     if not nums:
-        raise ValueError("zero symbol")
-    den = 1
-    for x in nums:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    scaled = [x * den for x in vec]
-    g = 0
-    for x in scaled:
-        g = math.gcd(g, int(x))
-    scaled = [x / g for x in scaled]
-    lead = next(x for x in scaled if x != 0)
-    if lead < 0:
-        scaled = [-x for x in scaled]
-    return scaled
+        raise ValueError("zero vector")
+    den = math.lcm(*(x.denominator for x in nums))
+    scaled = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*scaled)
+    if nums[0] < 0:
+        g = -g
+    return [x // g for x in scaled]

@@ -3,14 +3,17 @@
 ``dense_rref`` is the package's former rref, kept unchanged as the oracle:
 column by column, it swaps up the first row with a non-zero entry, scales it
 and clears that column from every other row.  The RREF of a row space is
-unique, so the sparse elimination must return the same rows and pivots.
+unique, so the sparse fraction-free elimination must return the same rows
+and pivots, and kernel_basis the same vectors as ``dense_kernel_basis``.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import starkheegner.linalg as linalg
 from starkheegner.linalg import kernel_basis, matvec, rref
 
 rng = random.Random(14)
@@ -101,6 +104,35 @@ def _with_zero_rows(nrows, ncols):
     return rows
 
 
+def _integer_only(nrows, ncols):
+    return [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _huge(nrows, ncols):
+    """Non-zero entries of at least 2^64 in size, integral and not."""
+    def entry():
+        x = rng.choice((0, 1, -1)) * rng.randint(2 ** 64, 2 ** 80)
+        return Fraction(x, rng.randint(1, 2 ** 70)) if rng.random() < 0.3 else x
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _common_content(nrows, ncols):
+    """Rows with a common factor (integral or not) in every entry."""
+    return [[rng.choice((6, -4, 35, Fraction(9, 14))) * x for x in row]
+            for row in _dense(nrows, ncols)]
+
+
+def _non_unit_leading(nrows, ncols):
+    """Each row leads with a negative or non-unit entry."""
+    rows = []
+    for row in _dense(nrows, ncols):
+        c = rng.randrange(ncols)
+        row[:c] = [0] * c
+        row[c] = rng.choice((-1, -2, -7, 3, 12, Fraction(-5, 3), Fraction(4, 9)))
+        rows.append(row)
+    return rows
+
+
 def _shape():
     return rng.randint(1, 9), rng.randint(1, 9)
 
@@ -114,6 +146,10 @@ KINDS = {
     "wide": lambda: _sparse(rng.randint(1, 4), rng.randint(8, 30)),
     "tall": lambda: _dense(rng.randint(8, 30), rng.randint(1, 4)),
     "one_by_one": lambda: [[rng.choice((0, 1, -3, Fraction(2, 7)))]],
+    "integer_only": lambda: _integer_only(*_shape()),
+    "huge": lambda: _huge(*_shape()),
+    "common_content": lambda: _common_content(*_shape()),
+    "non_unit_leading": lambda: _non_unit_leading(*_shape()),
 }
 
 
@@ -123,7 +159,17 @@ def _check(rows):
     assert got == want, rows
     assert all(type(x) is Fraction for row in got[0] for x in row), rows
     rank = len(got[1])
+    # the integer rows behind them: primitive, positive at their own pivot
+    # and zero at every other pivot
+    pivot_rows = linalg._pivot_rows(rows)
+    assert sorted(pivot_rows) == got[1], rows
+    for pc, r in pivot_rows.items():
+        assert all(type(x) is int and x for x in r.values()), rows
+        assert r[pc] > 0 and math.gcd(*r.values()) == 1, (rows, r)
+        assert min(r) == pc and not any(c in pivot_rows for c in r if c != pc), rows
     ker = kernel_basis(rows, ncols)
+    assert ker == dense_kernel_basis(rows, ncols), rows
+    assert all(type(x) is Fraction for v in ker for x in v), rows
     assert len(ker) == ncols - rank, rows
     for v in ker:
         assert all(x == 0 for x in matvec(rows, v)), (rows, v)
@@ -141,6 +187,28 @@ def test_rref_of_no_rows():
     assert rref([[], []]) == dense_rref([[], []]) == ([], [])
     ker = kernel_basis([], 3)
     assert ker == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+def test_fractions_are_made_only_for_the_output(monkeypatch):
+    # elimination runs on integer rows: linalg builds a Fraction for an entry
+    # it returns, and a few constants, but none per input entry or per step
+    made = [0]
+
+    def counting(*args):
+        made[0] += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    rng.seed("count")
+    for rows in [_dense(30, 4), _dense(4, 30), _huge(12, 6), _sparse(40, 20),
+                 _rank_deficient(20, 9)]:
+        ncols = len(rows[0])
+        made[0] = 0
+        red, _ = rref(rows)
+        assert made[0] <= sum(map(len, red)) + 2, (made[0], rows)
+        made[0] = 0
+        ker = kernel_basis(rows, ncols)
+        assert made[0] <= sum(map(len, ker)) + 2, (made[0], rows)
 
 
 def test_rref_leaves_its_input_alone():

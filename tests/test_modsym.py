@@ -15,6 +15,8 @@ from starkheegner.linalg import matvec
 from starkheegner.modsym import (
     INF,
     ManinSymbolSpace,
+    _integer_matrix,
+    _primitive,
     apply_moebius,
     build_eigensymbol,
 )
@@ -65,11 +67,26 @@ def test_space_dimension_11():
 
 
 def test_cuspidal_dimension_matches_genus_formula():
-    for N in (11, 15, 21, 35):
+    # 6 | N for the last four: the composite 4 is not a Hecke prime there,
+    # and the least good prime is 5 (or 7 at N = 30)
+    for N in (11, 15, 21, 35, 6, 30, 42, 66):
         sp = ManinSymbolSpace(N)
         g = _genus_formula(N)
         assert g == int(g)
         assert sp.cuspidal_dimension() == 2 * int(g), N
+
+
+def test_cuspidal_dimension_needs_a_squarefree_level():
+    # at N = 36 the Eisenstein series with the character mod 3 are not in the
+    # (ell + 1)-eigenspace, so the rank would not be 2 genus(X0(36)) = 2
+    with pytest.raises(ValueError, match="squarefree"):
+        ManinSymbolSpace(36).cuspidal_dimension()
+
+
+def test_operator_matrices_are_built_once():
+    sp = ManinSymbolSpace(15)
+    assert sp.hecke_matrix(2) is sp.hecke_matrix(2)
+    assert sp.atkin_lehner_infinity_matrix() is sp.atkin_lehner_infinity_matrix()
 
 
 def test_hecke_commutativity():
@@ -189,6 +206,18 @@ def test_eigensymbol_integral_content_one():
     for x in vals:
         g = math.gcd(g, int(x))
     assert g == 1
+
+
+def test_integer_forms_of_operators_and_vectors():
+    # build_eigensymbol cuts with d (m - a I), d the common denominator, and
+    # with each vector scaled to content 1 and a positive lead
+    m = [[Fraction(1, 2), 1], [0, Fraction(-1, 3)]]
+    assert _integer_matrix(m, 2) == [[-9, 6], [0, -14]]
+    assert _integer_matrix(m, 0) == [[3, 6], [0, -2]]
+    assert _primitive([0, Fraction(-2, 3), 4, Fraction(6, 5)]) == [0, 5, -30, -9]
+    assert _primitive([Fraction(2, 3), 0, 4]) == [1, 0, 6]
+    with pytest.raises(ValueError):
+        _primitive([Fraction(0), 0])
 
 
 def test_symbol_path_properties():
