@@ -463,16 +463,12 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
     return phi, cert
 
 
-def lift_pair(E, space: ManinSymbolSpace, p: int, n_mom: int,
-              randomize=None, symbols=None):
+def lift_pair(E, space: ManinSymbolSpace, p: int, n_mom: int):
     """lift_to_oms of both sign-eigensymbols of E.
 
-    Returns ({sign: OMSymbol}, {sign: LiftCertificate}).  ``symbols`` maps
-    each sign to its eigensymbol; it is built from E when not given.
+    Returns ({sign: OMSymbol}, {sign: LiftCertificate}).
     """
-    if symbols is None:
-        symbols = {s: build_eigensymbol(E, s, space) for s in (1, -1)}
-    lifts = {s: lift_to_oms(symbols[s], E.a_p, p, n_mom, randomize)
+    lifts = {s: lift_to_oms(build_eigensymbol(E, s, space), E.a_p, p, n_mom)
              for s in (1, -1)}
     return ({s: phi for s, (phi, _) in lifts.items()},
             {s: cert for s, (_, cert) in lifts.items()})

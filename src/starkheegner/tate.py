@@ -12,8 +12,18 @@ wrong q is caught by lambda^4 c4(q) = c4(E), which holds exactly when
 j(q) = j(E).  The tests measure kappa the long way, on Tate points
 (tests/oracle_tate.py).
 
-Series are computed exactly over Z (or Q) and evaluated at capped-precision
-p-adics, so precision loss only enters through the final evaluations.
+Each series is built exactly, in one pass, and evaluated at capped-precision
+p-adics, so precision loss only enters through the final evaluations:
+
+- E4 and E6 are integer series, and Delta = (E4^3 - E6^2) / 1728 (this is
+  q prod (1 - q^n)^24); q solves E4^3 - j Delta = 0, a series over Q.
+- The formal group's w(z) = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2
+  + a6 w^3 is solved one coefficient at a time, since w_n reads only
+  coefficients below n.
+- omega = dz / (1 - a1 z - a2 z^2 - 2 a3 w - 2 a4 z w - 3 a6 w^2)
+  (Silverman, The Arithmetic of Elliptic Curves, IV.1) has integer
+  coefficients, since the denominator starts with 1; the formal log is
+  sum omega_(n-1) z^n / n.
 """
 
 from __future__ import annotations
@@ -69,24 +79,6 @@ def _poly_mul(a, b, length):
     return out
 
 
-@lru_cache(maxsize=None)
-def discriminant_series(length: int):
-    """q * prod (1-q^n)^24, exactly, to the given length."""
-    # eta product via repeated squaring of prod(1-q^n)
-    base = [0] * (length + 1)
-    base[0] = 1
-    for n in range(1, length + 1):
-        nxt = base[:]
-        for i in range(length + 1 - n):
-            if base[i]:
-                nxt[i + n] -= base[i]
-        base = nxt
-    out = [1] + [0] * length
-    for _ in range(24):
-        out = _poly_mul(out, base, length)
-    return tuple([0] + out[:length])
-
-
 def _eval_series(coeffs, x):
     """Horner evaluation of an integer/Fraction coefficient series at x in
     Q_p or Q_p^2; the coefficients are taken to 8 digits past x's."""
@@ -111,10 +103,11 @@ def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
     j = Fraction(E.c4 ** 3, E.disc)
     work = prec + 3 * vq + 6
     length = work // vq + 3
-    e4 = eisenstein_e4(length)
-    e43 = _poly_mul(_poly_mul(list(e4), list(e4), length), list(e4), length)
-    delta = list(discriminant_series(length))
-    coeffs = [Fraction(a) - j * b for a, b in zip(e43, delta)]
+    e4, e6 = list(eisenstein_e4(length)), list(eisenstein_e6(length))
+    e43 = _poly_mul(_poly_mul(e4, e4, length), e4, length)
+    e62 = _poly_mul(e6, e6, length)
+    # Delta = (E4^3 - E6^2) / 1728 = q prod (1 - q^n)^24
+    coeffs = [a - j * Fraction(a - b, 1728) for a, b in zip(e43, e62)]
     dcoeffs = [n * coeffs[n] for n in range(1, len(coeffs))]
     q = PadicScalar.from_fraction(p, 1 / j, work)
     for _ in range(64):
@@ -122,6 +115,10 @@ def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
         if fval.is_zero() or fval.valuation() >= prec + 2 * vq:
             break
         q = q - fval / _eval_series(dcoeffs, q)
+    else:
+        raise PrecisionError("Newton's method for q did not converge: "
+                             "E4^3 - j Delta has valuation %d < %d after 64 "
+                             "steps" % (fval.valuation(), prec + 2 * vq))
     if q.valuation() != vq:
         raise ArithmeticError("Tate period has valuation %d, not v(disc) = %d"
                               % (q.valuation(), vq))
@@ -133,74 +130,27 @@ def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
 @lru_cache(maxsize=None)
 def formal_log_series(curve_key, length: int):
     """Coefficients [l_1, l_2, ...] of the formal logarithm of the minimal
-    model, l_1 = 1, as exact Fractions.  curve_key = (a1, a2, a3, a4, a6)."""
+    model, l_1 = 1, as exact Fractions.  curve_key = (a1, a2, a3, a4, a6).
+
+    w(z) by its recursion, then omega by one integer series inversion (see
+    the module docstring); w^2 and w^3 start at z^6 and z^9, so w_n reads
+    only w_3, ..., w_(n-1)."""
     a1, a2, a3, a4, a6 = curve_key
-    L = length + 4
-    # w(z) = z^3 (1 + ...), solved by iteration
-    w = [0, 0, 0, 1] + [0] * (L - 3)
-    for _ in range(L):
-        w2 = _poly_mul(w, w, L)
-        w3 = _poly_mul(w2, w, L)
-        new = [0] * (L + 1)
-        new[3] = 1
-        for i in range(L + 1):
-            acc = new[i]
-            if i >= 1:
-                acc += a1 * w[i - 1]
-            if i >= 2:
-                acc += a2 * w[i - 2]
-            acc += a3 * w2[i]
-            if i >= 1:
-                acc += a4 * w2[i - 1]
-            acc += a6 * w3[i]
-            new[i] = acc
-        if new == w:
-            break
-        w = new
-    # x = z/w, y = -1/w as Laurent series: z*w^{-1} and -w^{-1}
-    # w = z^3*(1 + u(z)); invert 1 + u
-    u = [Fraction(w[i + 3]) for i in range(L - 2)]
-    u[0] = Fraction(0)
-    inv = [Fraction(1)] + [Fraction(0)] * (L - 3)  # (1+u)^{-1}
-    for n in range(1, L - 2):
-        s = Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(u) and u[k]:
-                s -= u[k] * inv[n - k]
-        inv[n] = s
-    # omega = dx/(2y + a1 x + a3); compute via series in z
-    # x(z) = z^{-2} * inv(z), y(z) = -z^{-3} * inv(z)
-    # denominator: 2y + a1 x + a3 = z^{-3} * (-2*inv + a1 z inv + a3 z^3)
-    den = [Fraction(-2) * c for c in inv]
-    for i in range(len(inv) - 1):
-        den[i + 1] += a1 * inv[i]
-    if len(den) > 3:
-        den[3] += a3
-    # numerator: dx/dz = d/dz (z^{-2} inv) = z^{-3} * (-2*inv + z*inv')
-    num = [Fraction(-2) * c for c in inv]
-    for i in range(1, len(inv)):
-        num[i] += i * inv[i]
-    # omega/dz = num/den  (the z^{-3} factors cancel)
-    series = _series_div(num, den, length)
-    if series[0] != 1:
-        raise ArithmeticError("invariant differential starts with %s, not 1"
-                              % series[0])
-    return tuple(Fraction(series[n - 1], n) for n in range(1, length + 1))
-
-
-def _series_div(num, den, length):
-    if den[0] == 0:
-        raise ArithmeticError("series division by a non-unit")
-    inv0 = Fraction(1, 1) / den[0]
-    out = []
-    rem = list(num) + [Fraction(0)] * max(0, length + 1 - len(num))
-    for n in range(length + 1):
-        c = rem[n] * inv0
-        out.append(c)
-        for k in range(1, len(den)):
-            if n + k <= length:
-                rem[n + k] -= c * den[k]
-    return out
+    w, w2, w3 = [0] * length, [0] * length, [0] * length
+    for n in range(3, length):
+        w2[n] = sum(w[i] * w[n - i] for i in range(3, n - 2))
+        w3[n] = sum(w[i] * w2[n - i] for i in range(3, n - 5))
+        w[n] = ((n == 3) + a1 * w[n - 1] + a2 * w[n - 2] + a3 * w2[n]
+                + a4 * w2[n - 1] + a6 * w3[n])
+    # 1 - omega's denominator: a1 z + a2 z^2 + 2 a3 w + 2 a4 z w + 3 a6 w^2
+    u = [0] * length
+    for n in range(1, length):
+        u[n] = (a1 * (n == 1) + a2 * (n == 2) + 2 * a3 * w[n]
+                + 2 * a4 * w[n - 1] + 3 * a6 * w2[n])
+    omega = [1]
+    for n in range(1, length):
+        omega.append(sum(u[k] * omega[n - k] for k in range(1, n + 1)))
+    return tuple(Fraction(omega[n - 1], n) for n in range(1, length + 1))
 
 
 # ----------------------------------------------------- points over F_p / Q_p
@@ -272,11 +222,20 @@ def tate_curve_invariants(q: PadicScalar, depth: int):
 def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
                       depth: int):
     """The Weierstrass transformation (lambda, r, s, t) carrying Tate-curve
-    coordinates to the minimal model of E."""
+    coordinates to the minimal model of E.
+
+    A wrong q is caught by lambda^4 c4(q) = c4(E), which holds exactly when
+    j(q) = j(E): the residual must vanish to every digit it carries, and the
+    series cut after q^depth back v(q) (depth + 1) of them."""
     c4q, c6q = tate_curve_invariants(q, depth)
     lam2 = (PadicScalar.from_int(E.p, E.c6, q.N) * c4q) / \
            (PadicScalar.from_int(E.p, E.c4, q.N) * c6q)
     lam = _quad_sqrt(ctx, lam2)
+    residual = lam ** 4 * c4q - E.c4
+    digits = min(residual.precision(), q.v * (depth + 1))
+    if residual.valuation() < digits:
+        raise ValueError("j(q) != j(E): lambda^4 c4(q) - c4(E) has valuation "
+                         "%d < %d" % (residual.valuation(), digits))
     # (x, y) = (lam^2 x' + r, lam^3 y' + s lam^2 x' + t) maps Tate -> E with
     # lam*1 = a1 + 2s, 0 = a2 - s a1 + 3r - s^2, 0 = a3 + r a1 + 2t
     s = (lam - E.a1) * Fraction(1, 2)
@@ -306,19 +265,13 @@ def log_conversion_constant(E: EllipticCurveData, q: PadicScalar,
     x = lambda^2 X + r, y = lambda^3 Y + s lambda^2 X + t, the minimal
     model's 2y + a1 x + a3 is lambda^3 (2Y + X) and dx is lambda^2 dX, so
     omega_E = lambda^-1 du/u.  This is the constant the Darmon-Pollack route
-    (Israel J. Math. 2006) needs.  A wrong q is caught by
-    lambda^4 c4(q) = c4(E) mod p^prec, which holds exactly when
-    j(q) = j(E)."""
-    depth = prec // q.v + 2
-    lam = iso_tate_to_curve(E, q, ctx, depth)[0]
+    (Israel J. Math. 2006) needs.  iso_tate_to_curve raises ValueError for
+    a q with j(q) != j(E)."""
+    lam = iso_tate_to_curve(E, q, ctx, prec // q.v + 2)[0]
     kappa = lam.inverse()
     if kappa.precision() < prec:
         raise PrecisionError("kappa = 1/lambda has %d of %d digits"
                              % (kappa.precision(), prec), kappa.precision())
-    residual = lam ** 4 * tate_curve_invariants(q, depth)[0] - E.c4
-    if not residual.is_zero() and residual.valuation() < prec:
-        raise ValueError("j(q) != j(E): lambda^4 c4(q) - c4(E) has valuation "
-                         "%d < %d" % (residual.valuation(), prec))
     return QuadExtScalar(ctx, kappa.a.with_precision(prec),
                          kappa.b.with_precision(prec))
 

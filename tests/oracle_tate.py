@@ -1,4 +1,5 @@
-"""Test-only oracle: the conversion constant kappa measured on Tate points.
+"""Test-only oracles for tate: the conversion constant kappa measured on Tate
+points, and the series the package builds in one pass, built the long way.
 
 The package takes kappa = 1/lambda in closed form from the Weierstrass map
 of the Tate curve onto the minimal model.  Here kappa is measured the long
@@ -9,6 +10,14 @@ way, as formal_log(Phi(u)) / log_q(u) for two Tate parameters u:
 - LogBranch is the branch log_q of the p-adic logarithm with log_q(q) = 0;
 - kappa_from_points checks that the image is on the curve and that the two
   quotients agree to prec - 2 digits.
+
+The package takes Delta = (E4^3 - E6^2) / 1728 and solves w(z) by its
+recursion; here
+
+- eta_discriminant is Delta as the eta product q prod (1 - q^n)^24;
+- formal_log_series_fixed_point reruns a full fixed point for w(z), forms
+  x = z/w and y = -1/w through (1 + u)^-1, and divides dx by 2y + a1 x + a3
+  over Q.
 
 ROADMAP item 2 needs tate_point and tate_to_curve_point, and item 5 needs
 LogBranch; each moves back into the package with its first caller there.
@@ -28,6 +37,7 @@ from starkheegner.padics import (
 )
 from starkheegner.tate import (
     _eval_series,
+    _poly_mul,
     _sigma_series,
     formal_log,
     iso_tate_to_curve,
@@ -103,3 +113,92 @@ def kappa_from_points(E: EllipticCurveData, q: PadicScalar,
         raise PrecisionError("conversion unstable: the two kappa agree to %d "
                              "of %d digits" % (agree, prec - 2), agree)
     return kappa
+
+
+def eta_discriminant(length: int):
+    """q * prod (1-q^n)^24, exactly, to the given length."""
+    # eta product via repeated squaring of prod(1-q^n)
+    base = [0] * (length + 1)
+    base[0] = 1
+    for n in range(1, length + 1):
+        nxt = base[:]
+        for i in range(length + 1 - n):
+            if base[i]:
+                nxt[i + n] -= base[i]
+        base = nxt
+    out = [1] + [0] * length
+    for _ in range(24):
+        out = _poly_mul(out, base, length)
+    return tuple([0] + out[:length])
+
+
+def formal_log_series_fixed_point(curve_key, length: int):
+    """Coefficients [l_1, l_2, ...] of the formal logarithm of the minimal
+    model, l_1 = 1, as exact Fractions.  curve_key = (a1, a2, a3, a4, a6)."""
+    a1, a2, a3, a4, a6 = curve_key
+    L = length + 4
+    # w(z) = z^3 (1 + ...), solved by iteration
+    w = [0, 0, 0, 1] + [0] * (L - 3)
+    for _ in range(L):
+        w2 = _poly_mul(w, w, L)
+        w3 = _poly_mul(w2, w, L)
+        new = [0] * (L + 1)
+        new[3] = 1
+        for i in range(L + 1):
+            acc = new[i]
+            if i >= 1:
+                acc += a1 * w[i - 1]
+            if i >= 2:
+                acc += a2 * w[i - 2]
+            acc += a3 * w2[i]
+            if i >= 1:
+                acc += a4 * w2[i - 1]
+            acc += a6 * w3[i]
+            new[i] = acc
+        if new == w:
+            break
+        w = new
+    # x = z/w, y = -1/w as Laurent series: z*w^{-1} and -w^{-1}
+    # w = z^3*(1 + u(z)); invert 1 + u
+    u = [Fraction(w[i + 3]) for i in range(L - 2)]
+    u[0] = Fraction(0)
+    inv = [Fraction(1)] + [Fraction(0)] * (L - 3)  # (1+u)^{-1}
+    for n in range(1, L - 2):
+        s = Fraction(0)
+        for k in range(1, n + 1):
+            if k < len(u) and u[k]:
+                s -= u[k] * inv[n - k]
+        inv[n] = s
+    # omega = dx/(2y + a1 x + a3); compute via series in z
+    # x(z) = z^{-2} * inv(z), y(z) = -z^{-3} * inv(z)
+    # denominator: 2y + a1 x + a3 = z^{-3} * (-2*inv + a1 z inv + a3 z^3)
+    den = [Fraction(-2) * c for c in inv]
+    for i in range(len(inv) - 1):
+        den[i + 1] += a1 * inv[i]
+    if len(den) > 3:
+        den[3] += a3
+    # numerator: dx/dz = d/dz (z^{-2} inv) = z^{-3} * (-2*inv + z*inv')
+    num = [Fraction(-2) * c for c in inv]
+    for i in range(1, len(inv)):
+        num[i] += i * inv[i]
+    # omega/dz = num/den  (the z^{-3} factors cancel)
+    series = _series_div(num, den, length)
+    if series[0] != 1:
+        raise ArithmeticError("invariant differential starts with %s, not 1"
+                              % series[0])
+    return tuple(Fraction(series[n - 1], n) for n in range(1, length + 1))
+
+
+def _series_div(num, den, length):
+    if den[0] == 0:
+        raise ArithmeticError("series division by a non-unit")
+    inv0 = Fraction(1, 1) / den[0]
+    out = []
+    rem = list(num) + [Fraction(0)] * max(0, length + 1 - len(num))
+    for n in range(length + 1):
+        c = rem[n] * inv0
+        out.append(c)
+        for k in range(1, len(den)):
+            if n + k <= length:
+                rem[n + k] -= c * den[k]
+    return out

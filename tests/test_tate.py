@@ -4,12 +4,14 @@ import pytest
 
 from starkheegner.curves import EllipticCurveData, GlobalPoint, QuadRat
 from starkheegner.padics import PadicScalar, PrecisionError, QuadExtContext
+import starkheegner.tate as tate
 from starkheegner.tate import (
     _eval_series,
+    _poly_mul,
     _sigma_series,
     curve_add,
-    discriminant_series,
     eisenstein_e4,
+    eisenstein_e6,
     formal_log,
     formal_log_series,
     iso_tate_to_curve,
@@ -21,6 +23,8 @@ from starkheegner.tate import (
 
 from oracle_tate import (
     LogBranch,
+    eta_discriminant,
+    formal_log_series_fixed_point,
     kappa_from_points,
     tate_point,
     tate_to_curve_point,
@@ -55,15 +59,43 @@ def test_tate_parameter_j_contract():
     E = E15()
     q = tate_parameter(E, PREC)
     length = q.N // q.v + 6  # longer series than the solver used
-    from starkheegner.tate import _eval_series, _poly_mul
     e4 = list(eisenstein_e4(length))
     e43 = _poly_mul(_poly_mul(e4, e4, length), e4, length)
-    delta = list(discriminant_series(length))
+    delta = list(eta_discriminant(length))
     j = Fraction(E.c4 ** 3, E.disc)
     num = _eval_series(e43, q)
     den = _eval_series(delta, q)
     diff = num - den * PadicScalar.from_fraction(5, j, q.N + 8)
     assert diff.is_zero() or diff.valuation() >= PREC
+
+
+def test_tate_parameter_raises_when_newton_does_not_converge(monkeypatch):
+    # the derivative of E4^3 - j Delta is reported doubled, so each Newton
+    # step only halves the error in q, which in Q_p keeps its valuation: q
+    # keeps v(q) = 4 but the value never reaches p^(prec + 2 v(q))
+    E = E15()
+    seen = []
+
+    def eval_series(coeffs, x):
+        if not seen:
+            seen.append(coeffs)  # the first series evaluated is the function
+        value = _eval_series(coeffs, x)
+        return value if coeffs is seen[0] else 2 * value
+
+    monkeypatch.setattr(tate, "_eval_series", eval_series)
+    with pytest.raises(PrecisionError, match="did not converge"):
+        tate_parameter(E, PREC)
+
+
+def test_discriminant_from_e4_e6_is_the_eta_product():
+    # 1728 Delta = E4^3 - E6^2, with Delta = q prod (1 - q^n)^24
+    for length in (1, 2, 10, 40, 100):
+        e4 = list(eisenstein_e4(length))
+        e6 = list(eisenstein_e6(length))
+        e43 = _poly_mul(_poly_mul(e4, e4, length), e4, length)
+        e62 = _poly_mul(e6, e6, length)
+        assert [a - b for a, b in zip(e43, e62)] == \
+            [1728 * d for d in eta_discriminant(length)], length
 
 
 def test_tate_parameter_good_reduction_rejected():
@@ -84,10 +116,34 @@ def test_formal_log_series_leading_terms():
     coeffs = formal_log_series(key, 8)
     assert coeffs[0] == 1
     assert coeffs[1] == 0
-    # lambda'(z) = 1 + c1 z + ...: for y^2 = x^3 - x the z^4 coefficient of
-    # omega is 2*a4... known expansion: omega = (1 - 2 a4 z^4 + ...) hmm just
-    # pin down oddness: odd curve => even coefficients vanish
+    # with a1 = a3 = 0, [-1] is z -> -z, so the log is odd: its even
+    # coefficients vanish
     assert coeffs[1] == 0 and coeffs[3] == 0
+
+
+SERIES_KEYS = ((1, 1, 1, -10, -10), (0, -1, 1, -10, -20), (0, 0, 1, 7, -11),
+               (1, 0, 0, -4, -1), (2, -3, 5, 7, -11), (0, 0, 0, -1, 0))
+
+
+def test_formal_log_series_matches_silverman():
+    # omega = 1 + a1 z + (a1^2 + a2) z^2 + (a1^3 + 2 a1 a2 + 2 a3) z^3
+    # + (a1^4 + 3 a1^2 a2 + 6 a1 a3 + a2^2 + 2 a4) z^4 + ... (Silverman, The
+    # Arithmetic of Elliptic Curves, IV.1), and l_n = omega_(n-1) / n
+    for key in ((1, 1, 1, -10, -10), (2, -3, 5, 7, -11)):
+        a1, a2, a3, a4, _ = key
+        omega = [1, a1, a1 ** 2 + a2, a1 ** 3 + 2 * a1 * a2 + 2 * a3,
+                 a1 ** 4 + 3 * a1 ** 2 * a2 + 6 * a1 * a3 + a2 ** 2 + 2 * a4]
+        assert formal_log_series(key, 5) == \
+            tuple(Fraction(c, n + 1) for n, c in enumerate(omega)), key
+
+
+def test_formal_log_series_matches_fixed_point_route():
+    # the recursion for w and the integer inversion for omega agree with
+    # the fixed point for w and omega = dx / (2y + a1 x + a3) over Q
+    for key in SERIES_KEYS:
+        for length in (1, 2, 3, 4, 5, 8, 41, 60):
+            assert formal_log_series(key, length) == \
+                formal_log_series_fixed_point(key, length), (key, length)
 
 
 def test_formal_log_homomorphism():
@@ -208,6 +264,38 @@ def test_iso_lands_on_curve():
             u = ctx.embed(PadicScalar.from_int(p, u0, q.N))
             P = tate_to_curve_point(E, transform, tate_point(q, u, depth))
             assert on_curve(E, P), (E.label, u0)
+
+
+def test_iso_tate_to_curve_rejects_wrong_q():
+    # the same q + p^(v(q) + k) as below, caught by the map itself
+    for E in (E15(), E21()):
+        q = tate_parameter(E, 22)
+        ctx = QuadExtContext(E.p, q.N)
+        depth = 20 // q.v + 2
+        iso_tate_to_curve(E, q, ctx, depth)
+        for k in (1, 5, 15):
+            wrong = q + PadicScalar.from_int(E.p, E.p ** (q.v + k), q.N)
+            with pytest.raises(ValueError, match="valuation %d < %d"
+                               % (q.v + k, q.N)):
+                iso_tate_to_curve(E, wrong, ctx, depth)
+
+
+def test_iso_tate_to_curve_checks_only_the_digits_its_depth_backs():
+    # E4 and E6 cut after q^depth back v(q) (depth + 1) digits of
+    # lambda^4 c4(q) - c4(E), here fewer than the 21 that q carries: the
+    # right q passes, and q + p^depth is caught at valuation depth
+    E = EllipticCurveData(0, 1, 1, -1, 0, conductor=35, p=5)
+    q = tate_parameter(E, 20)
+    ctx = QuadExtContext(5, q.N)
+    assert (q.v, q.N) == (1, 21)
+    for depth in (2, 4, 7):
+        iso_tate_to_curve(E, q, ctx, depth)
+        wrong = q + PadicScalar.from_int(5, 5 ** depth, q.N)
+        with pytest.raises(ValueError, match="valuation %d < %d"
+                           % (depth, depth + 1)):
+            iso_tate_to_curve(E, wrong, ctx, depth)
+    # kappa to 6 digits reads E4 and E6 to depth 8 from this 21-digit q
+    assert log_conversion_constant(E, q, ctx, 6).precision() == 6
 
 
 def test_log_conversion_constant_matches_formal_log():
