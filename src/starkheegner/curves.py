@@ -20,6 +20,10 @@ residues mod |delta|, its period for delta = 1 or a fundamental discriminant,
 the only twists it accepts.  The point search sieves each denominator e by
 residue patterns built once per (modulus, residue class of the model), and
 the torsion test stops at the first non-integral multiple (Lutz-Nagell).
+
+A point of the twist E^(delta) is kept on E as GlobalPoint(x, y, delta), x
+and y Fractions: the point (x, y sqrt(delta)) of the short model.  The twist
+map and tate's change to the minimal model are both exact, in Q.
 """
 
 from __future__ import annotations
@@ -386,63 +390,26 @@ def _e1(x: float) -> float:
     return math.exp(-x) / f
 
 
-# ----------------------------------------------------------- exact quadratics
-
-@dataclass(frozen=True)
-class QuadRat:
-    """Exact element a + b*sqrt(delta) of a real or imaginary quadratic field."""
-
-    a: Fraction
-    b: Fraction
-    delta: int
-
-    @classmethod
-    def of(cls, a, b, delta):
-        return cls(Fraction(a), Fraction(b), delta)
-
-    def __add__(self, o):
-        o = self._co(o)
-        return QuadRat(self.a + o.a, self.b + o.b, self.delta)
-
-    def __sub__(self, o):
-        o = self._co(o)
-        return QuadRat(self.a - o.a, self.b - o.b, self.delta)
-
-    def __mul__(self, o):
-        o = self._co(o)
-        return QuadRat(self.a * o.a + self.b * o.b * self.delta,
-                       self.a * o.b + self.b * o.a, self.delta)
-
-    def _co(self, o):
-        if isinstance(o, QuadRat):
-            if o.delta != self.delta:
-                raise ValueError("QuadRat operands over Q(sqrt %d) and Q(sqrt %d)"
-                                 % (self.delta, o.delta))
-            return o
-        return QuadRat(Fraction(o), Fraction(0), self.delta)
-
-    def __eq__(self, o):
-        o = self._co(o)
-        return self.a == o.a and self.b == o.b
-
+# ------------------------------------------------------------ twist points
 
 @dataclass(frozen=True)
 class GlobalPoint:
-    """Affine point on the curve's standard short model, over Q(sqrt(delta))."""
+    """The point (x, y sqrt(delta)) of the short model, x and y Fractions:
+    a point of the twist E^(delta) is in the minus part of E(Q(sqrt(delta)))."""
 
-    x: QuadRat
-    y: QuadRat
+    x: Fraction
+    y: Fraction
     delta: int
 
     def on_short_model(self, A: int, B: int) -> bool:
-        lhs = self.y * self.y
-        rhs = self.x * self.x * self.x + self.x * A + B
-        return lhs == rhs
+        return self.y * self.y * self.delta == self.x ** 3 + A * self.x + B
 
 
 def twist_model(E: EllipticCurveData, delta: int):
     """Integral model Y^2 = X^3 + A*delta^2 X + B*delta^3 of the quadratic
-    twist E^(delta) of the short model of E."""
+    twist E^(delta) of the short model of E; CurveError unless delta is 1 or
+    a fundamental discriminant coprime to N."""
+    _require_twist(E, delta)
     A, B = E.short_model()
     return A * delta * delta, B * delta ** 3
 
@@ -453,8 +420,8 @@ _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 def naive_point_search(A: int, B: int, height: int):
     """Affine rational points on Y^2 = X^3 + AX + B with x = m/e^2,
-    |m| <= height and e^2 <= height; exact square testing, deduplicated
-    up to the sign of y.
+    |m| <= height and e^2 <= height; exact square testing, one point per x,
+    with y >= 0.
 
     For each e a residue sieve drops every m for which
     m^3 + A e^4 m + B e^6 is a non-square modulo one of _SIEVE_MODULI; only
@@ -499,23 +466,17 @@ def naive_point_search(A: int, B: int, height: int):
             r = math.isqrt(t)
             if r * r == t:
                 out.append((Fraction(m, e2), Fraction(r, e3)))
-    seen, res = set(), []
-    for x, y in out:
-        if x not in seen:
-            seen.add(x)
-            res.append((x, y))
-    return res
+    return out
 
 
 def twist_point_to_curve(E: EllipticCurveData, delta: int, xy) -> GlobalPoint:
-    """Map a rational point on the twist model to E's short model over
-    Q(sqrt(delta)): (x, y) -> (x/delta, y/(delta*sqrt(delta)))."""
+    """Map (x, y) on twist_model(E, delta) exactly to the point
+    (x/delta, y/(delta sqrt(delta))) = (x/delta, (y/delta^2) sqrt(delta)) of
+    E's short model; CurveError for a delta twist_model refuses."""
+    _require_twist(E, delta)
     x, y = xy
     A, B = E.short_model()
-    xs = QuadRat.of(Fraction(x, delta), 0, delta)
-    # y / (delta*sqrt(delta)) = y*sqrt(delta)/delta^2
-    ys = QuadRat.of(0, Fraction(y, delta * delta), delta)
-    pt = GlobalPoint(xs, ys, delta)
+    pt = GlobalPoint(Fraction(x, delta), Fraction(y, delta * delta), delta)
     if not pt.on_short_model(A, B):
         raise CurveError("twist point does not map onto the curve")
     return pt
@@ -530,7 +491,9 @@ def point_order_divides(A: int, B: int, xy, n: int) -> bool:
     coordinates, and so has each of its multiples.  So the first point of
     the double-and-add with a non-integral coordinate shows that P has
     infinite order, and the answer False is returned there, before the
-    heights of the multiples grow."""
+    heights of the multiples grow.  ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("the torsion test needs n >= 0, not %d" % n)
     if Fraction(A).denominator != 1 or Fraction(B).denominator != 1:
         raise CurveError("the torsion test needs an integral model")
 

@@ -454,10 +454,7 @@ class HeegnerSystem:
 
 @dataclass
 class StabilizerData:
-    form: BQF
-    unit: tuple          # (x, y): eps_c = (x + y*sqrt(Dc^2))/2
     gamma: tuple         # SL2(Z) matrix fixing tau_Q, in Gamma0(M)
-    level: int
 
 
 def stabilizer_gamma(Q: HeegnerForm, unit_xy) -> StabilizerData:
@@ -481,4 +478,4 @@ def stabilizer_gamma(Q: HeegnerForm, unit_xy) -> StabilizerData:
     # c*tau + d = (x + y sqrt(disc))/2 > 1, i.e. (x - 2) + y sqrt(disc) > 0
     if surd_sign(x - 2, y, disc) <= 0:
         g = mat_inv(g)
-    return StabilizerData(Q.form, (x, y), g, Q.level)
+    return StabilizerData(g)

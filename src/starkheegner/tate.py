@@ -279,19 +279,18 @@ def log_conversion_constant(E: EllipticCurveData, q: PadicScalar,
 # ----------------------------------------------------------- localization
 
 def localize_short_point(E: EllipticCurveData, pt, ctx: QuadExtContext, prec: int):
-    """Embed a GlobalPoint on the short model into E(F_p), in minimal-model
-    coordinates."""
-    p = E.p
-    root = ctx.sqrt_of_int(pt.delta, prec) if pt.delta != 1 else ctx.one(prec)
+    """Embed the GlobalPoint (X, Y sqrt(delta)) of the short model into
+    E(F_p), in minimal-model coordinates.  The model change is exact, in Q:
+    x = (X - 3 b2)/36, y = -(a1 x + a3)/2 + (Y/216) sqrt(delta); these three
+    rationals are embedded at prec, so x keeps every digit."""
 
-    def emb(qr):
-        a = ctx.embed(PadicScalar.from_fraction(p, qr.a, prec))
-        b = ctx.embed(PadicScalar.from_fraction(p, qr.b, prec))
-        return a + b * root
+    def emb(r):
+        return ctx.embed(PadicScalar.from_fraction(E.p, r, prec))
 
-    X, Y = emb(pt.x), emb(pt.y)
-    x = (X - 3 * E.b2) * Fraction(1, 36)
-    y = (Y * Fraction(1, 108) - E.a1 * x - E.a3) * Fraction(1, 2)
+    xq = Fraction(pt.x - 3 * E.b2, 36)
+    x = emb(xq)
+    y = (emb(-(E.a1 * xq + E.a3) / 2)
+         + emb(Fraction(pt.y, 216)) * ctx.sqrt_of_int(pt.delta, prec))
     if not on_curve(E, (x, y)):
         raise ValueError("localized point is off the curve")
     return (x, y)

@@ -14,7 +14,6 @@ from starkheegner.curves import (
     CurveError,
     EllipticCurveData,
     GlobalPoint,
-    QuadRat,
     _e1,
     _twist_series_data,
     check_sh_hypothesis,
@@ -407,10 +406,10 @@ def test_twist_map_round_trip():
         P = twist_point_to_curve(E, delta, xy)
         As, Bs = E.short_model()
         assert P.on_short_model(As, Bs)
-        # Galois conjugate is the negative (up to 2-torsion): x fixed, y flips
-        conj = GlobalPoint(QuadRat(P.x.a, -P.x.b, delta),
-                           QuadRat(P.y.a, -P.y.b, delta), delta)
-        assert conj.x == P.x and conj.y == P.y * QuadRat.of(-1, 0, delta)
+        # Galois conjugate is the negative: x fixed, y flips
+        conj = GlobalPoint(P.x, -P.y, delta)
+        assert conj.x == P.x and conj.y == -P.y and conj.y != 0
+        assert conj.on_short_model(As, Bs)
 
 
 def test_point_order_divides():
@@ -449,20 +448,41 @@ def test_torsion_filter_matches_exact_multiplication():
         point_order_divides(Fraction(1, 4), 0, (0, 0), 2)
 
 
-def test_quadrat_mismatched_delta_raises():
-    with pytest.raises(ValueError):
-        QuadRat.of(1, 1, 13) + QuadRat.of(1, 1, 5)
-    # the check is no assert: it holds under python -O as well
-    code = ("from starkheegner.curves import QuadRat\n"
+def test_point_order_divides_rejects_negative_n():
+    # (-102, 0) is the 2-torsion point (-1, 0) of 15x on the short model.
+    # n < 0 is refused, where the double-and-add would never reach n = 0;
+    # the check runs first in a subprocess, whose timeout bounds that loop,
+    # and under python -O, which strips a check by assert.
+    code = ("from starkheegner.curves import EllipticCurveData, point_order_divides\n"
+            "E = EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=5)\n"
+            "A, B = E.short_model()\n"
             "try:\n"
-            "    QuadRat.of(1, 1, 13) + QuadRat.of(1, 1, 5)\n"
+            "    point_order_divides(A, B, (-102, 0), -2)\n"
             "except ValueError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
     src = os.path.dirname(os.path.dirname(starkheegner.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          timeout=60).returncode == 0
+                          timeout=20).returncode == 0
+    A, B = E15().short_model()
+    with pytest.raises(ValueError):
+        point_order_divides(A, B, (-102, 0), -2)
+    assert point_order_divides(A, B, (-102, 0), 0)
+    assert point_order_divides(A, B, (-102, 0), 2)
+
+
+def test_twist_maps_reject_non_fundamental_delta():
+    # 0 gives the singular Y^2 = X^3, and neither 4 nor -1 is 1 or a
+    # fundamental discriminant
+    E = E15()
+    for delta in (0, 4, -1):
+        with pytest.raises(CurveError, match="fundamental discriminant"):
+            twist_model(E, delta)
+        with pytest.raises(CurveError, match="fundamental discriminant"):
+            twist_point_to_curve(E, delta, (Fraction(-21), Fraction(0)))
+    with pytest.raises(CurveError, match="coprime"):
+        twist_model(E, -15)
 
 
 def test_a_p_rejects_non_multiplicative_value():

@@ -22,10 +22,13 @@ call or read it; code only the tests call lives in the tests' oracles.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 PKG = TESTS.parent / "src" / "starkheegner"
@@ -229,6 +232,19 @@ def test_import_loads_no_numerics_stack():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_console_scripts_resolve():
+    # every [project.scripts] entry "module:attr" names an importable
+    # module with that attribute, so an installed command can start
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    meta = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())
+    for name, target in meta["project"].get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), (name, target)
+            obj = getattr(obj, part)
 
 
 # Names nothing calls or reads yet, each with the ROADMAP item that will.  A

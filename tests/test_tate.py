@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from starkheegner.curves import EllipticCurveData, GlobalPoint, QuadRat
+from starkheegner.curves import (
+    EllipticCurveData,
+    GlobalPoint,
+    naive_point_search,
+    twist_point_to_curve,
+)
 from starkheegner.padics import PadicScalar, PrecisionError, QuadExtContext
 import starkheegner.tate as tate
 from starkheegner.tate import (
@@ -382,11 +387,44 @@ def test_localize_short_point_rejects_off_curve_point():
     E = E15()
     A, B = E.short_model()
     ctx = QuadExtContext(5, PREC)
-    on = GlobalPoint(QuadRat.of(-21, 0, 1), QuadRat.of(0, 0, 1), 1)
+    on = GlobalPoint(Fraction(-21), Fraction(0), 1)
     assert on.on_short_model(A, B)
     x, y = localize_short_point(E, on, ctx, PREC)
     assert (x + 1).is_zero() and y.is_zero()
-    off = GlobalPoint(QuadRat.of(-21, 0, 1), QuadRat.of(1, 0, 1), 1)
+    off = GlobalPoint(Fraction(-21), Fraction(1), 1)
     assert not off.on_short_model(A, B)
     with pytest.raises(ValueError, match="off the curve"):
         localize_short_point(E, off, ctx, PREC)
+
+
+def test_localize_short_point_keeps_every_digit_at_p_3():
+    # 21x at p = 3: the model change divides by 36 and 108, which are not
+    # 3-adic units, so it is done in Q and only the result is embedded
+    E = EllipticCurveData(1, 0, 0, -4, -1, conductor=21, p=3)
+    A, B = E.short_model()
+    pts = naive_point_search(A, B, 2000)
+    assert len(pts) == 5
+    ctx = QuadExtContext(3, 20)
+    for X, Y in pts:
+        x, y = localize_short_point(E, GlobalPoint(X, Y, 1), ctx, 20)
+        assert x.precision() == 20 and y.precision() == 20, (X, Y)
+        assert on_curve(E, (x, y))
+
+
+def test_localize_short_point_on_a_twist_point_not_5_integral():
+    # (-2849/25, 2873024/125) on E^(-11) of 15x, at p = 5: v(x) = -2 and
+    # v(Y/216) = -3, so x keeps all 30 digits and y the 27 that sqrt(-11)
+    # to 30 digits backs.  Changing the model in Q_p instead keeps only 28
+    # and 21 digits, and 25 of the formal log; the constants below are
+    # those values, and the exact change agrees with every digit of them.
+    E = E15()
+    ctx = QuadExtContext(5, 30)
+    gp = twist_point_to_curve(E, -11, (Fraction(-2849, 25), Fraction(2873024, 125)))
+    x, y = localize_short_point(E, gp, ctx, 30)
+    log = formal_log(E, (x, y), 30)
+    assert x.precision() == 30 and y.precision() == 27
+    assert log.precision() >= 30
+    for new, (v, unit, N) in ((x, (-2, 206960572136773003469, 28)),
+                              (y, (-3, 46678783982034812, 21)),
+                              (log, (1, 19013513905743873, 25))):
+        assert (new - ctx.embed(PadicScalar(5, v, unit, N))).is_zero()
