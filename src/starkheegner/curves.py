@@ -5,6 +5,9 @@ point search.
 The trace a_ell at a good prime ell > 229 comes from Shanks-Mestre
 baby-step giant-step on the short model and its quadratic twist; below that
 bound, at ell = 3 and at bad ell it is the Legendre sum -sum_x (d(x) | ell).
+The search runs only over multiples of t = |E(Q)[2]|, which divides both
+#E(F_ell) and #E^d(F_ell), and its first giant step is built from the
+stride and one baby step.
 
 Curves are semistable in our setting (N = Mp squarefree), which keeps the
 conductor check elementary: every bad prime must be multiplicative and their
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .arith import (
@@ -92,10 +96,12 @@ class EllipticCurveData:
     # ------------------------------------------------------------- counting
 
     def ap(self, ell: int) -> int:
-        if ell in self._ap_cache:
-            return self._ap_cache[ell]
-        a = _trace_of_frobenius(self, ell)
-        self._ap_cache[ell] = a
+        """a_ell at a prime ell; ValueError for any other integer."""
+        a = self._ap_cache.get(ell)
+        if a is None:
+            if factorize(ell) != ((ell, 1),):
+                raise ValueError("a_ell needs a prime ell, not %r" % (ell,))
+            a = self._ap_cache[ell] = _trace_of_frobenius(self, ell)
         return a
 
     @property
@@ -116,13 +122,20 @@ class EllipticCurveData:
         return w
 
     def an_list(self, length: int):
-        """[a_0..a_length] with a_0 = 0, filled multiplicatively."""
+        """[a_0..a_length] with a_0 = 0, filled multiplicatively; ValueError
+        for a negative length."""
+        if length < 0:
+            raise ValueError("a_n list of negative length %d" % length)
         if len(self._an_list) > length:
             return self._an_list[: length + 1]
         a = [0] * (length + 1)
-        a[1] = 1
+        if length:
+            a[1] = 1
+        cache = self._ap_cache
         for ell in primes_up_to(length):
-            ap = self.ap(ell)
+            ap = cache.get(ell)
+            if ap is None:
+                ap = cache[ell] = _trace_of_frobenius(self, ell)
             good = self.conductor % ell != 0
             # powers
             pw, prev, cur = ell, 1, ap
@@ -139,6 +152,11 @@ class EllipticCurveData:
                 pw *= ell
         self._an_list = a
         return a
+
+    @cached_property
+    def _two_torsion(self) -> int:
+        """|E(Q)[2]|, which divides #E(F_ell) and every twist's count."""
+        return _two_torsion_order(*self.short_model())
 
     # --------------------------------------------------------------- models
 
@@ -169,7 +187,7 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
         return 2 + 1 - (cnt + 1) if good else 2 - (cnt + 1)
     if ell > _MESTRE_BOUND and E.conductor % ell:
         A, B = E.short_model()
-        return _trace_by_bsgs(A % ell, B % ell, ell)
+        return _trace_by_bsgs(A % ell, B % ell, ell, E._two_torsion)
     # a_ell = -sum_x (d(x) | ell), d(x) = (a1x+a3)^2 + 4 r(x) the discriminant
     # of y^2 + (a1x+a3) y - r(x), r(x) = x^3 + a2x^2 + a4x + a6, with
     # (0 | ell) = 0: at good ell that is ell + 1 - #E; at a node the one
@@ -187,11 +205,33 @@ def _trace_of_frobenius(E: EllipticCurveData, ell: int) -> int:
     return -total
 
 
-def _trace_by_bsgs(A: int, B: int, ell: int) -> int:
+def _two_torsion_order(A: int, B: int) -> int:
+    """|E(Q)[2]| for Y^2 = X^3 + AX + B, A and B integers: 1 + the number of
+    integer roots of the cubic.  A rational root of a monic integer cubic is
+    an integer dividing B; for B = 0 the roots are 0 and those of X^2 + A,
+    which divide A."""
+    divs = [1]
+    for q, k in factorize(B or A):
+        divs = [d * q ** i for d in divs for i in range(k + 1)]
+    roots = {0, *divs, *(-d for d in divs)}
+    return 1 + sum(1 for e in roots if (e * e + A) * e + B == 0)
+
+
+def _trace_by_bsgs(A: int, B: int, ell: int, t: int) -> int:
     """a_ell of the good reduction Y^2 = X^3 + AX + B at a prime ell > 229,
     by Shanks-Mestre baby-step giant-step (Cohen, A Course in Computational
-    Algebraic Number Theory, 7.4.3) on points of the curve and its twist."""
+    Algebraic Number Theory, 7.4.3) on points of the curve and its twist.
+
+    t = |E(Q)[2]| divides both group orders: each integer root e of the cubic
+    stays a simple root mod ell, and (e d, 0) is a point of order 2 on every
+    E_d below.  So the search for n with n P = O runs only over multiples of
+    t, as the search for n' with n' (t P) = O over [lo/t, hi/t]; each
+    restricted set still holds the group order, so the intersection over
+    points, and the trace it leaves, is the one of the full search.
+    _annihilators builds the first giant step of each search from its
+    stride."""
     hasse = math.isqrt(4 * ell)
+    lo, hi = ell + 1 - hasse, ell + 1 + hasse
     cands = None
     for x0 in range(ell):
         d = ((x0 * x0 + A) * x0 + B) % ell
@@ -202,9 +242,12 @@ def _trace_by_bsgs(A: int, B: int, ell: int) -> int:
         # #E_d = ell + 1 - twist * a_ell
         twist = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
         d2 = d * d % ell
-        orders = _annihilators((x0 * d % ell, d2), A * d2 % ell, ell,
-                               ell + 1 - hasse, ell + 1 + hasse)
-        found = {twist * (ell + 1 - n) for n in orders}
+        a = A * d2 % ell
+        # t P = O makes every n' a hit, through the order-1 exit of the
+        # baby steps
+        orders = _annihilators(_ec_mul((x0 * d % ell, d2), t, a, ell), a, ell,
+                               -(-lo // t), hi // t)
+        found = {twist * (ell + 1 - t * n) for n in orders}
         cands = found if cands is None else cands & found
         if len(cands) == 1:
             return cands.pop()
@@ -232,10 +275,29 @@ def _ec_add(P, Q, a: int, ell: int):
     return x3, (lam * (x1 - x3) - y1) % ell
 
 
+def _ec_mul(P, n: int, a: int, ell: int):
+    """n P for n >= 0, by left-to-right double and add: one doubling per bit
+    of n after the first, one addition per further set bit."""
+    if not n:
+        return None
+    R = P
+    for bit in bin(n)[3:]:
+        R = _ec_add(R, R, a, ell)
+        if bit == "1":
+            R = _ec_add(R, P, a, ell)
+    return R
+
+
 def _annihilators(P, a: int, ell: int, lo: int, hi: int):
     """Every n in [lo, hi] with n P = O, P a point of y^2 = x^3 + a x + b
-    over F_ell: baby steps i P for 0 < i <= m, giant steps n P for n = lo + m
-    + j (2m + 1), and n P = -+i P gives (n +- i) P = O."""
+    over F_ell (None, the point at infinity, gives all of them): baby steps
+    i P for 0 < i <= m, giant steps n P for n = lo + m + j (2m + 1), and
+    n P = -+i P gives (n +- i) P = O.
+
+    The first giant point comes from the stride S = (2m + 1) P: with
+    n = q (2m + 1) + r, |r| <= m, it is q S + r P, r P read from the baby
+    steps (negated for r < 0).  _trace_by_bsgs calls it on t P over
+    [lo/t, hi/t], t = |E(Q)[2]| dividing both #E(F_ell) and #E^d(F_ell)."""
     m = max(1, math.isqrt((hi - lo) // 2))
     baby = {}
     Q = None
@@ -244,16 +306,20 @@ def _annihilators(P, a: int, ell: int, lo: int, hi: int):
         if Q is None:  # P has order i
             return range(lo + -lo % i, hi + 1, i)
         baby[Q] = i
+    s = 2 * m + 1
     stride = _ec_add(_ec_add(Q, Q, a, ell), P, a, ell)
     n = lo + m
-    G, R, k = None, P, n
-    while k:  # G = n P by double and add
-        if k & 1:
-            G = _ec_add(G, R, a, ell)
-        R = _ec_add(R, R, a, ell)
-        k >>= 1
+    q, r = divmod(n + m, s)
+    r -= m
+    G = _ec_mul(stride, q, a, ell)
+    # baby keeps its insertion order, so list(baby)[i - 1] is i P
+    if r > 0:
+        G = _ec_add(G, list(baby)[r - 1], a, ell)
+    elif r < 0:
+        x, y = list(baby)[-r - 1]
+        G = _ec_add(G, (x, -y % ell), a, ell)
     out = []
-    while n - m <= hi:
+    while True:
         if G is None:
             out.append(n)
         else:
@@ -263,8 +329,10 @@ def _annihilators(P, a: int, ell: int, lo: int, hi: int):
             i = baby.get((G[0], -G[1] % ell))
             if i:
                 out.append(n + i)
+        n += s
+        if n - m > hi:
+            break
         G = _ec_add(G, stride, a, ell)
-        n += 2 * m + 1
     return [k for k in out if lo <= k <= hi]
 
 
@@ -363,6 +431,10 @@ def complex_L_derivative(E: EllipticCurveData, delta: int):
 
 
 _EULER_GAMMA = 0.5772156649015329
+# (2k, k^2) as floats for the continued fraction of _e1, whose depth is at
+# most 8 + 44 for x > 2; the conversions are exact, so each step rounds as
+# it would with the integers
+_E1_FRACTION = tuple((float(2 * k), float(k * k)) for k in range(53))
 
 
 def _e1(x: float) -> float:
@@ -385,8 +457,8 @@ def _e1(x: float) -> float:
         return -_EULER_GAMMA - math.log(x) - total
     depth = 8 + int(90 / x)
     f = x + 2 * depth + 1
-    for k in range(depth, 0, -1):
-        f = x + 2 * k - 1 - k * k / f
+    for two_k, k_sq in _E1_FRACTION[depth:0:-1]:
+        f = x + two_k - 1 - k_sq / f
     return math.exp(-x) / f
 
 

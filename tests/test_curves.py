@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 import starkheegner
+from starkheegner import curves
 from starkheegner.arith import kronecker, primes_up_to
 from starkheegner.curves import (
     CurveError,
@@ -16,6 +17,7 @@ from starkheegner.curves import (
     GlobalPoint,
     _e1,
     _twist_series_data,
+    _two_torsion_order,
     check_sh_hypothesis,
     complex_L_derivative,
     complex_L_value,
@@ -490,3 +492,96 @@ def test_a_p_rejects_non_multiplicative_value():
     E._ap_cache[5] = 2
     with pytest.raises(ArithmeticError, match="a_5 = 2"):
         E.a_p
+
+
+def test_ap_rejects_non_prime():
+    # ap(4) returned -2 and cached it, ap(1) returned 0; ap(0), ap(231)
+    # (= 3 7 11) and ap(-7) died in a division, the search or a count
+    E = E15()
+    want = {ell: _projective_trace(E, ell) for ell in (2, 3, 5)}
+    for n in (4, 1, 0, 231, -7):
+        with pytest.raises(ValueError, match="prime"):
+            E.ap(n)
+    assert not E._ap_cache
+    assert {ell: E.ap(ell) for ell in (2, 3, 5)} == want == {2: -1, 3: -1, 5: 1}
+
+
+def test_an_list_short_and_negative_lengths():
+    E = E15()
+    assert E.an_list(0) == [0]
+    assert E.an_list(1) == [0, 1]
+    with pytest.raises(ValueError, match="negative"):
+        E.an_list(-3)
+    assert E.an_list(0) == [0]
+
+
+# ------------------------------------------------ two-torsion in the search
+
+def test_two_torsion_order():
+    # t = |E(Q)[2]| = 1 + the integer roots of the short model's cubic
+    got = {E.label: E._two_torsion for E in _trace_curves() + (E37(), E21())}
+    assert got == {"15x": 4, "21x": 4, "14a1": 2, "11a1": 1, "37a": 1, "115": 1}
+    assert _two_torsion_order(-1, 0) == 4   # X^3 - X: roots 0, 1, -1
+    assert _two_torsion_order(1, 0) == 2    # X^3 + X: root 0 only
+    assert _two_torsion_order(-2, 0) == 2   # X^2 - 2 has no integer root
+    assert _two_torsion_order(0, -8) == 2   # root 2 only
+
+
+def _count_ec_add(monkeypatch, E, length):
+    calls = [0]
+    add = curves._ec_add
+
+    def counted(*args):
+        calls[0] += 1
+        return add(*args)
+
+    monkeypatch.setattr(curves, "_ec_add", counted)
+    E.an_list(length)
+    monkeypatch.setattr(curves, "_ec_add", add)
+    return calls[0]
+
+
+def test_an_list_group_operations(monkeypatch):
+    # the a_n table of twists-d13 (22374 terms at D1 = 1001): the search over
+    # multiples of t and the first giant step from the stride take 15x from
+    # 130591 additions to about 70500, and 14a1 from 131799 to about 86200
+    assert _count_ec_add(monkeypatch, E15(), 22374) < 85000
+    assert _count_ec_add(monkeypatch, _trace_curves()[1], 22374) < 100000
+
+
+def test_trace_at_the_largest_primes_of_the_table():
+    top = primes_up_to(22374)[-10:]
+    for E in _trace_curves()[:3]:  # 11a1, 14a1, 15x
+        for ell in top:
+            assert E.ap(ell) == _legendre_trace(E, ell), (E.label, ell)
+
+
+def test_trace_when_t_p_is_the_identity(monkeypatch):
+    # at ell = 269 on 15x (t = 4) one point of the search has order 4, so
+    # t P = O and every multiple of t in the Hasse interval is a candidate
+    seen = []
+    search = curves._annihilators
+
+    def spy(P, *args):
+        seen.append(P)
+        return search(P, *args)
+
+    monkeypatch.setattr(curves, "_annihilators", spy)
+    E = E15()
+    assert E.ap(269) == _legendre_trace(E, 269)
+    assert None in seen
+    assert list(search(None, 5, 269, 60, 75)) == list(range(60, 76))
+
+
+def test_e1_fraction_table_is_bit_identical_to_integer_products():
+    def e1_by_products(x):
+        depth = 8 + int(90 / x)
+        f = x + 2 * depth + 1
+        for k in range(depth, 0, -1):
+            f = x + 2 * k - 1 - k * k / f
+        return math.exp(-x) / f
+
+    xs = [2 + 1e-9, 2.5, math.pi, 7.25, 19.9, 44.99, 45.0, 91.3, 150.0]
+    xs += [2 + k / 97 for k in range(1, 2000, 7)]
+    for x in xs:
+        assert _e1(x) == e1_by_products(x), x
