@@ -72,6 +72,10 @@ def factorize(n: int):
     return tuple(out)
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == ((n, 1),)
+
+
 def prime_divisors(n: int):
     return [p for p, _ in factorize(n)]
 

@@ -39,6 +39,7 @@ from fractions import Fraction
 from .arith import (
     factorize,
     is_fundamental_discriminant,
+    is_prime,
     is_squarefree,
     kronecker,
     prime_divisors,
@@ -60,8 +61,10 @@ class EllipticCurveData:
     conductor: int
     p: int
     label: str = ""
-    _ap_cache: dict = field(default_factory=dict, repr=False)
-    _an_list: list = field(default_factory=list, repr=False)
+    _ap_cache: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _an_list: list = field(default_factory=list, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
@@ -99,7 +102,7 @@ class EllipticCurveData:
         """a_ell at a prime ell; ValueError for any other integer."""
         a = self._ap_cache.get(ell)
         if a is None:
-            if factorize(ell) != ((ell, 1),):
+            if not is_prime(ell):
                 raise ValueError("a_ell needs a prime ell, not %r" % (ell,))
             a = self._ap_cache[ell] = _trace_of_frobenius(self, ell)
         return a
@@ -122,8 +125,8 @@ class EllipticCurveData:
         return w
 
     def an_list(self, length: int):
-        """[a_0..a_length] with a_0 = 0, filled multiplicatively; ValueError
-        for a negative length."""
+        """[a_0..a_length] with a_0 = 0, filled multiplicatively, as a new
+        list that the caller may change; ValueError for a negative length."""
         if length < 0:
             raise ValueError("a_n list of negative length %d" % length)
         if len(self._an_list) > length:
@@ -151,7 +154,7 @@ class EllipticCurveData:
                         a[m * pw] = a[m] * a[pw]
                 pw *= ell
         self._an_list = a
-        return a
+        return a[:]
 
     @cached_property
     def _two_torsion(self) -> int:

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (is_squarefree, lift_to_sl2, mat_inv, mat_mul, prime_divisors,
-                    primes_up_to)
+from .arith import (is_prime, is_squarefree, lift_to_sl2, mat_inv, mat_mul,
+                    prime_divisors, primes_up_to)
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
 
@@ -50,40 +50,36 @@ def apply_moebius(g, cusp):
 def segments_to_cusp(x):
     """Decompose {oo -> x} into unimodular paths g{0 -> oo}.
 
-    Returns a list of (g, sign) with g in SL2(Z); the path equals the signed
-    concatenation of the g{0 -> oo}.
+    Returns a list of matrices g in SL2(Z), one per continued-fraction
+    digit of x, made as the Euclid loop meets each convergent p_k/q_k:
+    g_k = (p_k, e p_(k-1); q_k, e q_(k-1)) with e = (-1)^(k+1), whose path
+    g_k{0 -> oo} runs from p_(k-1)/q_(k-1) to p_k/q_k (p_(-1)/q_(-1) = 1/0),
+    so that the paths chain oo -> x.
     """
     if x is INF:
         return []
-    a, b = x.numerator, x.denominator
-    # continued fraction digits of a/b
-    digits = []
-    num, den = a, b
-    while den:
-        q = num // den
-        digits.append(q)
-        num, den = den, num - q * den
-    # convergents p_k/q_k with p_{-1}/q_{-1} = 1/0
+    # convergents p/q and their predecessors p1/q1, from p_(-1)/q_(-1) = 1/0
+    p, q, p1, q1 = 1, 0, 0, 1
+    sign = -1
     segs = []
-    pk1, qk1 = 1, 0
-    pk, qk = digits[0], 1
-    segs.append(((pk, -pk1, qk, -qk1), 1))
-    for k in range(1, len(digits)):
-        pk1, pk = pk, digits[k] * pk + pk1
-        qk1, qk = qk, digits[k] * qk + qk1
-        s = (-1) ** (k - 1)
-        segs.append(((pk, s * pk1, qk, s * qk1), 1))
-    if Fraction(pk, qk) != x:
-        raise ArithmeticError("last convergent %d/%d of %s is not %s"
-                              % (pk, qk, digits, x))
+    num, den = x.numerator, x.denominator
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        p, p1 = a * p + p1, p
+        q, q1 = a * q + q1, q
+        segs.append((p, sign * p1, q, sign * q1))
+        sign = -sign
+    if (p, q) != (x.numerator, x.denominator):
+        raise ArithmeticError("last convergent %d/%d is not %s" % (p, q, x))
     return segs
 
 
 def segments_between(r, s):
-    """Signed unimodular decomposition of the path {r -> s}."""
-    out = [(g, sg) for g, sg in segments_to_cusp(s)]
-    out += [(g, -sg) for g, sg in segments_to_cusp(r)]
-    return out
+    """Signed unimodular decomposition of the path {r -> s}: (g, +-1) pairs,
+    +1 on the segments of {oo -> s} and -1 on those of {oo -> r}."""
+    return ([(g, 1) for g in segments_to_cusp(s)]
+            + [(g, -1) for g in segments_to_cusp(r)])
 
 
 class P1List:
@@ -162,8 +158,7 @@ class ManinSymbolSpace:
                     self._basis_columns[idx].append(
                         (k, x.numerator if x.denominator == 1 else x))
         self.lifts = [self.p1.lift(i) for i in range(n)]
-        self._hecke = {}
-        self._atkin_lehner = None
+        self._operators = {}  # tuple of path matrices -> operator matrix
 
     # ------------------------------------------------------------ evaluation
 
@@ -219,10 +214,15 @@ class ManinSymbolSpace:
         return rows
 
     def _operator_matrix(self, paths):
-        """Matrix of the operator on rref coordinates.  coordinates reads
-        only the pivot rows, so only those are decomposed; each entry of a
-        row meets only the basis vectors that are non-zero at its index.
-        The zero entries, most of the matrix, share one Fraction(0)."""
+        """Matrix of the operator on rref coordinates, built once per list
+        of path matrices.  coordinates reads only the pivot rows, so only
+        those are decomposed; each entry of a row meets only the basis
+        vectors that are non-zero at its index.  The zero entries, most of
+        the matrix, share one Fraction(0)."""
+        key = tuple(paths)
+        out = self._operators.get(key)
+        if out is not None:
+            return out
         zero = Fraction(0)
         out = []
         for row in self._rows(paths, self.pivots):
@@ -231,24 +231,20 @@ class ManinSymbolSpace:
                 for k, x in self._basis_columns[idx]:
                     mrow[k] += c * x
             out.append([Fraction(x) if x else zero for x in mrow])
+        self._operators[key] = out
         return out
 
     def hecke_matrix(self, ell: int):
         """Matrix of T_ell (or U_ell for ell | N) on the space, acting on
         rref coordinates.  Built once per ell; callers share the rows and
         must not change them."""
-        got = self._hecke.get(ell)
-        if got is None:
-            got = self._hecke[ell] = self._operator_matrix(self.hecke_paths(ell))
-        return got
+        return self._operator_matrix(self.hecke_paths(ell))
 
     def atkin_lehner_infinity_matrix(self):
         """Matrix of the involution {r -> s} -> {-r -> -s} on rref
         coordinates.  Built once; callers share the rows and must not
         change them."""
-        if self._atkin_lehner is None:
-            self._atkin_lehner = self._operator_matrix([(-1, 0, 0, 1)])
-        return self._atkin_lehner
+        return self._operator_matrix([(-1, 0, 0, 1)])
 
     def cuspidal_dimension(self) -> int:
         """Rank of T_ell - (ell + 1) for the least prime ell not dividing N.
@@ -262,7 +258,7 @@ class ManinSymbolSpace:
             raise ValueError("cuspidal_dimension needs a squarefree level, "
                              "not N = %d" % self.N)
         ell = 2
-        while self.N % ell == 0 or prime_divisors(ell) != [ell]:
+        while self.N % ell == 0 or not is_prime(ell):
             ell += 1
         _, piv = rref(_integer_matrix(self.hecke_matrix(ell), ell + 1))
         return len(piv)

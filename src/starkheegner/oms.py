@@ -322,7 +322,7 @@ class OMSymbol:
         total = 0
         for x, op in ((s, add), (r, sub)):
             acc = None
-            for g, _ in reversed(segments_to_cusp(x)):
+            for g in reversed(segments_to_cusp(x)):
                 idx, gamma = self.space.generator_of(g)
                 v = _in_range(self.values[idx].m, cache.mod)
                 if acc is not None:

@@ -7,8 +7,10 @@ roots of B^2 = disc mod each odd prime up to sqrt(disc/4).  Indefinite
 reduction cycles decide SL2(Z)-equivalence (a form's class is the
 rho-cycle its reduction lands on; reduction returns forms, not matrices),
 Dirichlet composition gives the group law one pair of classes at a time
-(the h^2 table is built only on request), and the continued-fraction
-expansion of (b + sqrt(D))/2 produces fundamental units.
+(the h^2 table is built only on request), and one period of the
+continued fraction of omega = (b + sqrt(D))/2 gives the fundamental unit:
+with b the largest integer below sqrt(D) of D's parity, omega is reduced
+(omega > 1, -1 < conj(omega) < 0), so its expansion is purely periodic.
 Real-embedding comparisons go through surd_sign, never floats.
 Heegner forms are built, not searched for: the cosets gamma*Gamma0(M)
 match P^1(Z/M) through gamma's first column and the Heegner conditions are
@@ -23,14 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    MAT_ID,
     is_fundamental_discriminant,
     is_square,
     kronecker,
     lift_to_sl2,
     mat_adj,
     mat_inv,
-    mat_mul,
     prime_divisors,
     primes_up_to,
     sqrt_mod_prime,
@@ -141,34 +141,28 @@ def compose_forms(Q1: BQF, Q2: BQF) -> BQF:
 
 def fundamental_unit(disc: int):
     """Fundamental unit > 1 of the order of discriminant disc, as (x, y)
-    with unit = (x + y*sqrt(disc))/2 and x^2 - disc*y^2 = +-4."""
-    b0 = disc % 2
+    with unit = (x + y*sqrt(disc))/2 and x^2 - disc*y^2 = +-4.
+
+    omega = (b + sqrt(disc))/2, b the largest integer below sqrt(disc) with
+    b = disc (mod 2), generates the order and is reduced: omega > 1 and
+    -1 < conj(omega) < 0.  Its expansion is therefore purely periodic, and
+    over one period, omega = M omega for M the product of the (a, 1; 1, 0);
+    the unit is r omega + s, with (r, s) the bottom row of M.  ValueError
+    unless disc is a positive non-square discriminant (0 or 1 mod 4)."""
+    if disc <= 0 or disc % 4 > 1 or is_square(disc):
+        raise ValueError("%d is no positive non-square discriminant" % disc)
     f = math.isqrt(disc)
-    P, Q = b0, 2
-    states = {}
-    hist = []
-    i = 0
-    while (P, Q) not in states:
-        states[(P, Q)] = i
+    b = f - (f - disc) % 2
+    P, Q = b, 2
+    r, s = 0, 1
+    while True:
         a = (P + f) // Q
-        hist.append(a)
         P = a * Q - P
         Q = (disc - P * P) // Q
-        i += 1
-    j = states[(P, Q)]
-    # matrix of the purely periodic tail, conjugated back to the start
-    g_pre = MAT_ID
-    for a in hist[:j]:
-        g_pre = mat_mul(g_pre, (a, 1, 1, 0))
-    n_mat = MAT_ID
-    for a in hist[j:]:
-        n_mat = mat_mul(n_mat, (a, 1, 1, 0))
-    # the adjugate is the inverse up to the sign det(g_pre), fixed below
-    m = mat_mul(mat_mul(g_pre, n_mat), mat_adj(g_pre))
-    c, d = m[2], m[3]
-    x, y = c * b0 + 2 * d, c
-    if surd_sign(x, y, disc) < 0:
-        x, y = -x, -y
+        r, s = a * r + s, r
+        if (P, Q) == (b, 2):
+            break
+    x, y = r * b + 2 * s, r
     if x * x - disc * y * y not in (4, -4) or surd_sign(x - 2, y, disc) <= 0:
         raise ArithmeticError("(%d, %d) is no unit > 1 of disc %d" % (x, y, disc))
     return x, y

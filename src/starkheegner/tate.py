@@ -209,16 +209,6 @@ def formal_log(E: EllipticCurveData, P, prec: int):
 
 # --------------------------------------------------------- Tate curve series
 
-def tate_curve_invariants(q: PadicScalar, depth: int):
-    """c4, c6 of the Tate curve y^2 + xy = x^3 + a4(q) x + a6(q): the
-    Eisenstein series E4(q), -E6(q)."""
-    e4 = eisenstein_e4(depth)
-    e6 = eisenstein_e6(depth)
-    c4 = _eval_series(list(e4), q)
-    c6 = -_eval_series(list(e6), q)
-    return c4, c6
-
-
 def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
                       depth: int):
     """The Weierstrass transformation (lambda, r, s, t) carrying Tate-curve
@@ -227,7 +217,9 @@ def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
     A wrong q is caught by lambda^4 c4(q) = c4(E), which holds exactly when
     j(q) = j(E): the residual must vanish to every digit it carries, and the
     series cut after q^depth back v(q) (depth + 1) of them."""
-    c4q, c6q = tate_curve_invariants(q, depth)
+    # c4 and c6 of the Tate curve y^2 + xy = x^3 + a4(q) x + a6(q)
+    c4q = _eval_series(eisenstein_e4(depth), q)
+    c6q = -_eval_series(eisenstein_e6(depth), q)
     lam2 = (PadicScalar.from_int(E.p, E.c6, q.N) * c4q) / \
            (PadicScalar.from_int(E.p, E.c4, q.N) * c6q)
     lam = _quad_sqrt(ctx, lam2)

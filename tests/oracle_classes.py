@@ -13,12 +13,15 @@ pair.  This file does each the long way, to check them:
   fundamental automorph;
 - the conductor as the least f | c whose pushforward kernel chi kills,
   with one NarrowClassGroup per divisor f;
-- the sign as chi at the class of the principal ideal (sqrt(D)).
+- the sign as chi at the class of the principal ideal (sqrt(D));
+- the fundamental unit by expanding (disc mod 2 + sqrt(disc))/2, which in
+  general is not reduced: the walk records every state to find the
+  pre-period, then conjugates the period's matrix back to the start.
 """
 
 import math
 
-from starkheegner.arith import MAT_ID, factorize, mat_inv, mat_mul
+from starkheegner.arith import MAT_ID, factorize, mat_adj, mat_inv, mat_mul, surd_sign
 from starkheegner.genus import pushforward_class
 from starkheegner.quadforms import (
     BQF,
@@ -176,3 +179,37 @@ def sqrtD_class(group: NarrowClassGroup) -> int:
     if group.compose(idx, idx) != group.identity:
         raise ArithmeticError("class %d of (sqrt(D)) does not square to 1" % idx)
     return idx
+
+
+# ------------------------------------------------------- fundamental unit
+
+def fundamental_unit_with_preperiod(disc: int):
+    """Fundamental unit > 1 of the order of discriminant disc, as (x, y) with
+    unit = (x + y sqrt(disc))/2, from the expansion of (b0 + sqrt(disc))/2,
+    b0 = disc mod 2: a pre-period, then the period."""
+    b0 = disc % 2
+    f = math.isqrt(disc)
+    P, Q = b0, 2
+    states = {}
+    hist = []
+    while (P, Q) not in states:
+        states[(P, Q)] = len(hist)
+        a = (P + f) // Q
+        hist.append(a)
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+    j = states[(P, Q)]
+    # matrix of the purely periodic tail, conjugated back to the start
+    g_pre = MAT_ID
+    for a in hist[:j]:
+        g_pre = mat_mul(g_pre, (a, 1, 1, 0))
+    n_mat = MAT_ID
+    for a in hist[j:]:
+        n_mat = mat_mul(n_mat, (a, 1, 1, 0))
+    # the adjugate is the inverse up to the sign det(g_pre), fixed below
+    m = mat_mul(mat_mul(g_pre, n_mat), mat_adj(g_pre))
+    c, d = m[2], m[3]
+    x, y = c * b0 + 2 * d, c
+    if surd_sign(x, y, disc) < 0:
+        x, y = -x, -y
+    return x, y

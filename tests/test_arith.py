@@ -3,6 +3,7 @@ import math
 import pytest
 
 from starkheegner.arith import (
+    is_prime,
     lift_to_sl2,
     primes_up_to,
     sqrt_mod_prime,
@@ -20,6 +21,11 @@ def test_sqrt_mod_prime_every_residue():
             else:
                 with pytest.raises(ValueError):
                     sqrt_mod_prime(n, p)
+
+
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(10 ** 4 + 1) if is_prime(n)] == primes_up_to(10 ** 4)
+    assert not any(is_prime(n) for n in (1, 0, -1, -2, -7, -10 ** 4))
 
 
 def test_valuation_matches_division():

@@ -506,6 +506,35 @@ def test_ap_rejects_non_prime():
     assert {ell: E.ap(ell) for ell in (2, 3, 5)} == want == {2: -1, 3: -1, 5: 1}
 
 
+def test_caches_are_not_constructor_arguments():
+    # a cache passed in was read as the truth: ap(7) returned 99
+    with pytest.raises(TypeError):
+        EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=5, _ap_cache={7: 99})
+    with pytest.raises(TypeError):
+        EllipticCurveData(1, 1, 1, -10, -10, conductor=15, p=5, _an_list=[0, 1])
+    assert E15().ap(7) == _projective_trace(E15(), 7) != 99
+
+
+def test_equal_curves_stay_equal_after_a_trace():
+    E, F = E15(), E15()
+    assert E == F
+    E.ap(7)
+    E.an_list(20)
+    assert E == F and repr(E) == repr(F)
+
+
+def test_an_list_returns_a_copy():
+    # the list that filled the cache was the cache itself
+    E = E15()
+    a = E.an_list(10)
+    want = a[:]
+    a[2] = 99
+    assert E.an_list(5) == want[:6]
+    b = E.an_list(8)
+    b[3] = 99
+    assert E.an_list(10) == want
+
+
 def test_an_list_short_and_negative_lengths():
     E = E15()
     assert E.an_list(0) == [0]

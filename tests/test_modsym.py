@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starkheegner.arith import MAT_ID, mat_mul
 from starkheegner.curves import (
@@ -19,6 +20,8 @@ from starkheegner.modsym import (
     _primitive,
     apply_moebius,
     build_eigensymbol,
+    segments_between,
+    segments_to_cusp,
 )
 from starkheegner.quadforms import HeegnerSystem
 
@@ -56,6 +59,42 @@ def _genus_formula(N):
     for q in prime_divisors(N):
         ncusps *= 2
     return 1 + mu / 12 - nu2 / 4 - nu3 / 3 - ncusps / 2
+
+
+# -------------------------------------------------------- Manin segments
+
+def _chain_end(segs):
+    """Check that the paths g{0 -> oo} of segs, each g in SL2(Z), chain
+    from oo: g_0 0 = oo and g_k oo = g_(k+1) 0.  Returns the last g oo."""
+    end = INF
+    for g in segs:
+        assert all(type(e) is int for e in g), g
+        assert g[0] * g[3] - g[1] * g[2] == 1, g
+        assert apply_moebius(g, Fraction(0)) == end, (g, end)
+        end = apply_moebius(g, INF)
+    return end
+
+
+_cusps = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cusps, st.one_of(st.just(INF), _cusps))
+@example(Fraction(0), INF)
+@example(Fraction(-7), Fraction(5))
+@example(Fraction(-355, 113), Fraction(1, 2))
+def test_segments_chain_oo_to_the_cusp(x, r):
+    segs = segments_to_cusp(x)
+    assert segs and _chain_end(segs) == x
+    if x.denominator == 1:
+        assert segs == [(x.numerator, -1, 1, 0)]
+    assert segments_to_cusp(INF) == []
+    # {r -> x} = {oo -> x} - {oo -> r}, as (g, +-1) pairs
+    pairs = segments_between(r, x)
+    assert all(len(g) == 4 and sign in (1, -1) for g, sign in pairs)
+    assert [g for g, sign in pairs if sign == 1] == segs
+    back = [g for g, sign in pairs if sign == -1]
+    assert _chain_end(back) == r and back == segments_to_cusp(r)
 
 
 # ----------------------------------------------------------------- the space

@@ -34,6 +34,7 @@ from starkheegner.quadforms import (
 
 from oracle_classes import (
     forms_equivalent,
+    fundamental_unit_with_preperiod,
     reduced_forms_by_trial_division,
     sqrtD_class,
 )
@@ -120,6 +121,23 @@ def test_fundamental_units_known():
     assert fundamental_unit(5) == (1, 1)
     assert fundamental_unit(13) == (3, 1)
     assert fundamental_unit(40) == (6, 1)   # 3 + sqrt(10)
+
+
+def test_fundamental_unit_rejects_non_discriminants():
+    # at 2, (0 + sqrt(2))/2 < 1 is not reduced and the period walk would
+    # never return to it; at squares and 0 it would divide by zero
+    for disc in (2, 3, 6, 7, 0, 1, 4, 9, -3, -4, -5):
+        with pytest.raises(ValueError, match="discriminant"):
+            fundamental_unit(disc)
+
+
+def test_fundamental_unit_matches_the_preperiod_walk():
+    # one period from the reduced (b + sqrt(disc))/2 against the walk from
+    # (disc mod 2 + sqrt(disc))/2 that finds the pre-period and conjugates
+    discs = [d for d in range(5, 5000) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+    assert len(discs) == 2429
+    for d in discs:
+        assert fundamental_unit(d) == fundamental_unit_with_preperiod(d), d
 
 
 def test_totally_positive_unit_examples():
