@@ -47,17 +47,6 @@ class RingClassCharacter:
     def __call__(self, idx: int) -> int:
         return self.values[idx]
 
-    def to_json_dict(self):
-        return {
-            "D": self.group.D,
-            "c": self.group.c,
-            "values": list(self.values),
-            "primitive": self.primitive,
-            "sign": self.sign,
-            "delta1": None if self.genus_pair is None else self.genus_pair[0],
-            "delta2": None if self.genus_pair is None else self.genus_pair[1],
-        }
-
 
 def _subset_products(factors):
     """The products of all 2^len(factors) subsets of factors."""

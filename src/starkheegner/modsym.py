@@ -83,29 +83,27 @@ def segments_between(r, s):
 
 
 class P1List:
-    """P^1(Z/N): canonical representatives and index lookup."""
+    """P^1(Z/N): canonical representatives and index lookup.
+
+    The representative of a point is the lexicographically least pair (c, d)
+    of its orbit under the units of Z/N.  The scan runs over the pairs in
+    lexicographic order, so the first pair it meets of each orbit is that
+    representative; it marks every unit multiple with the new index."""
 
     def __init__(self, N: int):
         self.N = N
         units = [u for u in range(1, N) if math.gcd(u, N) == 1]
-        seen = {}
+        index = {}
         reps = []
         for c in range(N):
             for d in range(N):
-                if math.gcd(math.gcd(c, d), N) != 1:
+                if (c, d) in index or math.gcd(math.gcd(c, d), N) != 1:
                     continue
-                if (c, d) in seen:
-                    continue
-                orbit = sorted(((c * u) % N, (d * u) % N) for u in units)
-                rep = orbit[0]
-                idx = seen.get(rep)
-                if idx is None:
-                    idx = len(reps)
-                    reps.append(rep)
-                for pt in orbit:
-                    seen[pt] = idx
+                for u in units:
+                    index[(c * u) % N, (d * u) % N] = len(reps)
+                reps.append((c, d))
         self.reps = reps
-        self._index = seen
+        self._index = index
 
     def __len__(self):
         return len(self.reps)
@@ -161,13 +159,6 @@ class ManinSymbolSpace:
         self._operators = {}  # tuple of path matrices -> operator matrix
 
     # ------------------------------------------------------------ evaluation
-
-    def value(self, vec, r, s) -> Fraction:
-        """Value of the symbol with coordinate vector vec on {r -> s}."""
-        total = Fraction(0)
-        for g, sign in segments_between(r, s):
-            total += sign * vec[self.p1.index_of_matrix(g)]
-        return total
 
     def coordinates(self, full_vector):
         """Coordinates in the rref basis (values at the pivot indices)."""
@@ -271,35 +262,36 @@ class RationalModularSymbol:
     sign: int               # omega_infinity eigenvalue
 
     def value(self, r, s) -> Fraction:
-        return self.space.value(self.vector, r, s)
+        """Value of the symbol on the path {r -> s}."""
+        index = self.space.p1.index_of_matrix
+        return sum((sign * self.vector[index(g)] for g, sign in segments_between(r, s)),
+                   Fraction(0))
 
 
 def build_eigensymbol(E: EllipticCurveData, sign: int,
                       space: ManinSymbolSpace | None = None) -> RationalModularSymbol:
     """The normalized eigensymbol of E with the given sign at infinity.
 
-    The cuts run over the integers: each operator is scaled by the lcm of
-    its denominators (_integer_matrix) and each vector of the current
-    subspace by its own (_primitive), and neither moves a kernel or a span;
-    Fractions come back from linalg and make up the returned vector."""
+    The Hecke cuts run over the integers: for each good prime ell in turn,
+    the rows of d (T_ell - a_ell) are stacked under those of the primes
+    before it, d the lcm of the denominators of T_ell (_integer_matrix), and
+    the eigenspace is the kernel of the whole stack, each of its vectors
+    scaled to content 1 (_primitive); neither scaling moves a kernel or a
+    span.  The cuts stop once the kernel has dimension 2 or less.  Fractions
+    come back from linalg and make up the returned vector."""
     if space is None:
         space = ManinSymbolSpace(E.conductor)
-    # basis of the current subspace, as coordinate vectors; None is the
-    # whole space, whose first cut is the kernel of m - a itself
-    dim = space.dim
-    sub = None
+    if space.N != E.conductor:
+        raise ValueError("space of level %d for a curve of conductor %d"
+                         % (space.N, E.conductor))
+    if sign not in (1, -1):
+        raise ValueError("sign must be 1 or -1, not %r" % (sign,))
+    rows = []  # d (T_ell - a_ell) of every prime cut so far, stacked
     for ell in primes_up_to(EIGEN_PRIME_BOUND):
         if E.conductor % ell == 0:
             continue
-        shifted = _integer_matrix(space.hecke_matrix(ell), E.ap(ell))
-        if sub is None:
-            sub = kernel_basis(shifted, dim)
-        else:
-            # restrict m - a to the span of sub: column i is (m - a) sub[i]
-            cols = [matvec(shifted, v) for v in sub]
-            ker = kernel_basis([list(r) for r in zip(*cols)], len(sub))
-            sub = [lincomb(ker_vec, sub) for ker_vec in ker]
-        sub = [_primitive(v) for v in sub]
+        rows += _integer_matrix(space.hecke_matrix(ell), E.ap(ell))
+        sub = [_primitive(v) for v in kernel_basis(rows, space.dim)]
         if len(sub) <= 2:
             break
     else:

@@ -76,11 +76,6 @@ class Distribution:
                             [a + b for a, b in zip(self.m, other.m)],
                             [a + b for a, b in zip(self.lam, other.lam)])
 
-    def __sub__(self, other):
-        return Distribution(self.p, self.n,
-                            [a - b for a, b in zip(self.m, other.m)],
-                            [a - b for a, b in zip(self.lam, other.lam)])
-
     def scale(self, k: int):
         return Distribution(self.p, self.n,
                             [k * a for a in self.m], [k * a for a in self.lam])

@@ -370,9 +370,6 @@ class QuadExtContext:
         return QuadExtScalar(self, PadicScalar.from_int(self.p, a, N),
                              PadicScalar.from_int(self.p, b, N))
 
-    def one(self, N: int | None = None) -> QuadExtScalar:
-        return self.from_ints(1, 0, N)
-
     def sqrt_of_int(self, n: int, N: int | None = None) -> QuadExtScalar:
         """A square root of the integer n in F_p (n a p-adic unit)."""
         N = self.N if N is None else N

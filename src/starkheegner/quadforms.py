@@ -433,7 +433,6 @@ class HeegnerSystem:
         self.group = NarrowClassGroup(D, c)
         self.M = M
         self.delta = choose_delta(D, M)
-        self.delta_c = (c * self.delta) % (2 * M)
         self.forms = heegner_representatives(self.group, M, self.delta)
 
     def to_json_dict(self):

@@ -3,6 +3,8 @@
 The package integrates the overconvergent lift of an eigensymbol; these sums
 read the rational symbol itself, to check it against facts it must satisfy:
 
+- P^1(Z/N) built by sorting each unit orbit, the reference for the
+  package's one-scan P1List;
 - an operator applied to a full P^1-indexed vector, one Manin-trick row
   per generator (the package builds only the pivot rows);
 - the Birch sum sum_a (delta|a) I{oo -> a/|delta|}, the rational behind
@@ -17,6 +19,26 @@ from fractions import Fraction
 from starkheegner.arith import kronecker
 from starkheegner.modsym import INF, apply_moebius
 from starkheegner.quadforms import stabilizer_gamma, totally_positive_unit
+
+
+def p1_sorted_orbits(N: int):
+    """(reps, index) of P^1(Z/N): each unit orbit of the pairs (c, d) with
+    gcd(c, d, N) = 1 is sorted, its least pair is its representative, and
+    index maps every pair of the orbit to that representative's position."""
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    index, reps = {}, []
+    for c in range(N):
+        for d in range(N):
+            if math.gcd(math.gcd(c, d), N) != 1 or (c, d) in index:
+                continue
+            orbit = sorted(((c * u) % N, (d * u) % N) for u in units)
+            idx = index.get(orbit[0])
+            if idx is None:
+                idx = len(reps)
+                reps.append(orbit[0])
+            for pt in orbit:
+                index[pt] = idx
+    return reps, index
 
 
 def op_full(space, vec, paths):

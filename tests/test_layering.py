@@ -248,8 +248,8 @@ def test_console_scripts_resolve():
 
 
 # Names nothing calls or reads yet, each with the ROADMAP item that will.  A
-# name leaves the dict when it gains a caller or reader, so the dict only
-# shrinks.
+# name leaves the dict when it gains a caller or reader; one enters it only
+# when the deletion of its last caller or reader leaves it used by tests alone.
 RESERVED = {
     "lift_pair": "item 1: the Darmon-point route lifts the symbol of each sign",
     "Distribution.moment": "item 1: each moment m_j with its precision n - j",
@@ -259,6 +259,7 @@ RESERVED = {
     "pushforward_class": "item 4: norm relations between conductors f | c",
     "HeegnerSystem.to_json_dict": "item 7: the stage record and the JSON report",
     "EllipticCurveData.label": "item 7: the sweep names each row's curve",
+    "RingClassCharacter.primitive": "item 7: each sweep record marks its chi primitive or not",
     "PrecisionError.achievable": "item 8: the stage record's digits achieved",
     "LiftCertificate.iterations": "item 8: the stage record's iterations",
     "LiftCertificate.converged": "item 8: the stage record's residuals",
@@ -267,23 +268,25 @@ RESERVED = {
 
 
 def _definitions_and_loads(path):
-    """(defs, loads) of a file.  defs holds (node, qualified name) for each
-    function, class, method and property at module or class level, dunder
-    methods left out; loads holds (name, enclosing definitions) for each name
-    the file loads, bare or as an attribute."""
+    """(defs, loads) of a file.  defs holds (node, class name or None) for
+    each function, class, method and property at module or class level,
+    dunder methods left out; loads holds (name, enclosing definitions,
+    receiver) for each name the file loads, bare or as an attribute.  The
+    receiver is None for a bare name, the name of the enclosing class for an
+    attribute of self, and "" for an attribute of any other value."""
     defs, loads = [], []
 
     def visit(node, owners, cls):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
             if (cls or not owners) and not (name.startswith("__") and name.endswith("__")):
-                defs.append((node, name if cls is None else "%s.%s" % (cls, name)))
+                defs.append((node, cls))
             owners = owners + (node,)
             cls = name if isinstance(node, ast.ClassDef) else None
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loads.append((node.id, owners))
+            loads.append((node.id, owners, None))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            loads.append((node.attr, owners))
+            loads.append((node.attr, owners, _receiver(node, owners)))
         for child in ast.iter_child_nodes(node):
             visit(child, owners, cls)
 
@@ -291,23 +294,61 @@ def _definitions_and_loads(path):
     return defs, loads
 
 
+def _receiver(attr, owners):
+    """The name of the innermost class enclosing a load of self.x, else ""."""
+    if isinstance(attr.value, ast.Name) and attr.value.id == "self":
+        for owner in reversed(owners):
+            if isinstance(owner, ast.ClassDef):
+                return owner.name
+    return ""
+
+
+def _related_classes(paths):
+    """{class name: the names of the class, of its bases and of its
+    subclasses} over the classes defined in paths, bases matched by name."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for path in paths for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)}
+
+    def ancestors(name):
+        return set().union(*({b} | ancestors(b) for b in bases.get(name, ())))
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {name} | up[name] | {sub for sub in bases if name in up[sub]}
+            for name in bases}
+
+
+def _reaches(receiver, cls, related):
+    """Whether a load with this receiver can name a member of class cls: a
+    bare name reaches none, an attribute of self only those of its own
+    class and of that class's bases and subclasses, any other attribute
+    those of every class."""
+    return receiver is not None and (receiver == "" or cls in related[receiver])
+
+
+SOURCES = [PKG / ("%s.py" % m) for m in MODULES] + sorted(BENCH.glob("*.py"))
+
+
 def _uncalled():
     """{qualified name: "module.py:line"} for each definition of the package
-    whose name nothing loads, in the package outside its own body or in
-    bench/*.py.  Matching is by name, as in _unused_locals."""
+    that nothing loads, in the package outside its own body or in
+    bench/*.py.  Matching is by name, as in _unused_locals, but a method is
+    called only through an attribute, and through self.name only from its
+    own class or a base or subclass of it."""
+    related = _related_classes(SOURCES)
     defs, loads = [], {}
-    for m in MODULES:
-        path = PKG / ("%s.py" % m)
+    for path in SOURCES:
         file_defs, file_loads = _definitions_and_loads(path)
-        defs += [(node, qual, "%s:%d" % (path.name, node.lineno))
-                 for node, qual in file_defs]
-        for name, owners in file_loads:
-            loads.setdefault(name, []).append(owners)
-    bench = {name for path in BENCH.glob("*.py")
-             for name, _ in _definitions_and_loads(path)[1]}
-    return {qual: where for node, qual, where in defs
-            if node.name not in bench
-            and all(node in owners for owners in loads.get(node.name, ()))}
+        if path.parent == PKG:
+            defs += [(node, cls, "%s:%d" % (path.name, node.lineno))
+                     for node, cls in file_defs]
+        for name, owners, receiver in file_loads:
+            loads.setdefault(name, []).append((owners, receiver))
+    return {node.name if cls is None else "%s.%s" % (cls, node.name): where
+            for node, cls, where in defs
+            if not any(node not in owners
+                       and (cls is None or _reaches(receiver, cls, related))
+                       for owners, receiver in loads.get(node.name, ()))}
 
 
 def _is_dataclass(decorator):
@@ -317,8 +358,10 @@ def _is_dataclass(decorator):
 
 def _unread():
     """{qualified name: "module.py:line"} for each field of a @dataclass and
-    each self.x store of the package whose attribute name nothing loads, in
-    the package or in bench/*.py.  Matching is by name, as in _uncalled."""
+    each self.x store of the package whose attribute nothing loads, in the
+    package or in bench/*.py.  Matching is by name, as in _uncalled: a load
+    of self.x reads only the x of its own class and of that class's bases
+    and subclasses."""
     stores = {}
     for m in MODULES:
         path = PKG / ("%s.py" % m)
@@ -337,12 +380,14 @@ def _unread():
                        and node.value.id == "self"]
             for name, line in fields:
                 stores.setdefault((cls.name, name), "%s:%d" % (path.name, line))
-    files = [PKG / ("%s.py" % m) for m in MODULES] + sorted(BENCH.glob("*.py"))
-    loads = {node.attr for path in files
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return {"%s.%s" % (cls, name): where
-            for (cls, name), where in stores.items() if name not in loads}
+    related = _related_classes(SOURCES)
+    loads = {}
+    for path in SOURCES:
+        for name, _, receiver in _definitions_and_loads(path)[1]:
+            loads.setdefault(name, []).append(receiver)
+    return {"%s.%s" % (cls, name): where for (cls, name), where in stores.items()
+            if not any(_reaches(receiver, cls, related)
+                       for receiver in loads.get(name, ()))}
 
 
 def test_every_src_name_has_a_caller():

@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starkheegner.arith import MAT_ID, mat_mul
+from starkheegner.arith import MAT_ID, mat_mul, prime_divisors, primes_up_to
 from starkheegner.curves import (
     EllipticCurveData,
     complex_L_value,
     sign_of_twist,
 )
 from starkheegner.genus import attach_genus_data, enumerate_quadratic_chars
-from starkheegner.linalg import matvec
+from starkheegner.linalg import kernel_basis, matvec
 from starkheegner.modsym import (
     INF,
     ManinSymbolSpace,
+    P1List,
     _integer_matrix,
     _primitive,
     apply_moebius,
@@ -26,7 +27,7 @@ from starkheegner.modsym import (
 from starkheegner.quadforms import HeegnerSystem
 
 from oracle_periods import real_periods
-from oracle_symbols import birch_sum, geodesic_period_sum, op_full
+from oracle_symbols import birch_sum, geodesic_period_sum, op_full, p1_sorted_orbits
 from test_linalg import dense_kernel_basis, dense_rref
 
 rng = random.Random(7)
@@ -98,6 +99,16 @@ def test_segments_chain_oo_to_the_cusp(x, r):
 
 
 # ----------------------------------------------------------------- the space
+
+def test_p1_scan_matches_sorted_orbits():
+    # the scan meets each unit orbit first at its least pair, so it must
+    # give the representatives and the index of sorting every orbit
+    for N in range(2, 201):
+        reps, index = p1_sorted_orbits(N)
+        p1 = P1List(N)
+        assert p1.reps == reps, N
+        assert p1._index == index, N
+
 
 def test_space_dimension_11():
     sp = ManinSymbolSpace(11)
@@ -235,6 +246,43 @@ def test_eigensymbol_rejects_wrong_a3():
     E = _E15WrongA3(1, 1, 1, -10, -10, conductor=15, p=5, label="15x")
     with pytest.raises(ValueError, match="U_3 eigenvalue mismatch"):
         build_eigensymbol(E, 1, ManinSymbolSpace(15))
+
+
+@pytest.mark.parametrize("E, level, sign", [
+    (E11(), 33, 1),     # 11a1 on a multiple of its conductor
+    (E15(), 30, 1),
+    (E15(), 45, -1),
+    (E15(), 15, 0),
+    (E15(), 15, 2),
+], ids=["11a1-level-33", "15x-level-30", "15x-level-45", "sign-0", "sign-2"])
+def test_eigensymbol_rejects_bad_input_before_hecke_work(E, level, sign):
+    sp = ManinSymbolSpace(level)
+    with pytest.raises(ValueError, match="conductor %d|sign must be" % E.conductor):
+        build_eigensymbol(E, sign, sp)
+    assert not sp._operators, "a Hecke matrix was built"
+
+
+@pytest.mark.parametrize("E", [
+    EllipticCurveData(0, -1, 1, -2, 2, conductor=57, p=19, label="57a1"),
+    EllipticCurveData(0, 0, 1, 2, 0, conductor=77, p=11, label="77a1"),
+], ids=lambda E: E.label)
+def test_eigensymbol_needing_a_second_prime(E):
+    # T_2 alone leaves more than the two eigenvectors, so the stacked
+    # kernel of a second prime's cut decides the eigensymbol
+    sp = ManinSymbolSpace(E.conductor)
+    assert len(kernel_basis(_integer_matrix(sp.hecke_matrix(2), E.ap(2)), sp.dim)) > 2
+    w = sp.atkin_lehner_infinity_matrix()
+    for sign in (1, -1):
+        vec = build_eigensymbol(E, sign, sp).vector
+        assert all(x.denominator == 1 for x in vec)
+        assert math.gcd(*(int(x) for x in vec)) == 1
+        v = sp.coordinates(vec)
+        for ell in primes_up_to(60):
+            if E.conductor % ell:
+                assert matvec(sp.hecke_matrix(ell), v) == [E.ap(ell) * x for x in v], ell
+        for q in prime_divisors(E.conductor):
+            assert matvec(sp.hecke_matrix(q), v) == [E.ap(q) * x for x in v], q
+        assert matvec(w, v) == [sign * x for x in v], sign
 
 
 def test_eigensymbol_integral_content_one():

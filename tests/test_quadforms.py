@@ -301,7 +301,7 @@ def test_heegner_reps_three_prime_conductor():
     assert sorted(sysx.forms) == list(range(G.order))
     for i in range(G.order):
         q = sysx.forms[i]
-        assert HeegnerForm(q.form, 3, sysx.delta_c) == q
+        assert HeegnerForm(q.form, 3, (1309 * sysx.delta) % 6) == q
         assert G.class_of(q.form) == i
 
 
