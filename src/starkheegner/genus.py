@@ -39,7 +39,6 @@ from .quadforms import BQF, NarrowClassGroup
 class RingClassCharacter:
     group: NarrowClassGroup
     values: tuple          # +-1 per class index
-    primitive: bool = field(default=False)
     conductor: int = field(default=0)   # the minimal f | c it factors through
     sign: int = field(default=0)        # w_infinity = chi(sigma_F)
     genus_pair: tuple | None = field(default=None)  # (Delta1, Delta2), unordered
@@ -183,7 +182,6 @@ def attach_genus_data(chi: RingClassCharacter) -> RingClassCharacter:
             raise ArithmeticError("character %r is not (%d | .) at class %d"
                                   % (chi.values, d1, i))
     chi.conductor = f
-    chi.primitive = f == c
     chi.sign = 1 if d1 > 0 else -1
     return chi
 

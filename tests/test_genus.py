@@ -301,7 +301,7 @@ def test_sign_matches_genus_positivity():
             d1, d2 = chi.genus_pair
             assert (chi.sign == 1) == (d1 > 0 and d2 > 0)
             assert chi.conductor == character_conductor(chi)
-            assert chi.primitive == is_primitive(chi)
+            assert (chi.conductor == g.c) == is_primitive(chi)
             assert chi(s) == chi.sign
 
 

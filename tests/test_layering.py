@@ -248,8 +248,8 @@ def test_console_scripts_resolve():
 
 
 # Names nothing calls or reads yet, each with the ROADMAP item that will.  A
-# name leaves the dict when it gains a caller or reader; one enters it only
-# when the deletion of its last caller or reader leaves it used by tests alone.
+# name leaves the dict when it gains a caller or reader, so the dict only
+# shrinks.
 RESERVED = {
     "lift_pair": "item 1: the Darmon-point route lifts the symbol of each sign",
     "Distribution.moment": "item 1: each moment m_j with its precision n - j",
@@ -259,7 +259,6 @@ RESERVED = {
     "pushforward_class": "item 4: norm relations between conductors f | c",
     "HeegnerSystem.to_json_dict": "item 7: the stage record and the JSON report",
     "EllipticCurveData.label": "item 7: the sweep names each row's curve",
-    "RingClassCharacter.primitive": "item 7: each sweep record marks its chi primitive or not",
     "PrecisionError.achievable": "item 8: the stage record's digits achieved",
     "LiftCertificate.iterations": "item 8: the stage record's iterations",
     "LiftCertificate.converged": "item 8: the stage record's residuals",
