@@ -557,6 +557,27 @@ def twist_point_to_curve(E: EllipticCurveData, delta: int, xy) -> GlobalPoint:
     return pt
 
 
+def curve_add(coeffs, P, Q):
+    """Chord-tangent addition on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
+    for coeffs = (a1, a2, a3, a4), over any field whose scalars compare by
+    == (Fractions; capped Q_p and Q_p^2 scalars, equal to their precision);
+    None encodes infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    a1, a2, a3, a4 = coeffs
+    if x1 == x2:
+        if y1 + y2 + a1 * x1 + a3 == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return (x3, lam * (x1 - x3) - y1 - a1 * x3 - a3)
+
+
 def point_order_divides(A: int, B: int, xy, n: int) -> bool:
     """Whether n P = O for the rational point P = xy on Y^2 = X^3 + AX + B,
     A and B integers, by exact double-and-add.
@@ -572,33 +593,19 @@ def point_order_divides(A: int, B: int, xy, n: int) -> bool:
     if Fraction(A).denominator != 1 or Fraction(B).denominator != 1:
         raise CurveError("the torsion test needs an integral model")
 
-    def add(P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        (x1, y1), (x2, y2) = P, Q
-        if x1 == x2 and y1 == -y2:
-            return None
-        if P == Q:
-            lam = (3 * x1 * x1 + A) / (2 * y1)
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - x1 - x2
-        return (x3, lam * (x1 - x3) - y1)
-
     def integral(P):
         return P is None or (P[0].denominator == 1 and P[1].denominator == 1)
 
+    law = (0, 0, 0, A)
     R, Q = None, (Fraction(xy[0]), Fraction(xy[1]))
     while n:
         if not integral(Q):
             return False
         if n & 1:
-            R = add(R, Q)
+            R = curve_add(law, R, Q)
             if not integral(R):
                 return False
         n >>= 1
         if n:
-            Q = add(Q, Q)
+            Q = curve_add(law, Q, Q)
     return R is None

@@ -2,9 +2,11 @@
 
 A symbol is stored as its vector of values on unimodular paths, indexed by
 P^1(Z/N) (Manin's presentation); the two- and three-term relations cut out
-the space, Hecke operators act through path matrices and the Manin
-trick, and the eigensymbols of a curve are found by exact kernel
-intersections.
+the space, and the eigensymbols of a curve are found by exact kernel
+intersections.  An operator is a list of path matrices, and one walk,
+hecke_segments, splits each image m lifts[i]{0 -> oo} into unimodular
+segments (the Manin trick): the T_ell and W_oo matrices here and the U_p
+plan of oms all read it.
 
 The relation matrix has integer rows with at most three non-zeros each,
 and linalg eliminates it sparsely over the integers (Cremona, Algorithms
@@ -92,7 +94,7 @@ class P1List:
 
     def __init__(self, N: int):
         self.N = N
-        units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+        units = [u for u in range(N) if math.gcd(u, N) == 1]  # [0] at N = 1
         index = {}
         reps = []
         for c in range(N):
@@ -187,36 +189,39 @@ class ManinSymbolSpace:
             paths.append((ell, 0, 0, 1))
         return paths
 
-    def _rows(self, paths, gens):
-        """For each generator index i in gens, the image of the path
-        lifts[i]{0 -> oo} as integer coefficients {idx: coeff} on the
-        generators (Manin trick on each segment)."""
-        rows = []
+    def hecke_segments(self, paths, gens):
+        """Yield (i, m, seg, sign) for each signed unimodular segment seg of
+        the path m lifts[i]{0 -> oo}, for i in gens and m in paths, in that
+        order.  A generator: the segments are made as the caller iterates,
+        inside the caller's call (bench/test_tracer.py reads
+        segments_between as called under OMSymbol.apply_up)."""
         for i in gens:
             g = self.lifts[i]
             r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
-            row = {}
             for m in paths:
                 for seg, sign in segments_between(apply_moebius(m, r),
                                                   apply_moebius(m, s)):
-                    idx = self.p1.index_of_matrix(seg)
-                    row[idx] = row.get(idx, 0) + sign
-            rows.append(row)
-        return rows
+                    yield i, m, seg, sign
 
     def _operator_matrix(self, paths):
         """Matrix of the operator on rref coordinates, built once per list
         of path matrices.  coordinates reads only the pivot rows, so only
-        those are decomposed; each entry of a row meets only the basis
-        vectors that are non-zero at its index.  The zero entries, most of
-        the matrix, share one Fraction(0)."""
+        those are walked; the segments of a row are counted per P^1 index,
+        and each count meets only the basis vectors that are non-zero at
+        its index.  The zero entries, most of the matrix, share one
+        Fraction(0)."""
         key = tuple(paths)
         out = self._operators.get(key)
         if out is not None:
             return out
+        counts = {i: {} for i in self.pivots}
+        for i, _, seg, sign in self.hecke_segments(paths, self.pivots):
+            row = counts[i]
+            idx = self.p1.index_of_matrix(seg)
+            row[idx] = row.get(idx, 0) + sign
         zero = Fraction(0)
         out = []
-        for row in self._rows(paths, self.pivots):
+        for row in counts.values():
             mrow = [0] * self.dim
             for idx, c in row.items():
                 for k, x in self._basis_columns[idx]:

@@ -22,8 +22,9 @@ slot of one product is below n_mom p^(2 n_mom); the 16 spare bits let a U_p
 sweep add and subtract fewer than 2^15 products in one integer per target,
 read back exactly with the bias 2^(w-1) added to each slot.  A moment
 outside [0, p^n_mom) would carry into the next slot: it raises ValueError.
-A sweep does one product per (source generator, matrix) pair.  L is the
-series log<c t + d>.
+A sweep does one product per (source generator, matrix) pair, grouped
+once from the segments of modsym's Hecke walk (hecke_segments): oms
+computes no cusp itself.  L is the series log<c t + d>.
 
 A path {oo -> x} is evaluated by Horner's rule over its segments: each
 step transports the running sum by gamma_k^-1 gamma_(k+1), whose kernel the
@@ -39,16 +40,13 @@ from functools import lru_cache
 from operator import add, mod, mul, sub
 
 from .modsym import (
-    INF,
     ManinSymbolSpace,
     RationalModularSymbol,
-    apply_moebius,
     build_eigensymbol,
-    segments_between,
     segments_to_cusp,
 )
 from .padics import PadicScalar, PrecisionError, iwasawa_log
-from .arith import MAT_ID, mat_adj, mat_mul, prime_divisors, valuation
+from .arith import mat_adj, mat_mul, prime_divisors, valuation
 
 
 class Distribution:
@@ -72,6 +70,9 @@ class Distribution:
         return list(map(mod, xs, _moduli(self.p, self.n)))
 
     def __add__(self, other):
+        if (self.p, self.n) != (other.p, other.n):
+            raise ValueError("sum of distributions at (p, n) = (%d, %d) and (%d, %d)"
+                             % (self.p, self.n, other.p, other.n))
         return Distribution(self.p, self.n,
                             [a + b for a, b in zip(self.m, other.m)],
                             [a + b for a, b in zip(self.lam, other.lam)])
@@ -304,14 +305,11 @@ class OMSymbol:
         return Distribution(self.p, self.n, _unpacked(sum(map(mul, C, m)), self.cache))
 
     def eval_path(self, r, s) -> Distribution:
-        return self.eval_path_transported(r, s, MAT_ID)
-
-    def eval_path_transported(self, r, s, outer) -> Distribution:
-        """The t-moments of transport(Phi{r -> s}, outer): {oo -> s} minus
-        {oo -> r}, each by Horner's rule over its segments g_k, generators
-        (i_k, gamma_k): A(outer gamma_0)(v_0 + A(delta_0)(v_1 + ...)), v_k =
-        values[i_k].m, delta_k = gamma_k^-1 gamma_(k+1), reduced each step.
-        Raises ValueError for a value read with a moment outside [0, p^n)."""
+        """The t-moments of Phi{r -> s}: {oo -> s} minus {oo -> r}, each by
+        Horner's rule over its segments g_k, generators (i_k, gamma_k):
+        A(gamma_0)(v_0 + A(delta_0)(v_1 + ...)), v_k = values[i_k].m,
+        delta_k = gamma_k^-1 gamma_(k+1), reduced each step.  Raises
+        ValueError for a value read with a moment outside [0, p^n)."""
         cache = self.cache
         moduli = _moduli(self.p, self.n)
         total = 0
@@ -326,7 +324,7 @@ class OMSymbol:
                     v = list(map(mod, map(add, v, step), moduli))
                 acc, nxt = v, gamma
             if acc is not None:
-                C, _ = cache.matrices(mat_mul(outer, nxt))
+                C, _ = cache.matrices(nxt)
                 total = op(total, sum(map(mul, C, acc)))
         return Distribution(self.p, self.n, _unpacked(total, cache, True))
 
@@ -334,32 +332,28 @@ class OMSymbol:
 
     def _plan_operator(self, paths):
         """Transport plan for the operator given by the path matrices
-        ``paths`` (as from space.hecke_paths): for each source generator, a
-        list of (matrix-key, ((target, sign), ...)) with one entry per
-        distinct matrix that moves that source, in order of first use.
+        ``paths`` (as from space.hecke_paths), grouped from the segments of
+        space.hecke_segments: for each source generator, a list of
+        (matrix-key, ((target, sign), ...)) with one entry per distinct
+        matrix that moves that source, in order of first use.
 
         The path matrix m carries the value transport mat_adj(m) (adjoint
         rule, m * mat_adj(m) = det(m) * I): for U_p, the path r -> (r + a)/p,
-        by (1, a; 0, p), carries (p, -a; 0, 1).  Raises ArithmeticError for a
-        target of 2^15 pieces, too many to accumulate."""
+        by (1, a; 0, p), carries (p, -a; 0, 1).  Raises ArithmeticError for
+        the first target of 2^15 pieces, too many to accumulate."""
+        value_mats = {m: mat_adj(m) for m in paths}
         by_source = [{} for _ in self.lifts]
+        received = [0] * len(self.lifts)
         pieces = {}  # one (target, sign) tuple each, shared, to keep the plan small
-        for target, g in enumerate(self.lifts):
-            r = apply_moebius(g, Fraction(0))
-            s = apply_moebius(g, INF)
-            received = 0
-            for path_mat in paths:
-                value_mat = mat_adj(path_mat)
-                ra = apply_moebius(path_mat, r)
-                sa = apply_moebius(path_mat, s)
-                for seg, sgn in segments_between(ra, sa):
-                    idx, gamma = self.space.generator_of(seg)
-                    key = self.cache._key(mat_mul(value_mat, gamma))
-                    piece = pieces.setdefault((target, sgn), (target, sgn))
-                    by_source[idx].setdefault(key, []).append(piece)
-                    received += 1
-            if received >= _MAX_PRODUCTS:
-                raise ArithmeticError("target %d has %d pieces" % (target, received))
+        for target, m, seg, sgn in self.space.hecke_segments(paths, range(len(self.lifts))):
+            idx, gamma = self.space.generator_of(seg)
+            key = self.cache._key(mat_mul(value_mats[m], gamma))
+            piece = pieces.setdefault((target, sgn), (target, sgn))
+            by_source[idx].setdefault(key, []).append(piece)
+            received[target] += 1
+        for target, count in enumerate(received):
+            if count >= _MAX_PRODUCTS:
+                raise ArithmeticError("target %d has %d pieces" % (target, count))
         return [[(key, tuple(targets)) for key, targets in groups.items()]
                 for groups in by_source]
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import valuation
-from .curves import EllipticCurveData
+from .curves import EllipticCurveData, curve_add
 from .padics import (
     PadicScalar,
     PrecisionError,
@@ -155,26 +155,6 @@ def formal_log_series(curve_key, length: int):
 
 # ----------------------------------------------------- points over F_p / Q_p
 
-def curve_add(E: EllipticCurveData, P, Q):
-    """Chord-tangent addition on the minimal model; None encodes infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    a1, a2, a3, a4 = E.a1, E.a2, E.a3, E.a4
-    if (x1 - x2).is_zero():
-        if (y1 + y2 + a1 * x1 + a3).is_zero():
-            return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = lam * (x1 - x3) - y1 - a1 * x3 - a3
-    return (x3, y3)
-
-
 def on_curve(E: EllipticCurveData, P) -> bool:
     if P is None:
         return True
@@ -203,7 +183,7 @@ def formal_log(E: EllipticCurveData, P, prec: int):
                 key = (E.a1, E.a2, E.a3, E.a4, E.a6)
                 lam = _eval_series((0,) + formal_log_series(key, length), z)
                 return lam * Fraction(1, m)
-        cur = curve_add(E, cur, P)
+        cur = curve_add((E.a1, E.a2, E.a3, E.a4), cur, P)
     raise RuntimeError("no multiple landed in the formal group")
 
 

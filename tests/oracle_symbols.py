@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from starkheegner.arith import kronecker
-from starkheegner.modsym import INF, apply_moebius
+from starkheegner.modsym import INF, apply_moebius, segments_between
 from starkheegner.quadforms import stabilizer_gamma, totally_positive_unit
 
 
@@ -43,9 +43,18 @@ def p1_sorted_orbits(N: int):
 
 def op_full(space, vec, paths):
     """The operator with path matrices paths applied to the full
-    P^1-indexed vector vec."""
-    return [sum((c * vec[idx] for idx, c in row.items()), Fraction(0))
-            for row in space._rows(paths, range(len(space.p1)))]
+    P^1-indexed vector vec: for each generator lifts[i], the image of
+    lifts[i]{0 -> oo} under each path matrix, split into unimodular
+    segments by the Manin trick and read on vec."""
+    out = []
+    for g in space.lifts:
+        r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
+        total = Fraction(0)
+        for m in paths:
+            for seg, sign in segments_between(apply_moebius(m, r), apply_moebius(m, s)):
+                total += sign * vec[space.p1.index_of_matrix(seg)]
+        out.append(total)
+    return out
 
 
 def birch_sum(symbol, delta: int) -> Fraction:

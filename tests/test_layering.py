@@ -3,11 +3,14 @@
 No module imports a private name (one starting with "_") from another
 package module, and the package modules import one another without a
 cycle, function-level imports included.  Only modsym takes the Manin step
-(segment -> generator index), so no other module reaches into P^1 for it.
+(segment -> generator index), so no other module reaches into P^1 for it,
+and only modsym splits a path into segments (segments_between) or moves a
+cusp (apply_moebius): the other modules read its Hecke walk.
 No module uses assert, which python -O strips: invariants raise instead.
-No function, in the package or in its tests, stores a local name (other
-than _) that it never reads, and no file of the package, of its tests or
-of bench/ imports a name it never reads (__future__ imports aside).  In
+No function, in the package, its tests or bench/, stores a local name
+(other than _) that it never reads, and no file of the package, of its
+tests or of bench/ imports a name it never reads (__future__ imports
+aside).  In
 padics and tate, only the two ``_coerce`` methods ask whether a value is a
 PadicScalar or a QuadExtScalar: every other function serves Q_p and Q_p^2
 through one body.
@@ -96,16 +99,24 @@ def test_no_import_cycles():
         assert cycle is None, " -> ".join(cycle)
 
 
+MANIN_SPLIT = {"segments_between", "apply_moebius"}
+
+
 def _manin_step_calls(mod):
-    """Line numbers of calls to .index_of_matrix(...) or .p1.lift(...)."""
+    """Line numbers of calls to .index_of_matrix(...) or .p1.lift(...), and
+    of calls to segments_between or apply_moebius, by name or attribute."""
     tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            f = node.func
-            if f.attr == "index_of_matrix" or (
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in MANIN_SPLIT:
+            yield node.lineno
+        elif isinstance(f, ast.Attribute) and (
+                f.attr in MANIN_SPLIT or f.attr == "index_of_matrix" or (
                     f.attr == "lift" and isinstance(f.value, ast.Attribute)
-                    and f.value.attr == "p1"):
-                yield node.lineno
+                    and f.value.attr == "p1")):
+            yield node.lineno
 
 
 def test_manin_step_only_in_modsym():
@@ -136,7 +147,8 @@ def _unused_locals(path):
 
 
 def test_no_unused_locals():
-    files = [PKG / ("%s.py" % m) for m in MODULES] + sorted(TESTS.glob("*.py"))
+    files = ([PKG / ("%s.py" % m) for m in MODULES] + sorted(TESTS.glob("*.py"))
+             + sorted(BENCH.glob("*.py")))
     bad = sorted({"%s/%s:%d %s: %s" % (path.parent.name, path.name, line, f, name)
                   for path in files for line, f, name in _unused_locals(path)})
     assert not bad, bad

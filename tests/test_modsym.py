@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -110,6 +111,15 @@ def test_p1_scan_matches_sorted_orbits():
         assert p1._index == index, N
 
 
+def test_level_one_space_is_one_point_and_no_symbol():
+    # P^1(Z/1) is the one pair (0, 0), which every (c, d) reduces to; its
+    # two- and three-term relations leave no weight-2 symbol of level 1
+    p1 = P1List(1)
+    assert len(p1) == 1
+    assert {p1.index(c, d) for c in range(-3, 4) for d in range(-3, 4)} == {0}
+    assert ManinSymbolSpace(1).dim == 0
+
+
 def test_space_dimension_11():
     sp = ManinSymbolSpace(11)
     assert sp.cuspidal_dimension() == 2        # genus(X0(11)) = 1
@@ -178,6 +188,36 @@ def test_hecke_matrix_reads_only_pivot_rows():
         ident = [[int(i == j) for j in range(sp.dim)] for i in range(sp.dim)]
         assert [[sum(w[i][k] * w[k][j] for k in range(sp.dim))
                  for j in range(sp.dim)] for i in range(sp.dim)] == ident, N
+
+
+@pytest.mark.parametrize("N", (15, 57, 115))
+def test_hecke_segments_reproduce_the_reference_operator(N):
+    # the walk, its segments counted per P^1 index for each generator, gives
+    # the rows of op_full (the Manin trick written out in the oracle) for
+    # T_2, T_3 (U_3 at 15 and 57) and U_p for each p | N; the walk over the
+    # pivots alone gives the pivot rows, in the order of the pivots
+    sp = ManinSymbolSpace(N)
+    local = random.Random(N)
+    gens = range(len(sp.p1))
+    vecs = [[local.randrange(-10 ** 6, 10 ** 6) for _ in gens] for _ in range(3)]
+    for ell in sorted({2, 3, *prime_divisors(N)}):
+        paths = sp.hecke_paths(ell)
+        rows = [{} for _ in gens]
+        for i, m, seg, sign in sp.hecke_segments(paths, gens):
+            assert m in paths and sign in (1, -1), (N, ell)
+            idx = sp.p1.index_of_matrix(seg)
+            rows[i][idx] = rows[i].get(idx, 0) + sign
+        for v in vecs:
+            got = [sum(c * v[idx] for idx, c in row.items()) for row in rows]
+            assert got == op_full(sp, v, paths), (N, ell)
+        walked = list(sp.hecke_segments(paths, sp.pivots))
+        assert [i for i, _ in groupby(i for i, _, _, _ in walked)] == sp.pivots, \
+            (N, ell)
+        pivot_rows = {i: {} for i in sp.pivots}
+        for i, _, seg, sign in walked:
+            idx = sp.p1.index_of_matrix(seg)
+            pivot_rows[i][idx] = pivot_rows[i].get(idx, 0) + sign
+        assert all(pivot_rows[i] == rows[i] for i in sp.pivots), (N, ell)
 
 
 def _relation_rows(sp):

@@ -53,6 +53,15 @@ def test_distribution_filtration_storage():
     assert d.m[1] == 1  # reduced mod p^(4-1)
 
 
+def test_distribution_sum_rejects_another_prime_or_depth():
+    # a sum needs one p and one n: a 7-adic vector reduced mod 5^(4 - j),
+    # or 8 moments cut to 6, would be a silently wrong distribution
+    with pytest.raises(ValueError):
+        Distribution(5, 4, [1, 2, 3, 4]) + Distribution(7, 4, [1, 2, 3, 4])
+    with pytest.raises(ValueError):
+        Distribution(5, 6) + Distribution(5, 8)
+
+
 def test_distribution_rejects_a_moment_vector_of_the_wrong_length():
     # a fifth moment of a 4-moment distribution has no precision to be
     # reduced to, and a vector one short would leave the top moment unset
@@ -170,6 +179,7 @@ def test_hecke_eigen_transported():
     # (Phi | T_ell) = a_ell Phi within filtration for small good ell
     (phi, _), _ = _lift(sign=1, nmom=6)
     E = E15()
+    ref = TransportCache(P, 6)
     for ell in (2, 13):
         a = E.ap(ell)
         for i in (0, 3, 7):
@@ -184,12 +194,10 @@ def test_hecke_eigen_transported():
             for j in range(ell):
                 rr = INF if r is INF else Fraction(r + j, ell)
                 ss = INF if s is INF else Fraction(s + j, ell)
-                d = phi.eval_path_transported(rr, ss, (ell, -j, 0, 1))
-                total = total + d
+                total = total + ref.transport(phi.eval_path(rr, ss), (ell, -j, 0, 1))
             rr = INF if r is INF else ell * r
             ss = INF if s is INF else ell * s
-            d = phi.eval_path_transported(rr, ss, (1, 0, 0, ell))
-            total = total + d
+            total = total + ref.transport(phi.eval_path(rr, ss), (1, 0, 0, ell))
             want = phi.eval_path(r, s).scale(a)
             assert total.t_difference_valuation(want) >= 5, (ell, i)
 
@@ -236,8 +244,8 @@ def test_depth_one_ball_masses_sum_to_total():
     for a in range(P):
         ra = Fraction(r + a, P) if r is not INF else INF
         sa = Fraction(s + a, P) if s is not INF else INF
-        d = phi.eval_path_transported(ra, sa, (P, a, 0, 1))
-        ball_sum += d.mass()
+        # transport by (P, a; 0, 1) keeps the mass
+        ball_sum += phi.eval_path(ra, sa).mass()
     # Phi|U_p = a_p Phi: the transported sum is a_p * total
     assert (ball_sum - E15().a_p * total) % 5 ** 6 == 0
 
@@ -458,8 +466,6 @@ def test_moments_outside_the_packed_range_are_rejected(bad):
     for v in phi.values:
         v.m[n - 1] = -1 if bad == "low" else P ** n
     for call in (phi.apply_up, lambda: phi.eval_path(INF, Fraction(2, 7)),
-                 lambda: phi.eval_path_transported(Fraction(1, 3), Fraction(2, 7),
-                                                   (P, 1, 0, 1)),
                  lambda: phi.eval_segment(sp.lifts[3])):
         with pytest.raises(ValueError, match="outside"):
             call()
@@ -581,15 +587,15 @@ def test_eigen_residual_leaves_the_symbol_as_it_was():
 # ------------------------------------------- paths by Horner's rule, against
 # one transport per segment
 
-def _per_segment_path(phi, cache, r, s, outer):
-    """transport(Phi{r -> s}, outer), one transport per segment, in the
-    kernel cache ``cache``: the former body of eval_path_transported.  The
-    segments' moments are summed as integers and reduced once, by the
-    Distribution built at the end (reduction is a ring map)."""
+def _per_segment_path(phi, cache, r, s):
+    """Phi{r -> s}, one transport per segment, in the kernel cache
+    ``cache``: the reference for eval_path's Horner rule.  The segments'
+    moments are summed as integers and reduced once, by the Distribution
+    built at the end (reduction is a ring map)."""
     m, lam = [0] * phi.n, [0] * phi.n
     for g, sign in segments_between(r, s):
         idx, gamma = phi.space.generator_of(g)
-        d = cache.transport(phi.values[idx], mat_mul(outer, gamma))
+        d = cache.transport(phi.values[idx], gamma)
         for j in range(phi.n):
             m[j] += sign * d.m[j]
             lam[j] += sign * d.lam[j]
@@ -603,8 +609,7 @@ def _big_cusp(rng):
 def test_eval_path_by_horner_matches_per_segment_transports():
     # seeded symbols (classical zeroth moments, random higher moments and
     # jets) on random paths between cusps up to 10^12 and on the edge paths
-    # r = s, oo -> s and oo -> oo, under the outer matrices of eval_path,
-    # of the U_p balls and of T_ell: the t-moments are equal, and the cache
+    # r = s, oo -> s and oo -> oo: the t-moments are equal, and the cache
     # holds fewer kernels than one transport per segment builds, which is at
     # most one per segment
     rng = random.Random(23)
@@ -620,26 +625,20 @@ def test_eval_path_by_horner_matches_per_segment_transports():
             paths = [(_big_cusp(rng), _big_cusp(rng)) for _ in range(4)]
             x = _big_cusp(rng)
             paths += [(x, x), (INF, x), (INF, INF)]
-            outers = ((1, 0, 0, 1), (P, rng.randrange(P), 0, 1),
-                      (1, 0, 0, rng.choice((2, 3, 7, 13))))
             segments = 0
             for r, s in paths:
-                segments += len(outers) * len(segments_between(r, s))
-                for outer in outers:
-                    if outer == (1, 0, 0, 1):
-                        got = phi.eval_path(r, s)
-                    else:
-                        got = phi.eval_path_transported(r, s, outer)
-                    want = _per_segment_path(phi, ref, r, s, outer)
-                    assert got.m == want.m, (E.conductor, n, r, s, outer)
+                segments += len(segments_between(r, s))
+                got = phi.eval_path(r, s)
+                want = _per_segment_path(phi, ref, r, s)
+                assert got.m == want.m, (E.conductor, n, r, s)
             assert len(phi.cache) < len(ref) <= segments, (E.conductor, n)
 
 
 def test_symbol_operations_read_and_return_t_moments_only():
-    # apply_up, eval_path and eval_path_transported from values with random
-    # jets give the same t-moments as from the same values with zero jets,
-    # and return a zero jet; eval_segment, which relation_residual reads,
-    # gives the t-moments of one transport of the value by gamma
+    # apply_up and eval_path from values with random jets give the same
+    # t-moments as from the same values with zero jets, and return a zero
+    # jet; eval_segment, which relation_residual reads, gives the t-moments
+    # of one transport of the value by gamma
     rng = random.Random(31)
     for E in (E15(), E115()):
         sp = ManinSymbolSpace(E.conductor)
@@ -661,14 +660,9 @@ def test_symbol_operations_read_and_return_t_moments_only():
                     assert got.lam == zero, (n, h)
             x = _big_cusp(rng)
             for r, s in ((_big_cusp(rng), x), (INF, x)):
-                for outer in ((1, 0, 0, 1), (P, rng.randrange(P), 0, 1)):
-                    if outer == (1, 0, 0, 1):
-                        got, want = phi.eval_path(r, s), bare.eval_path(r, s)
-                    else:
-                        got = phi.eval_path_transported(r, s, outer)
-                        want = bare.eval_path_transported(r, s, outer)
-                    assert got.m == want.m, (E.conductor, n, r, s, outer)
-                    assert got.lam == want.lam == zero, (E.conductor, n, r, s, outer)
+                got, want = phi.eval_path(r, s), bare.eval_path(r, s)
+                assert got.m == want.m, (E.conductor, n, r, s)
+                assert got.lam == want.lam == zero, (E.conductor, n, r, s)
             phi.apply_up()
             bare.apply_up()
             assert [d.m for d in phi.values] == [d.m for d in bare.values], E.conductor

@@ -5,6 +5,7 @@ import pytest
 from starkheegner.curves import (
     EllipticCurveData,
     GlobalPoint,
+    curve_add,
     naive_point_search,
     twist_point_to_curve,
 )
@@ -14,7 +15,6 @@ from starkheegner.tate import (
     _eval_series,
     _poly_mul,
     _sigma_series,
-    curve_add,
     eisenstein_e4,
     eisenstein_e6,
     formal_log,
@@ -168,11 +168,12 @@ def test_formal_log_homomorphism():
 
 def curve_mul(E, n, P):
     """n P on the minimal model, by double and add."""
+    law = (E.a1, E.a2, E.a3, E.a4)
     out, base = None, P
     while n:
         if n & 1:
-            out = curve_add(E, out, base)
-        base = curve_add(E, base, base)
+            out = curve_add(law, out, base)
+        base = curve_add(law, base, base)
         n >>= 1
     return out
 
