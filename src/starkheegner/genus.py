@@ -17,12 +17,16 @@ characters, and the pair alone fixes the rest of their genus data:
     chi(sigma_F) = (Delta1 | -1) = sign(Delta1),  sigma_F the class of the
                             principal ideal (sqrt(D)), so sign(Delta1) is
                             the sign w_infinity of chi.
+
+So RingClassCharacter stores only the values and the pair, and reads the
+conductor and the sign off the pair; attach_genus_data checks the values
+against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import (
     is_squarefree,
@@ -35,13 +39,32 @@ from .arith import (
 from .quadforms import BQF, NarrowClassGroup
 
 
-@dataclass
+@dataclass(frozen=True)
 class RingClassCharacter:
+    """A quadratic character of Pic^+(O_c) with its genus pair.  Raises
+    ArithmeticError unless Delta1*Delta2 = D*f^2 for some f | c."""
     group: NarrowClassGroup
     values: tuple          # +-1 per class index
-    conductor: int = field(default=0)   # the minimal f | c it factors through
-    sign: int = field(default=0)        # w_infinity = chi(sigma_F)
-    genus_pair: tuple | None = field(default=None)  # (Delta1, Delta2), unordered
+    genus_pair: tuple      # (Delta1, Delta2), unordered
+
+    def __post_init__(self):
+        d1, d2 = self.genus_pair
+        D, c = self.group.D, self.group.c
+        f = math.isqrt(d1 * d2 // D) if d1 * d2 > 0 else 0
+        if f == 0 or d1 * d2 != D * f * f or c % f != 0:
+            raise ArithmeticError("genus pair %r is not D*f^2 = %d*f^2 for any f | %d"
+                                  % (self.genus_pair, D, c))
+
+    @property
+    def conductor(self) -> int:
+        """The minimal f | c that chi factors through: Delta1*Delta2 = D*f^2."""
+        d1, d2 = self.genus_pair
+        return math.isqrt(d1 * d2 // self.group.D)
+
+    @property
+    def sign(self) -> int:
+        """w_infinity = chi(sigma_F) = sign(Delta1)."""
+        return 1 if self.genus_pair[0] > 0 else -1
 
     def __call__(self, idx: int) -> int:
         return self.values[idx]
@@ -157,32 +180,18 @@ def pushforward_class(group_c: NarrowClassGroup, group_f: NarrowClassGroup, idx:
 # --------------------------------------------------------------- genus data
 
 def attach_genus_data(chi: RingClassCharacter) -> RingClassCharacter:
-    """Fill conductor, primitivity and sign in place from the genus pair
-    (Delta1, Delta2) = (D1*f*, D2*f*) that enumerate_quadratic_chars gave.
-
-    Two facts make the pair enough: Delta1*Delta2 = D*f^2 names the
-    conductor f = |f*|, and chi(sigma_F) = (Delta1 | -1) = sign(Delta1) the
-    sign.  Raises ArithmeticError if the pair is missing, if
-    Delta1*Delta2 is not D*f^2 for some f | c, or if chi differs from
-    (Delta1 | a) at a class, a the value of its representative that
+    """Check chi against its genus pair (Delta1, Delta2) and return it
+    unchanged.  Raises ArithmeticError if chi differs from (Delta1 | a) at
+    a class, a the value of its representative that
     enumerate_quadratic_chars reads.
     """
-    if chi.genus_pair is None:
-        raise ArithmeticError("character %r has no genus pair" % (chi.values,))
     group = chi.group
-    D, c = group.D, group.c
-    d1, d2 = chi.genus_pair
-    f = math.isqrt(d1 * d2 // D) if d1 * d2 > 0 else 0
-    if f == 0 or d1 * d2 != D * f * f or c % f != 0:
-        raise ArithmeticError("genus pair %r is not D*f^2 = %d*f^2 for any f | %d"
-                              % (chi.genus_pair, D, c))
+    d1 = chi.genus_pair[0]
     for i, Q in enumerate(group.reps):
-        a = _represent_coprime(Q, 2 * D * c)[0]
+        a = _represent_coprime(Q, 2 * group.D * group.c)[0]
         if chi(i) != kronecker(d1, a):
             raise ArithmeticError("character %r is not (%d | .) at class %d"
                                   % (chi.values, d1, i))
-    chi.conductor = f
-    chi.sign = 1 if d1 > 0 else -1
     return chi
 
 

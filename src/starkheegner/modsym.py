@@ -274,7 +274,7 @@ class RationalModularSymbol:
 
 
 def build_eigensymbol(E: EllipticCurveData, sign: int,
-                      space: ManinSymbolSpace | None = None) -> RationalModularSymbol:
+                      space: ManinSymbolSpace) -> RationalModularSymbol:
     """The normalized eigensymbol of E with the given sign at infinity.
 
     The Hecke cuts run over the integers: for each good prime ell in turn,
@@ -284,8 +284,6 @@ def build_eigensymbol(E: EllipticCurveData, sign: int,
     scaled to content 1 (_primitive); neither scaling moves a kernel or a
     span.  The cuts stop once the kernel has dimension 2 or less.  Fractions
     come back from linalg and make up the returned vector."""
-    if space is None:
-        space = ManinSymbolSpace(E.conductor)
     if space.N != E.conductor:
         raise ValueError("space of level %d for a curve of conductor %d"
                          % (space.N, E.conductor))

@@ -406,16 +406,14 @@ class OMSymbol:
         return min(a.t_difference_valuation(b) for a, b in zip(old, swept))
 
 
-def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
-                randomize=None) -> tuple:
+def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int) -> tuple:
     """The measure-valued a_p-eigenlift of a classical eigensymbol.
 
-    The classical values become the zeroth moments.  The higher t-moments
-    m_1..m_{n-1} start at 0, or, when ``randomize`` (a ``random.Random``) is
-    given, at values it draws uniformly mod p^(n_mom - j).  Then n_mom + 1
-    sweeps of a_p^{-1} U_p run.  The sweeps fix the zeroth moments and
-    contract everything above them, so they reach the unique lift from any
-    start (Pollack-Stevens).  The returned symbol's jet is zero.
+    The classical values become the zeroth moments and the higher t-moments
+    m_1..m_{n-1} start at 0.  Then n_mom + 1 sweeps of a_p^{-1} U_p run.
+    The sweeps fix the zeroth moments and contract everything above them,
+    so they reach the unique lift from any start (Pollack-Stevens).  The
+    returned symbol's jet is zero.
 
     Returns (OMSymbol, LiftCertificate), on the t-moments: ``relation_valuation``
     is ``relation_residual()``, ``eigen_valuation`` the filtration level at which
@@ -427,13 +425,10 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int,
     if either residual is below n_mom.
     """
     phi = OMSymbol(symbol.space, p, n_mom, a_p, symbol.sign)
-    higher = [0] * (n_mom - 1)
     for i, val in enumerate(map(Fraction, symbol.vector)):
         if val.denominator != 1:
             raise ValueError("classical value %s is not integral" % val)
-        if randomize is not None:
-            higher = [randomize.randrange(p ** (n_mom - j)) for j in range(1, n_mom)]
-        phi.values[i] = Distribution(p, n_mom, [int(val)] + higher)
+        phi.values[i] = Distribution(p, n_mom, [int(val)] + [0] * (n_mom - 1))
     zeroth = [v.m[0] for v in phi.values]
     sweeps = n_mom + 1
     for _ in range(sweeps):

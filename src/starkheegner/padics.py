@@ -365,14 +365,12 @@ class QuadExtContext:
     def embed(self, a: PadicScalar) -> QuadExtScalar:
         return QuadExtScalar(self, a, PadicScalar.zero(self.p, a.N))
 
-    def from_ints(self, a: int, b: int, N: int | None = None) -> QuadExtScalar:
-        N = self.N if N is None else N
+    def from_ints(self, a: int, b: int, N: int) -> QuadExtScalar:
         return QuadExtScalar(self, PadicScalar.from_int(self.p, a, N),
                              PadicScalar.from_int(self.p, b, N))
 
-    def sqrt_of_int(self, n: int, N: int | None = None) -> QuadExtScalar:
-        """A square root of the integer n in F_p (n a p-adic unit)."""
-        N = self.N if N is None else N
+    def sqrt_of_int(self, n: int, N: int) -> QuadExtScalar:
+        """A square root mod p^N of the integer n in F_p (n a p-adic unit)."""
         p = self.p
         if n % p == 0:
             raise ValueError("only unit square roots supported")
@@ -469,17 +467,12 @@ def _log_kernel(p: int, a: int, b: int, eps: int, N: int):
 def teichmuller(x):
     """Teichmueller lift: the root of unity congruent to the unit x.
 
-    Iterates x -> x^(p^2), which fixes every root of unity of Q_p and Q_p^2
-    and gains two digits a step on the rest."""
-    if x.valuation() != 0:
+    x^(p^2) fixes every root of unity of Q_p and Q_p^2 and gains two digits
+    on the rest, so the N-digit lift is x^((p^2)^(N-1)), one integer power."""
+    if x.is_zero() or x.valuation() != 0:
         raise ValueError("not a unit")
-    q = x.p ** 2
-    for _ in range(x.precision() + 1):
-        nxt = x ** q
-        if nxt == x:
-            return x
-        x = nxt
-    raise ArithmeticError("Teichmueller iteration did not converge")
+    a, b, eps, N = x._log_digits()
+    return x._from_log_digits(*_pair_pow(a, b, x.p ** (2 * N - 2), eps, x.p ** N), N)
 
 
 def iwasawa_log(x):
@@ -512,16 +505,21 @@ def exp_p(x):
     return total
 
 
-def rational_reconstruct(x: int, modulus: int, bound: int):
-    """Recover (a, b) coprime, |a|,|b| <= bound, b > 0, a = x*b mod modulus.
+def reconstruct_scalar(x: PadicScalar, bound: int):
+    """The fraction a/b * p^v, |a|, |b| <= bound, b > 0 and gcd(a, b) = 1,
+    with a = u*b mod p^(N - v) for the unit part u of x; None when no such
+    fraction exists.
 
-    Requires 2*bound^2 <= modulus for uniqueness; returns None when no such
-    pair exists.
+    Raises PrecisionError unless 2*bound^2 <= p^(N - v), which makes it
+    unique.
     """
+    if x.is_zero():
+        return Fraction(0)
+    modulus = x.p ** (x.N - x.v)
     if 2 * bound * bound > modulus:
         raise PrecisionError("insufficient precision for bound %d" % bound)
-    x %= modulus
-    r0, r1 = modulus, x
+    u = x.unit % modulus
+    r0, r1 = modulus, u
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -532,20 +530,6 @@ def rational_reconstruct(x: int, modulus: int, bound: int):
         return None
     if b < 0:
         a, b = -a, -b
-    if math.gcd(a, b) != 1:
+    if math.gcd(a, b) != 1 or (a - u * b) % modulus != 0:
         return None
-    if (a - x * b) % modulus != 0:
-        return None
-    return a, b
-
-
-def reconstruct_scalar(x: PadicScalar, bound: int):
-    """Rational reconstruction of a capped-precision scalar, valuation folded in."""
-    if x.is_zero():
-        return Fraction(0)
-    rel = x.N - x.v
-    got = rational_reconstruct(x.unit, x.p ** rel, bound)
-    if got is None:
-        return None
-    a, b = got
     return Fraction(a, b) * Fraction(x.p) ** x.v

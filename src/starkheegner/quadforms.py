@@ -333,17 +333,6 @@ class NarrowClassGroup:
                         return False
         return True
 
-    def to_json_dict(self):
-        return {
-            "version": 1,
-            "D": self.D,
-            "c": self.c,
-            "delta": None,
-            "M": None,
-            "reps": [list(q.tuple()) for q in self.reps],
-            "table": self.table,
-        }
-
 
 def narrow_class_number_oracle(D: int, c: int) -> int:
     """Independent class-number-formula evaluation of h_c^+.
@@ -436,11 +425,16 @@ class HeegnerSystem:
         self.forms = heegner_representatives(self.group, M, self.delta)
 
     def to_json_dict(self):
-        doc = self.group.to_json_dict()
-        doc["M"] = self.M
-        doc["delta"] = self.delta
-        doc["heegner"] = {str(i): list(q.form.tuple()) for i, q in self.forms.items()}
-        return doc
+        return {
+            "version": 1,
+            "D": self.group.D,
+            "c": self.group.c,
+            "delta": self.delta,
+            "M": self.M,
+            "reps": [list(q.tuple()) for q in self.group.reps],
+            "table": self.group.table,
+            "heegner": {str(i): list(q.form.tuple()) for i, q in self.forms.items()},
+        }
 
 
 # ------------------------------------------------------------- stabilizers

@@ -254,15 +254,17 @@ def localize_short_point(E: EllipticCurveData, pt, ctx: QuadExtContext, prec: in
     """Embed the GlobalPoint (X, Y sqrt(delta)) of the short model into
     E(F_p), in minimal-model coordinates.  The model change is exact, in Q:
     x = (X - 3 b2)/36, y = -(a1 x + a3)/2 + (Y/216) sqrt(delta); these three
-    rationals are embedded at prec, so x keeps every digit."""
+    rationals are embedded at prec, and sqrt(delta) is lifted to
+    prec - v(Y/216) digits when v(Y/216) < 0, so x and y keep every digit."""
 
     def emb(r):
         return ctx.embed(PadicScalar.from_fraction(E.p, r, prec))
 
     xq = Fraction(pt.x - 3 * E.b2, 36)
     x = emb(xq)
-    y = (emb(-(E.a1 * xq + E.a3) / 2)
-         + emb(Fraction(pt.y, 216)) * ctx.sqrt_of_int(pt.delta, prec))
+    ys = emb(Fraction(pt.y, 216))
+    root = ctx.sqrt_of_int(pt.delta, prec - min(ys.valuation(), 0))
+    y = emb(-(E.a1 * xq + E.a3) / 2) + ys * root
     if not on_curve(E, (x, y)):
         raise ValueError("localized point is off the curve")
     return (x, y)

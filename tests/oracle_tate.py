@@ -19,7 +19,7 @@ recursion; here
   x = z/w and y = -1/w through (1 + u)^-1, and divides dx by 2y + a1 x + a3
   over Q.
 
-ROADMAP item 2 needs tate_point and tate_to_curve_point, and item 5 needs
+ROADMAP item 2 needs tate_point and tate_to_curve_point, and item 9 needs
 LogBranch; each moves back into the package with its first caller there.
 """
 

@@ -22,6 +22,9 @@ Every function, class, method and property of the package has a caller in
 the package or in bench/, and every dataclass field and self.x store of the
 package is read there, unless RESERVED names the ROADMAP item that will
 call or read it; code only the tests call lives in the tests' oracles.
+Every value a caller may leave at its default, parameter or dataclass
+field, is set by some call there and left at its default by another, so a
+default is an option two callers need, not one only the tests set.
 """
 
 import ast
@@ -282,12 +285,13 @@ def _definitions_and_loads(path):
     """(defs, loads) of a file.  defs holds (node, class name or None) for
     each function, class, method and property at module or class level,
     dunder methods left out; loads holds (name, enclosing definitions,
-    receiver) for each name the file loads, bare or as an attribute.  The
-    receiver is None for a bare name, the name of the enclosing class for an
-    attribute of self, and "" for an attribute of any other value."""
+    receiver, call) for each name the file loads, bare or as an attribute.
+    The receiver is None for a bare name, the name of the enclosing class
+    for an attribute of self, and "" for an attribute of any other value;
+    call is the ast.Call whose callee the load is, else None."""
     defs, loads = [], []
 
-    def visit(node, owners, cls):
+    def visit(node, owners, cls, call):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = node.name
             if (cls or not owners) and not (name.startswith("__") and name.endswith("__")):
@@ -295,13 +299,14 @@ def _definitions_and_loads(path):
             owners = owners + (node,)
             cls = name if isinstance(node, ast.ClassDef) else None
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loads.append((node.id, owners, None))
+            loads.append((node.id, owners, None, call))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            loads.append((node.attr, owners, _receiver(node, owners)))
+            loads.append((node.attr, owners, _receiver(node, owners), call))
         for child in ast.iter_child_nodes(node):
-            visit(child, owners, cls)
+            callee = isinstance(node, ast.Call) and child is node.func
+            visit(child, owners, cls, node if callee else None)
 
-    visit(ast.parse(path.read_text()), (), None)
+    visit(ast.parse(path.read_text()), (), None, None)
     return defs, loads
 
 
@@ -340,26 +345,48 @@ def _reaches(receiver, cls, related):
 SOURCES = [PKG / ("%s.py" % m) for m in MODULES] + sorted(BENCH.glob("*.py"))
 
 
+def _in_reserved(owners):
+    """Whether one of the enclosing definitions is named in RESERVED, a
+    method as class.method."""
+    return any((node.name if not isinstance(outer, ast.ClassDef)
+                else "%s.%s" % (outer.name, node.name)) in RESERVED
+               for outer, node in zip((None,) + owners, owners))
+
+
+def _live_loads():
+    """{name: [(enclosing definitions, receiver, call)]} over the loads of
+    the package and of bench/*.py, leaving out those inside a definition
+    RESERVED names: code no one calls yet calls nothing."""
+    loads = {}
+    for path in SOURCES:
+        for name, owners, receiver, call in _definitions_and_loads(path)[1]:
+            if not _in_reserved(owners):
+                loads.setdefault(name, []).append((owners, receiver, call))
+    return loads
+
+
+def _callers(node, cls, loads, related):
+    """The loads that can name the definition node of class cls (None at
+    module level) from outside its own body.  Matching is by name, as in
+    _unused_locals, but a method is called only through an attribute, and
+    through self.name only from its own class or a base or subclass of
+    it."""
+    return [(owners, receiver, call)
+            for owners, receiver, call in loads.get(node.name, ())
+            if node not in owners
+            and (cls is None or _reaches(receiver, cls, related))]
+
+
 def _uncalled():
     """{qualified name: "module.py:line"} for each definition of the package
-    that nothing loads, in the package outside its own body or in
-    bench/*.py.  Matching is by name, as in _unused_locals, but a method is
-    called only through an attribute, and through self.name only from its
-    own class or a base or subclass of it."""
+    that nothing loads (see _callers and _live_loads)."""
     related = _related_classes(SOURCES)
-    defs, loads = [], {}
-    for path in SOURCES:
-        file_defs, file_loads = _definitions_and_loads(path)
-        if path.parent == PKG:
-            defs += [(node, cls, "%s:%d" % (path.name, node.lineno))
-                     for node, cls in file_defs]
-        for name, owners, receiver in file_loads:
-            loads.setdefault(name, []).append((owners, receiver))
-    return {node.name if cls is None else "%s.%s" % (cls, node.name): where
-            for node, cls, where in defs
-            if not any(node not in owners
-                       and (cls is None or _reaches(receiver, cls, related))
-                       for owners, receiver in loads.get(node.name, ()))}
+    loads = _live_loads()
+    return {node.name if cls is None else "%s.%s" % (cls, node.name):
+            "%s:%d" % (path.name, node.lineno)
+            for path in SOURCES if path.parent == PKG
+            for node, cls in _definitions_and_loads(path)[0]
+            if not _callers(node, cls, loads, related)}
 
 
 def _is_dataclass(decorator):
@@ -394,7 +421,7 @@ def _unread():
     related = _related_classes(SOURCES)
     loads = {}
     for path in SOURCES:
-        for name, _, receiver in _definitions_and_loads(path)[1]:
+        for name, _, receiver, _ in _definitions_and_loads(path)[1]:
             loads.setdefault(name, []).append(receiver)
     return {"%s.%s" % (cls, name): where for (cls, name), where in stores.items()
             if not any(_reaches(receiver, cls, related)
@@ -415,3 +442,78 @@ def test_every_stored_field_is_read():
     bad = sorted("%s %s" % (where, qual) for qual, where in _unread().items()
                  if qual not in RESERVED)
     assert not bad, "stored, but read nowhere in src/ or bench/: %s" % bad
+
+
+def _defaulted(func, skip):
+    """(parameter, position) for each parameter of func with a default,
+    keyword-only ones included; position counts the call's positional
+    arguments, skip of func's leading parameters (self or cls) left out,
+    and is None for a keyword-only parameter."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    start = len(positional) - len(args.defaults)
+    for k, a in enumerate(positional[start:], start):
+        yield a.arg, k - skip
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        if d is not None:
+            yield a.arg, None
+
+
+def _in_init(value):
+    """Whether a dataclass field with this default is an __init__
+    parameter: it is unless the default is field(..., init=False)."""
+    return not (isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords))
+
+
+def _options(path):
+    """(definition, class name or None, qualified value, parameter,
+    position) for each value a caller may leave at its default in path: a
+    defaulted parameter of a module-level function or a method (the
+    definition itself), and a defaulted field of a dataclass or parameter
+    of a class's __init__ (the class, called by its name)."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            for name, pos in _defaulted(node, 0):
+                yield node, None, "%s.%s" % (node.name, name), name, pos
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(map(_is_dataclass, node.decorator_list)):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name) and _in_init(f.value)]
+            for pos, f in enumerate(fields):
+                if f.value is not None:
+                    name = f.target.id
+                    yield node, None, "%s.%s" % (node.name, name), name, pos
+        for func in node.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for name, pos in _defaulted(func, 1):
+                if func.name == "__init__":
+                    yield node, None, "%s.%s" % (node.name, name), name, pos
+                elif not func.name.startswith("__"):
+                    yield (func, node.name, "%s.%s.%s" % (node.name, func.name, name),
+                           name, pos)
+
+
+def _sets(call, name, pos):
+    """Whether the call passes the parameter; *args or **kw pass them all."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or (pos is not None and pos < len(call.args)))
+
+
+def test_every_option_takes_two_values():
+    related = _related_classes(SOURCES)
+    loads = _live_loads()
+    bad = []
+    for m in MODULES:
+        path = PKG / ("%s.py" % m)
+        for node, cls, qual, name, pos in _options(path):
+            passes = {_sets(call, name, pos)
+                      for _, _, call in _callers(node, cls, loads, related)
+                      if call is not None}
+            if passes != {True, False} and qual not in RESERVED:
+                bad.append("%s:%d %s" % (path.name, node.lineno, qual))
+    assert not bad, "set by every call in src/ and bench/, or by none: %s" % sorted(bad)

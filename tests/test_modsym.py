@@ -326,7 +326,7 @@ def test_eigensymbol_needing_a_second_prime(E):
 
 
 def test_eigensymbol_integral_content_one():
-    plus = build_eigensymbol(E11(), 1)
+    plus = build_eigensymbol(E11(), 1, ManinSymbolSpace(11))
     vals = [x for x in plus.vector if x != 0]
     assert all(x.denominator == 1 for x in vals)
     g = 0
@@ -384,12 +384,12 @@ def test_omega_infinity_eigenvalue():
 # --------------------------------------------------------------- birch sums
 
 def test_birch_trivial_is_value_at_zero():
-    sym = build_eigensymbol(E11(), 1)
+    sym = build_eigensymbol(E11(), 1, ManinSymbolSpace(11))
     assert birch_sum(sym, 1) == sym.value(INF, Fraction(0))
 
 
 def test_birch_wrong_sign_rejected():
-    sym = build_eigensymbol(E11(), 1)
+    sym = build_eigensymbol(E11(), 1, ManinSymbolSpace(11))
     with pytest.raises(ValueError):
         birch_sum(sym, -3)
 
@@ -398,7 +398,7 @@ def test_birch_vs_complex_l_value_11a():
     # tau(psi) L(E,psi,1) / Omega+ should be a small-height rational multiple
     # of the Birch sum (the symbol normalization absorbs a rational factor)
     E = E11()
-    sym = build_eigensymbol(E, 1)
+    sym = build_eigensymbol(E, 1, ManinSymbolSpace(11))
     delta = 5
     assert sign_of_twist(E, delta) == 1
     bs = birch_sum(sym, delta)
@@ -414,7 +414,7 @@ def test_birch_vs_complex_l_value_11a():
 def test_l_over_period_11a_is_one_fifth_like():
     # L(11a,1)/Omega+ = 1/5; the symbol value matches it up to small rational
     E = E11()
-    sym = build_eigensymbol(E, 1)
+    sym = build_eigensymbol(E, 1, ManinSymbolSpace(11))
     lval, _ = complex_L_value(E, 1)
     om_plus, _ = real_periods(E)
     assert abs(lval / om_plus - 0.2) < 1e-8

@@ -39,11 +39,11 @@ def E115():
     return EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5, label="115")
 
 
-def _lift(sign=1, nmom=NMOM, randomize=None):
+def _lift(sign=1, nmom=NMOM):
     E = E15()
     sp = ManinSymbolSpace(15)
     sym = build_eigensymbol(E, sign, sp)
-    return lift_to_oms(sym, E.a_p, P, nmom, randomize=randomize), sym
+    return lift_to_oms(sym, E.a_p, P, nmom), sym
 
 
 # ------------------------------------------------------------ distributions
@@ -167,9 +167,20 @@ def test_lift_pair_certifies_both_signs():
 
 
 def test_lift_unique_from_random_start():
-    (phi1, _), _ = _lift(sign=1)
-    (phi2, _), _ = _lift(sign=1, randomize=random.Random(99))
-    (phi3, _), _ = _lift(sign=1, randomize=random.Random(123))
+    # higher moments drawn uniformly mod p^(NMOM - j), then the n_mom + 1
+    # sweeps lift_to_oms runs: every start reaches the same lift
+    (phi1, _), sym = _lift(sign=1)
+    starts = []
+    for seed in (99, 123):
+        rng = random.Random(seed)
+        phi = OMSymbol(sym.space, P, NMOM, phi1.a_p, sym.sign)
+        phi.values = [Distribution(P, NMOM, [int(v)] + [rng.randrange(P ** (NMOM - j))
+                                                        for j in range(1, NMOM)])
+                      for v in sym.vector]
+        for _ in range(NMOM + 1):
+            phi.apply_up()
+        starts.append(phi)
+    phi2, phi3 = starts
     for a, b in ((phi1, phi2), (phi2, phi3)):
         for va, vb in zip(a.values, b.values):
             assert va.max_difference_valuation(vb) >= NMOM
@@ -486,7 +497,7 @@ def test_symbol_rejects_fewer_than_one_moment():
     # checked before any work: past the check, n_mom = 0 fails with an
     # IndexError inside the sweeps and n_mom = -2 with a TypeError from pow
     E = E15()
-    sym = build_eigensymbol(E, 1)
+    sym = build_eigensymbol(E, 1, ManinSymbolSpace(15))
     for n_mom in (0, -2):
         with pytest.raises(ValueError, match="at least one moment"):
             lift_to_oms(sym, E.a_p, P, n_mom)

@@ -13,7 +13,6 @@ from starkheegner.padics import (
     QuadExtScalar,
     exp_p,
     iwasawa_log,
-    rational_reconstruct,
     reconstruct_scalar,
     teichmuller,
 )
@@ -307,7 +306,7 @@ def test_log_q_additive():
 def test_log_q_frobenius_commutes():
     ctx = QuadExtContext(P, N)
     br = _branch()
-    x = ctx.from_ints(3, 4)
+    x = ctx.from_ints(3, 4, N)
     lhs = br.log(x.frobenius())
     rhs = br.log(x).frobenius()
     assert lhs == rhs
@@ -319,15 +318,15 @@ def test_frobenius_fixes_scalars_and_flips_omega():
     ctx = QuadExtContext(P, N)
     x = ctx.embed(S(17))
     assert x.frobenius() == x
-    w = ctx.from_ints(0, 1)
+    w = ctx.from_ints(0, 1, N)
     assert w.frobenius() == -w
-    y = ctx.from_ints(2, 9)
+    y = ctx.from_ints(2, 9, N)
     assert y.frobenius().frobenius() == y
 
 
 def test_norm_lands_in_base_field():
     ctx = QuadExtContext(P, N)
-    y = ctx.from_ints(2, 9)
+    y = ctx.from_ints(2, 9, N)
     n = y.norm()
     assert isinstance(n, PadicScalar)
     assert y * y.frobenius() == ctx.embed(n)
@@ -336,8 +335,8 @@ def test_norm_lands_in_base_field():
 def test_sqrt_of_int():
     ctx = QuadExtContext(P, N)
     for n in (6, 13, 2, 11):
-        r = ctx.sqrt_of_int(n)
-        assert r * r == ctx.from_ints(n, 0)
+        r = ctx.sqrt_of_int(n, N)
+        assert r * r == ctx.from_ints(n, 0, N)
 
 
 # ------------------------------------------------------- rational reconstruct
@@ -345,11 +344,11 @@ def test_sqrt_of_int():
 def test_reconstruct_small_fraction():
     m = 5 ** 10
     x = 2 * pow(3, -1, m) % m
-    assert rational_reconstruct(x, m, 100) == (2, 3)
+    assert reconstruct_scalar(S(x, 10), 100) == Fraction(2, 3)
 
 
 def test_reconstruct_integer():
-    assert rational_reconstruct(7, 5 ** 10, 100) == (7, 1)
+    assert reconstruct_scalar(S(7, 10), 100) == Fraction(7)
 
 
 def test_reconstruct_absent():
@@ -358,12 +357,12 @@ def test_reconstruct_absent():
     x = 123456
     assert all((a - x * b) % m != 0
                for b in range(1, 11) for a in range(-10, 11))
-    assert rational_reconstruct(x, m, 10) is None
+    assert reconstruct_scalar(S(x, 10), 10) is None
 
 
 def test_reconstruct_bound_guard():
     with pytest.raises(PrecisionError):
-        rational_reconstruct(3, 5 ** 4, 100)
+        reconstruct_scalar(S(3, 4), 100)
 
 
 def test_reconstruct_scalar_with_valuation():

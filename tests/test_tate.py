@@ -414,8 +414,8 @@ def test_localize_short_point_keeps_every_digit_at_p_3():
 
 def test_localize_short_point_on_a_twist_point_not_5_integral():
     # (-2849/25, 2873024/125) on E^(-11) of 15x, at p = 5: v(x) = -2 and
-    # v(Y/216) = -3, so x keeps all 30 digits and y the 27 that sqrt(-11)
-    # to 30 digits backs.  Changing the model in Q_p instead keeps only 28
+    # v(Y/216) = -3, so x keeps all 30 digits, and y too, as sqrt(-11) is
+    # lifted to 33.  Changing the model in Q_p instead keeps only 28
     # and 21 digits, and 25 of the formal log; the constants below are
     # those values, and the exact change agrees with every digit of them.
     E = E15()
@@ -423,7 +423,7 @@ def test_localize_short_point_on_a_twist_point_not_5_integral():
     gp = twist_point_to_curve(E, -11, (Fraction(-2849, 25), Fraction(2873024, 125)))
     x, y = localize_short_point(E, gp, ctx, 30)
     log = formal_log(E, (x, y), 30)
-    assert x.precision() == 30 and y.precision() == 27
+    assert x.precision() == 30 and y.precision() == 30
     assert log.precision() >= 30
     for new, (v, unit, N) in ((x, (-2, 206960572136773003469, 28)),
                               (y, (-3, 46678783982034812, 21)),
