@@ -24,12 +24,18 @@ read back exactly with the bias 2^(w-1) added to each slot.  A moment
 outside [0, p^n_mom) would carry into the next slot: it raises ValueError.
 A sweep does one product per (source generator, matrix) pair, grouped
 once from the segments of modsym's Hecke walk (hecke_segments): oms
-computes no cusp itself.  L is the series log<c t + d>.
+computes no cusp itself.  The plan holds the kernels C of its groups, so a
+warm sweep looks no kernel up.  L is the series log<c t + d>.  Kernels are
+cached up to sign: g and -g give one Moebius map and one L, so they share
+a key and a kernel.
 
 A path {oo -> x} is evaluated by Horner's rule over its segments: each
 step transports the running sum by gamma_k^-1 gamma_(k+1), whose kernel the
 cache already holds.  This is exact, because transport is a monoid action
 on the filtered moments: entry (j, k) of A has valuation at least k - j.
+For the same reason the Manin relations are checked once per orbit of S
+and of T on P^1(Z/N): the relations of one orbit are transports of each
+other, so they hold to one filtration level.
 """
 
 from __future__ import annotations
@@ -151,8 +157,15 @@ class TransportCache:
         return len(self._cache)
 
     def _key(self, g):
+        """g mod p^n, up to sign: g and -g share a key, the one whose d is
+        at most (p^n - 1)/2, as exactly one of d and -d mod p^n is for a
+        unit d.  They share a kernel: C reads only the Moebius map of g,
+        and L = log<c t + d>, which transport's jet reads, does not see the
+        sign, as log<-1> = 0."""
         a, b, c, d = g
         mod = self.mod
+        if d % mod > mod >> 1:
+            a, b, c, d = -a, -b, -c, -d
         return (a % mod, b % mod, c % mod, d % mod)
 
     def matrices(self, g):
@@ -261,7 +274,8 @@ def _next_row(prev, a, b, c, mod):
 class LiftCertificate:
     """How lift_to_oms reached its lift: U_p sweeps run, whether the last one
     left the t-moments unchanged, the filtration levels to which the Manin
-    relations and the U_p eigen-equation hold, and the kernels cached."""
+    relations and the U_p eigen-equation hold, and the kernels cached, one
+    per sign class {g, -g} of matrices mod p^n_mom."""
 
     iterations: int
     converged: bool
@@ -362,15 +376,17 @@ class OMSymbol:
         matrix of a source's plan acts once on that source's value, and the
         packed product is added or subtracted into the accumulator of every
         target that uses it: the result of one transport per piece, exactly,
-        with a zero jet.  Raises ValueError for a moment outside [0, p^n)."""
-        if self._up_plan is None:
-            self._up_plan = self._plan_operator(self.space.hecke_paths(self.p))
+        with a zero jet.  The first sweep builds the plan with its kernels
+        C in place of the keys, so later sweeps look none up.  Raises
+        ValueError for a moment outside [0, p^n)."""
         cache = self.cache
+        if self._up_plan is None:
+            self._up_plan = [[(cache.matrices(key)[0], targets) for key, targets in groups]
+                             for groups in self._plan_operator(self.space.hecke_paths(self.p))]
         acc = [0] * len(self.lifts)
         for value, groups in zip(self.values, self._up_plan):
             m = _in_range(value.m, cache.mod)
-            for key, targets in groups:
-                C, _ = cache.matrices(key)
+            for C, targets in groups:
                 x = sum(map(mul, C, m))
                 for target, sgn in targets:
                     acc[target] = acc[target] + x if sgn > 0 else acc[target] - x
@@ -383,18 +399,31 @@ class OMSymbol:
 
     def relation_residual(self) -> int:
         """Smallest filtration level at which a Manin relation fails on the
-        t-moments (n_mom if none does)."""
+        t-moments (n_mom if none does).
+
+        One 2-term relation R_i = Phi(g_i) + Phi(g_i S) is checked per
+        S-orbit of P^1(Z/N), and one 3-term relation per T-orbit, each at
+        its least index i, with values[i] as Phi(g_i) (a transport by the
+        identity).  That is exact: for j the S-image of i, g_i S = gamma g_j
+        with gamma in Gamma0(N), and R_j = A(gamma)^-1 R_i, since S^2 = -I
+        and -g acts as g.  A(gamma) and its inverse both preserve the
+        filtration (entry (j, k) has valuation >= k - j), so R_j and R_i
+        have one filtration valuation; so do the relations of a T-orbit.
+        Every generator appears in its orbit's relation."""
         S, T = ManinSymbolSpace.S, ManinSymbolSpace.T
-        TT = mat_mul(T, T)
         worst = self.n
         zero = Distribution(self.p, self.n)
-        for gi in self.lifts:
-            base = self.eval_segment(gi)
-            two = base + self.eval_segment(mat_mul(gi, S))
-            three = (base + self.eval_segment(mat_mul(gi, T))
-                     + self.eval_segment(mat_mul(gi, TT)))
-            worst = min(worst, two.t_difference_valuation(zero),
-                        three.t_difference_valuation(zero))
+        for words in ((S,), (T, mat_mul(T, T))):
+            checked = set()
+            for i, gi in enumerate(self.lifts):
+                if i in checked:
+                    continue
+                rel = self.values[i]
+                for w in words:
+                    g = mat_mul(gi, w)
+                    checked.add(self.space.generator_of(g)[0])
+                    rel = rel + self.eval_segment(g)
+                worst = min(worst, rel.t_difference_valuation(zero))
         return worst
 
     def eigen_residual(self) -> int:
@@ -418,7 +447,8 @@ def lift_to_oms(symbol: RationalModularSymbol, a_p: int, p: int, n_mom: int) -> 
     Returns (OMSymbol, LiftCertificate), on the t-moments: ``relation_valuation``
     is ``relation_residual()``, ``eigen_valuation`` the filtration level at which
     the final sweep changed them, ``converged`` whether that is n_mom, and
-    ``matrices_cached`` the number of transport kernels built.
+    ``matrices_cached`` the number of transport kernels built, one per sign
+    class of matrices.
 
     Raises ValueError for a non-integral classical value or if the zeroth
     moments drift (no U_p-eigensymbol of eigenvalue a_p), and PrecisionError

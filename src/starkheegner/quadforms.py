@@ -420,7 +420,6 @@ class HeegnerSystem:
 
     def __init__(self, D: int, c: int, M: int):
         self.group = NarrowClassGroup(D, c)
-        self.M = M
         self.delta = choose_delta(D, M)
         self.forms = heegner_representatives(self.group, M, self.delta)
 
@@ -430,7 +429,7 @@ class HeegnerSystem:
             "D": self.group.D,
             "c": self.group.c,
             "delta": self.delta,
-            "M": self.M,
+            "M": self.forms[0].level,
             "reps": [list(q.tuple()) for q in self.group.reps],
             "table": self.group.table,
             "heegner": {str(i): list(q.form.tuple()) for i, q in self.forms.items()},

@@ -7,6 +7,9 @@ read the rational symbol itself, to check it against facts it must satisfy:
   package's one-scan P1List;
 - an operator applied to a full P^1-indexed vector, one Manin-trick row
   per generator (the package builds only the pivot rows);
+- the filtration level of the Manin relations of an overconvergent
+  symbol, both relations at every generator (the package checks one
+  relation per orbit);
 - the Birch sum sum_a (delta|a) I{oo -> a/|delta|}, the rational behind
   L(E, chi_delta, 1);
 - the geodesic period sum over a class group, sum_sigma chi(sigma)
@@ -16,8 +19,9 @@ read the rational symbol itself, to check it against facts it must satisfy:
 import math
 from fractions import Fraction
 
-from starkheegner.arith import kronecker
-from starkheegner.modsym import INF, apply_moebius, segments_between
+from starkheegner.arith import kronecker, mat_mul
+from starkheegner.modsym import INF, ManinSymbolSpace, apply_moebius, segments_between
+from starkheegner.oms import Distribution
 from starkheegner.quadforms import stabilizer_gamma, totally_positive_unit
 
 
@@ -55,6 +59,24 @@ def op_full(space, vec, paths):
                 total += sign * vec[space.p1.index_of_matrix(seg)]
         out.append(total)
     return out
+
+
+def relation_residual_all(phi) -> int:
+    """Smallest filtration level at which a Manin relation fails on the
+    t-moments of the OMSymbol phi (n_mom if none does): the 2-term and the
+    3-term relation at every generator."""
+    S, T = ManinSymbolSpace.S, ManinSymbolSpace.T
+    TT = mat_mul(T, T)
+    worst = phi.n
+    zero = Distribution(phi.p, phi.n)
+    for gi in phi.lifts:
+        base = phi.eval_segment(gi)
+        two = base + phi.eval_segment(mat_mul(gi, S))
+        three = (base + phi.eval_segment(mat_mul(gi, T))
+                 + phi.eval_segment(mat_mul(gi, TT)))
+        worst = min(worst, two.t_difference_valuation(zero),
+                    three.t_difference_valuation(zero))
+    return worst
 
 
 def birch_sum(symbol, delta: int) -> Fraction:

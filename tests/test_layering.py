@@ -399,7 +399,8 @@ def _unread():
     each self.x store of the package whose attribute nothing loads, in the
     package or in bench/*.py.  Matching is by name, as in _uncalled: a load
     of self.x reads only the x of its own class and of that class's bases
-    and subclasses."""
+    and subclasses, and a load inside a RESERVED definition reads nothing
+    (see _live_loads)."""
     stores = {}
     for m in MODULES:
         path = PKG / ("%s.py" % m)
@@ -419,13 +420,10 @@ def _unread():
             for name, line in fields:
                 stores.setdefault((cls.name, name), "%s:%d" % (path.name, line))
     related = _related_classes(SOURCES)
-    loads = {}
-    for path in SOURCES:
-        for name, _, receiver, _ in _definitions_and_loads(path)[1]:
-            loads.setdefault(name, []).append(receiver)
+    loads = _live_loads()
     return {"%s.%s" % (cls, name): where for (cls, name), where in stores.items()
             if not any(_reaches(receiver, cls, related)
-                       for receiver in loads.get(name, ()))}
+                       for _, receiver, _ in loads.get(name, ()))}
 
 
 def test_every_src_name_has_a_caller():

@@ -25,7 +25,7 @@ from starkheegner.oms import (
 )
 from starkheegner.padics import PadicScalar, iwasawa_log
 
-from oracle_symbols import op_full
+from oracle_symbols import op_full, relation_residual_all
 
 P = 5
 NMOM = 8
@@ -160,10 +160,89 @@ def test_lift_pair_certifies_both_signs():
         assert lifts[sign].sign == sign
         assert cert == want_cert
         # every matrix of the U_p plan, and those of the relation check
-        plan = {key for groups in phi._up_plan for key, _ in groups}
+        plan = {key for groups in phi._plan_operator(sp.hecke_paths(P))
+                for key, _ in groups}
         assert cert.matrices_cached == len(phi.cache) > len(plan)
         assert [(v.m, v.lam) for v in lifts[sign].values] == \
             [(v.m, v.lam) for v in phi.values]
+
+
+@pytest.mark.parametrize("E, p, nmom", [
+    (E15, 5, 8),
+    (E115, 5, 6),
+    (lambda: EllipticCurveData(0, -1, 1, -2, 2, conductor=57, p=19, label="57a1"), 19, 4),
+    (lambda: EllipticCurveData(1, 1, 0, -11, 0, conductor=33, p=11, label="33a1"), 11, 4),
+    (lambda: EllipticCurveData(1, 0, 1, 4, -6, conductor=14, p=7, label="14a1"), 7, 5),
+], ids=("15", "115", "57", "33", "14"))
+def test_relation_residual_per_orbit_matches_every_relation(E, p, nmom):
+    # one relation per orbit of S and of T gives the level of all of them
+    # (tests/oracle_symbols.py checks both at every generator): on the
+    # certified lift of each sign, and on that lift with every moment moved
+    # by a random multiple of a random power of p, p^0 included
+    E = E()
+    sp = ManinSymbolSpace(E.conductor)
+    rng = random.Random(E.conductor)
+    seen = set()
+    for sign in (1, -1):
+        phi, cert = lift_to_oms(build_eigensymbol(E, sign, sp), E.a_p, p, nmom)
+        assert phi.relation_residual() == relation_residual_all(phi) == \
+            cert.relation_valuation == nmom, sign
+        certified = phi.values
+        for _ in range(12):
+            top = rng.randrange(nmom + 1)
+            phi.values = [Distribution(p, nmom, [x + rng.randrange(p ** nmom)
+                                                 * p ** rng.randrange(top, nmom + 1)
+                                                 for x in v.m]) for v in certified]
+            got = phi.relation_residual()
+            assert got == relation_residual_all(phi), (sign, top)
+            seen.add(got)
+    assert len(seen) > 2, seen
+
+
+def test_relation_residual_sees_one_moment_moved_at_any_generator():
+    # p^k added to moment j of one generator breaks the relations of its
+    # orbits at exactly level j + k.  No point of P^1(Z/15) is fixed by S
+    # or T, so the value meets each relation once: as the base term it
+    # moves the relation by p^k e_j, and transported by gamma by p^k times
+    # column j of A(gamma), whose entry (j, j) is a unit and whose entries
+    # (i, j), i < j, have valuation at least j - i
+    (phi, _), _ = _lift(sign=1)
+    certified = phi.values
+    rng = random.Random(59)
+    for i, v in enumerate(certified):
+        for _ in range(4):
+            j, k = rng.randrange(NMOM), rng.randrange(NMOM)
+            phi.values = list(certified)
+            phi.values[i] = Distribution(P, NMOM, [x + (P ** k if t == j else 0)
+                                                   for t, x in enumerate(v.m)])
+            assert phi.relation_residual() == relation_residual_all(phi) == \
+                min(NMOM, j + k), (i, j, k)
+
+
+def test_relation_residual_sees_each_family_of_relations():
+    # the masses of each S-orbit moved by p^k (x, -x), which keeps every
+    # 2-term relation on the masses and breaks 3-term ones, and those of
+    # each T-orbit by p^k (x, 2x, -3x), the other way round: the residual is
+    # k either way, as the relations kept on the masses still hold to level
+    # k + 1 (a transport moves moment i >= 1 by a multiple of p^k), so
+    # neither family goes unchecked
+    (phi, _), _ = _lift(sign=1)
+    certified = phi.values
+    sp = phi.space
+    S, T = ManinSymbolSpace.S, ManinSymbolSpace.T
+    rng = random.Random(61)
+    for words, weights in (((S,), (1, -1)), ((T, mat_mul(T, T)), (1, 2, -3))):
+        for k in range(NMOM):
+            shift = [0] * len(certified)
+            for i, g in enumerate(sp.lifts):
+                orbit = [i] + [sp.generator_of(mat_mul(g, w))[0] for w in words]
+                if min(orbit) == i:
+                    x = rng.randrange(1, P ** NMOM) * P ** k
+                    for idx, weight in zip(orbit, weights):
+                        shift[idx] += weight * x
+            phi.values = [Distribution(P, NMOM, [v.m[0] + dx] + v.m[1:])
+                          for v, dx in zip(certified, shift)]
+            assert phi.relation_residual() == relation_residual_all(phi) == k, (words, k)
 
 
 def test_lift_unique_from_random_start():
@@ -408,6 +487,23 @@ def test_transport_matrices_reject_matrices_outside_the_monoid():
                 TransportCache(P, n).matrices(g)
 
 
+def test_kernel_of_minus_g_is_the_kernel_of_g():
+    # C reads only the Moebius map of g, and L = log<c t + d> does not see
+    # the sign, as log<-1> = 0: a kernel built afresh for -g equals
+    # the one for g, for keys with negative entries and entries >= p^n, and
+    # the cache serves g and -g from one entry
+    rng = random.Random(53)
+    for n in (1, 2, 3, 8, 20, 40):
+        big = P ** n
+        cache = TransportCache(P, n)
+        for _ in range(10):
+            g = tuple(x + big * rng.randint(-2, 2) for x in _monoid_matrix(rng))
+            neg = tuple(-x for x in g)
+            assert cache.matrices(neg) is cache.matrices(g), (n, g)
+            assert TransportCache(P, n)._build(neg) == TransportCache(P, n)._build(g) \
+                == cache.matrices(g), (n, g)
+
+
 # ------------------------------------------- packed kernels: products,
 # signed accumulators and their preconditions
 
@@ -547,10 +643,10 @@ def test_grouped_up_sweep_matches_per_piece_transports():
 
 @pytest.mark.parametrize("E", (E15, E115), ids=("15", "115"))
 def test_up_sweep_does_one_product_per_source_and_matrix(E):
-    # a warm sweep looks up one kernel, and does one product, per distinct
+    # the plan holds one kernel, and a sweep does one product, per distinct
     # (source generator, value matrix) pair of the pieces of U_p; one
     # product per (target, matrix) group would do 439 at N = 15 and 3,569
-    # at N = 115
+    # at N = 115.  A warm sweep looks no kernel up
     E = E()
     nmom = 10
     sp = ManinSymbolSpace(E.conductor)
@@ -570,7 +666,8 @@ def test_up_sweep_does_one_product_per_source_and_matrix(E):
 
     phi.cache.matrices = counted
     phi.apply_up()
-    assert len(lookups) == want == sum(len(groups) for groups in phi._up_plan)
+    assert not lookups
+    assert want == sum(len(groups) for groups in phi._up_plan)
 
 
 def test_eigen_residual_leaves_the_symbol_as_it_was():
@@ -622,7 +719,8 @@ def test_eval_path_by_horner_matches_per_segment_transports():
     # jets) on random paths between cusps up to 10^12 and on the edge paths
     # r = s, oo -> s and oo -> oo: the t-moments are equal, and the cache
     # holds fewer kernels than one transport per segment builds, which is at
-    # most one per segment
+    # most one per segment.  At n = 1 both caches hold all 10 sign classes
+    # of determinant-1 keys mod 5, so there the two may be equal
     rng = random.Random(23)
     for E, depths in ((E15(), (1, 2, 8, 20, 40)), (E115(), (10,))):
         sp = ManinSymbolSpace(E.conductor)
@@ -642,7 +740,8 @@ def test_eval_path_by_horner_matches_per_segment_transports():
                 got = phi.eval_path(r, s)
                 want = _per_segment_path(phi, ref, r, s)
                 assert got.m == want.m, (E.conductor, n, r, s)
-            assert len(phi.cache) < len(ref) <= segments, (E.conductor, n)
+            fewer = len(phi.cache) <= len(ref) if n == 1 else len(phi.cache) < len(ref)
+            assert fewer and len(ref) <= segments, (E.conductor, n)
 
 
 def test_symbol_operations_read_and_return_t_moments_only():
