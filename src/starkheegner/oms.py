@@ -14,14 +14,17 @@ bench/: seeded jets, transport_composes, and the tracer's iwasawa_log pin.
 All transports are by matrices (a, b; c, d) with d a unit and p | c, acting
 through t -> (a t + b)/(c t + d) and u -> u * (c t + d).  A transport's
 kernel is a pair (C, L).  Row j of A is phi^j mod p^(n_mom - j), the
-precision of moment j, for phi the series of (a t + b)/(c t + d).  C is A
-packed by columns, C[k] = sum_j A[j][k] 2^(w j), one w-bit slot per row for
-w = bitlen(n_mom p^(2 n_mom)) + 16, and m' = A m is read from the slots of
-one sum sum_k C[k] m[k].  Entries and moments lie in [0, p^n_mom), so a
-slot of one product is below n_mom p^(2 n_mom); the 16 spare bits let a U_p
-sweep add and subtract fewer than 2^15 products in one integer per target,
-read back exactly with the bias 2^(w-1) added to each slot.  A moment
-outside [0, p^n_mom) would carry into the next slot: it raises ValueError.
+precision of moment j, for phi the series of (a t + b)/(c t + d).  If
+p | det, phi = b/d + (det/d^2) s for s = t/(1 + (c/d) t), det/d^2 and c/d of
+valuation >= 1: entry k >= 1 of each row has valuation >= k, row j is zero
+from k = n_mom - j on, and only that triangle is built.  C is A packed by
+columns, C[k] = sum_j A[j][k] 2^(s_j), and m' = A m is read from the slots
+of one sum sum_k C[k] m[k].  Slot j is w_j = bitlen(n_mom p^(2 n_mom - j))
++ 16 bits wide: row j's entries lie in [0, p^(n_mom - j)) and moments in
+[0, p^n_mom), and the 16 spare bits let a U_p sweep add and subtract fewer
+than 2^15 products in one integer per target, read back exactly with the
+bias 2^(w_j - 1) added to slot j.  A moment outside [0, p^n_mom) would
+carry into the next slot: it raises ValueError.
 A sweep does one product per (source generator, matrix) pair, grouped
 once from the segments of modsym's Hecke walk (hecke_segments): oms
 computes no cusp itself.  The plan holds the kernels C of its groups, so a
@@ -124,21 +127,28 @@ def _filtration_valuation(p: int, n: int, xs, ys) -> int:
 class TransportCache:
     """Per-(p, n_mom) cache of the transport kernel (C, L) of each matrix.
 
-    C[k] = sum_j A[j][k] 2^(w j) for w = ``width`` = bitlen(n p^(2n)) + 16:
-    for moments m[k] in [0, p^n), A m is slot j of sum_k C[k] m[k], and a
-    signed sum of fewer than 2^15 such products is read back with the bias
-    2^(w-1) added to each slot.  L is log<c t + d> mod p^n; for it the cache
-    tables p^v_p(k) and the signed inverse of k's unit part, each k < n.
+    C[k] = sum_j A[j][k] 2^(s_j), slot j of w_j = bitlen(n p^(2n - j)) + 16
+    bits at s_j = w_0 + ... + w_(j-1): for moments m[k] in [0, p^n), A m is
+    slot j of sum_k C[k] m[k], and a signed sum of fewer than 2^15 such
+    products is read back with the bias 2^(w_j - 1) added to slot j.  L is
+    log<c t + d> mod p^n; for it the cache tables p^v_p(k) and the signed
+    inverse of k's unit part, each k < n.
     """
 
     def __init__(self, p: int, n: int):
+        if n < 1:
+            raise ValueError("n = %d: a kernel needs at least one moment" % n)
         self.p = p
         self.n = n
         self.mod = p ** n
-        self.width = w = (n * p ** (2 * n)).bit_length() + 16
-        self._shifts = range(0, n * w, w)
-        self._mask, self._half = (1 << w) - 1, 1 << (w - 1)
-        self._bias = sum(self._half << s for s in self._shifts)
+        widths = [(n * p ** (2 * n - j)).bit_length() + 16 for j in range(n)]
+        self._slots = [(sum(widths[:j]), (1 << w) - 1, 1 << (w - 1))  # (s_j, mask, half)
+                       for j, w in enumerate(widths)]
+        self._bias = sum(half << s for s, _, half in self._slots)
+        self._rounds = []  # per round of _packed_columns, each pair's lower width
+        while len(widths) > 1:
+            self._rounds.append(widths[::2])
+            widths = [sum(widths[i:i + 2]) for i in range(0, len(widths), 2)]
         extra = 1
         while p ** extra <= n:
             extra += 1
@@ -180,8 +190,8 @@ class TransportCache:
 
     def _build(self, g):
         """(C, L) for a reduced key g.  Row j of A, entries in [0, p^(n - j)),
-        is a working vector of the recurrence; the rows go into w-bit slots
-        at the end, read by products with moments in [0, p^n)."""
+        is a working vector of the recurrence, cut to its n - j entries below
+        the triangle if p | det g; the rows go into their slots at the end."""
         p, n, mod, work = self.p, self.n, self.mod, self.work
         a, b, c, d = g
         if d % p == 0 or c % p != 0:
@@ -202,10 +212,12 @@ class TransportCache:
         # coefficients once divided by d, so row j mod p^(n - j) needs row
         # j - 1 only to the digits it keeps.
         ad, bd, cd = (v * dinv % mod for v in (a, b, c))
+        triangle = (a * d - b * c) % p == 0
         rows = [[1] + [0] * (n - 1)]
         for j in range(1, n):
-            rows.append(_next_row(rows[-1], ad, bd, cd, p ** (n - j)))
-        return _packed_columns(rows, self.width), logser
+            prev = rows[-1][:n - j] if triangle else rows[-1]
+            rows.append(_next_row(prev, ad, bd, cd, p ** (n - j)))
+        return _packed_columns(rows, self._rounds), logser
 
     def _log_unit(self, d: int) -> int:
         got = self._logs.get(d)
@@ -229,26 +241,29 @@ class TransportCache:
 _MAX_PRODUCTS = 1 << 15  # per accumulator, for the 16 spare bits of a slot
 
 
-def _packed_columns(rows, width):
-    """[sum_j rows[j][k] 2^(width j) for each k]: rows merge in pairs."""
-    while len(rows) > 1:
-        merged = [[lo | hi << width for lo, hi in zip(r0, r1)]
-                  for r0, r1 in zip(rows[::2], rows[1::2])]
+def _packed_columns(rows, rounds):
+    """[sum_j rows[j][k] 2^(s_j) for each k] of rows no longer than the one
+    below: pairs merge, at the lower row's width in ``rounds``, tail kept."""
+    for widths in rounds:
+        merged = []
+        for r0, r1, w in zip(rows[::2], rows[1::2], widths):
+            row = [lo | hi << w for lo, hi in zip(r0, r1)]
+            row += r0[len(r1):]
+            merged.append(row)
         if len(rows) % 2:
             merged.append(rows[-1])
-        rows, width = merged, 2 * width
+        rows = merged
     return rows[0]
 
 
 def _unpacked(x, cache, signed=False):
     """Slot j of a packed product x >= 0, for each j < n.  With ``signed``,
-    of a signed sum x of fewer than 2^15 products: the bias 2^(w-1) added to
-    each slot brings it into [0, 2^w), so no borrow crosses slots."""
-    mask, shifts = cache._mask, cache._shifts
+    of a signed sum x of fewer than 2^15 products: the bias 2^(w_j - 1)
+    added to slot j brings it into [0, 2^w_j), so no borrow crosses slots."""
     if not signed:
-        return [x >> s & mask for s in shifts]
-    x, half = x + cache._bias, cache._half
-    return [(x >> s & mask) - half for s in shifts]
+        return [x >> s & mask for s, mask, _ in cache._slots]
+    x = x + cache._bias
+    return [(x >> s & mask) - half for s, mask, half in cache._slots]
 
 
 def _in_range(m, top):

@@ -14,6 +14,7 @@ from starkheegner.modsym import (
     build_eigensymbol,
     segments_between,
 )
+from starkheegner import oms
 from starkheegner.oms import (
     Distribution,
     OMSymbol,
@@ -428,12 +429,12 @@ def _matvec(M, v):
 
 
 def _rows(cache, C):
-    """The rows of A from its packed columns C[k] = sum_j A[j][k] 2^(w j),
-    each without its trailing zeros."""
-    mask = (1 << cache.width) - 1
+    """The rows of A from its packed columns C[k] = sum_j A[j][k] 2^(s_j),
+    read at each row's shift s_j with its mask, each without its trailing
+    zeros."""
     rows = []
-    for j in range(cache.n):
-        row = [c >> (cache.width * j) & mask for c in C]
+    for shift, mask, _ in cache._slots:
+        row = [c >> shift & mask for c in C]
         while row and row[-1] == 0:
             row.pop()
         rows.append(row)
@@ -475,6 +476,74 @@ def test_transport_matrices_match_schoolbook_build():
                                                            _matvec(B_ref, d.m))])
                 got = cache.transport(d, g)
                 assert (got.m, got.lam) == (want.m, want.lam), (n, g)
+
+
+def _packed(cache, rows):
+    """The columns sum_j rows[j][k] 2^(s_j) of full rows, at the cache's shifts."""
+    return [sum(row[k] << s for row, (s, _, _) in zip(rows, cache._slots))
+            for k in range(cache.n)]
+
+
+def _det_p_key(rng, big):
+    """A monoid matrix with p | det, i.e. p | a as p | c, with entries of
+    either sign and entries >= p^n."""
+    a, b, c, d = _monoid_matrix(rng)
+    return (P * a + big * rng.randint(-2, 2), b + big * rng.randint(-2, 2),
+            c * rng.randint(1, 3 * big), d + big * rng.randint(-2, 2))
+
+
+def test_det_p_kernels_are_zero_past_their_triangle():
+    # for p | det g, phi = b/d + (det/d^2) t/(1 + (c/d) t), so entry k >= 1
+    # of row j of the schoolbook A has valuation >= k and is 0 mod p^(n - j)
+    # from k = n - j on; the cache builds only that triangle, and its C is
+    # the packing of the full schoolbook rows.  Det-1 keys have a non-zero
+    # entry past the triangle (so the build must not cut them), and their C
+    # is the full packing too
+    rng = random.Random(59)
+    up = {}
+    for N in (15, 115):
+        sp = ManinSymbolSpace(N)
+        up[N] = sorted({m for g in sp.lifts for _, m, _ in _up_pieces(sp, g)})
+    for n in (1, 2, 5, 8, 20, 40):
+        big = P ** n
+        keys = up[15][::1 if n <= 8 else 8] + up[115][::8 if n <= 8 else 64]
+        keys += [_det_p_key(rng, big) for _ in range(8)]
+        cache = TransportCache(P, n)
+        for g in keys + [_monoid_matrix(rng) for _ in range(4)]:
+            a, b, c, d = g
+            A_ref, _ = _reference_matrices(P, n, g)
+            rows = [[x % P ** (n - j) for x in row] for j, row in enumerate(A_ref)]
+            assert cache.matrices(g)[0] == _packed(cache, rows), (n, g)
+            past = [x for j, row in enumerate(rows) for x in row[n - j:]]
+            if (a * d - b * c) % P:
+                assert any(past) or n == 1, (n, g)
+                continue
+            assert not any(past), (n, g)
+            assert all(x % P ** k == 0 for row in A_ref for k, x in enumerate(row)), (n, g)
+
+
+@pytest.mark.parametrize("E, nmom", ((E15, 10), (E115, 8)), ids=("15", "115"))
+def test_lift_builds_det_p_kernels_on_their_triangle(E, nmom, monkeypatch):
+    # a certified lift computes, through _next_row, n(n - 1)/2 entries for
+    # each kernel of a det-p key (rows 1..n-1, row j of n - j entries) and
+    # n(n - 1) for each det-1 key (full rows), and no more
+    E = E()
+    computed = []
+
+    def counted(prev, a, b, c, mod):
+        row = next_row(prev, a, b, c, mod)
+        computed.append(len(row))
+        return row
+
+    next_row = oms._next_row
+    monkeypatch.setattr(oms, "_next_row", counted)
+    sp = ManinSymbolSpace(E.conductor)
+    phi, cert = lift_to_oms(build_eigensymbol(E, 1, sp), E.a_p, P, nmom)
+    assert cert.converged and cert.relation_valuation == nmom
+    det_p = sum((a * d - b * c) % P == 0 for a, b, c, d in phi.cache._cache)
+    assert 0 < det_p < len(phi.cache)
+    assert sum(computed) == det_p * nmom * (nmom - 1) // 2 \
+        + (len(phi.cache) - det_p) * nmom * (nmom - 1)
 
 
 def test_transport_matrices_reject_matrices_outside_the_monoid():
@@ -536,8 +605,9 @@ def test_packed_product_is_the_reference_rows_times_m():
 
 
 def test_signed_accumulation_of_extreme_products_unpacks_exactly():
-    # 2^15 - 1 products, each with every slot at the largest value one product
-    # can reach (n entries and n moments of p^n - 1), summed with random
+    # 2^15 - 1 products, each with every slot j at the largest value one
+    # product can reach (n entries of p^(n - j) - 1, as no kernel row j holds
+    # an entry >= p^(n - j), against n moments of p^n - 1), summed with random
     # signs, all minus and all plus, read back slot by slot; and the same for
     # a real kernel against the extreme moments m_k = p^(n - k) - 1
     rng = random.Random(43)
@@ -545,10 +615,10 @@ def test_signed_accumulation_of_extreme_products_unpacks_exactly():
     for n in (1, 8, 40):
         cache = TransportCache(P, n)
         top = P ** n - 1
-        full = sum(top << (cache.width * j) for j in range(n))
+        extreme = [n * (P ** (n - j) - 1) * top for j in range(n)]
         C, _ = cache.matrices(_monoid_matrix(rng))
         m = [P ** (n - k) - 1 for k in range(n)]
-        for x, slots in ((full * n * top, [n * top * top] * n),
+        for x, slots in ((sum(y << s for y, (s, _, _) in zip(extreme, cache._slots)), extreme),
                          (sum(c * y for c, y in zip(C, m)), _matvec(_rows(cache, C), m))):
             assert _unpacked(x, cache) == slots
             for signs in ([rng.choice((1, -1)) for _ in range(count)],
@@ -591,14 +661,18 @@ def test_plan_rejects_a_target_with_2_15_pieces():
 
 def test_symbol_rejects_fewer_than_one_moment():
     # checked before any work: past the check, n_mom = 0 fails with an
-    # IndexError inside the sweeps and n_mom = -2 with a TypeError from pow
+    # IndexError inside the sweeps and n_mom = -2 with a TypeError from pow.
+    # A TransportCache checks too: past its check, n = 0 reports every
+    # matrix as outside the monoid, and n = -1 fails with an AttributeError
     E = E15()
     sym = build_eigensymbol(E, 1, ManinSymbolSpace(15))
-    for n_mom in (0, -2):
+    for n_mom in (0, -1, -2):
         with pytest.raises(ValueError, match="at least one moment"):
             lift_to_oms(sym, E.a_p, P, n_mom)
         with pytest.raises(ValueError, match="at least one moment"):
             OMSymbol(sym.space, P, n_mom, E.a_p, 1)
+        with pytest.raises(ValueError, match="at least one moment"):
+            TransportCache(P, n_mom)
 
 
 def test_symbol_rejects_p_not_a_prime_divisor_of_N():
