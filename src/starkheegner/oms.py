@@ -28,7 +28,8 @@ carry into the next slot: it raises ValueError.
 A sweep does one product per (source generator, matrix) pair, grouped
 once from the segments of modsym's Hecke walk (hecke_segments): oms
 computes no cusp itself.  The plan holds the kernels C of its groups, so a
-warm sweep looks no kernel up.  L is the series log<c t + d>.  Kernels are
+warm sweep looks no kernel up.  L is the series log<c t + d>, its terms
+read off padics' log table, as iwasawa_log reads them.  Kernels are
 cached up to sign: g and -g give one Moebius map and one L, so they share
 a key and a kernel.
 
@@ -54,7 +55,7 @@ from .modsym import (
     build_eigensymbol,
     segments_to_cusp,
 )
-from .padics import PadicScalar, PrecisionError, iwasawa_log
+from .padics import PadicScalar, PrecisionError, iwasawa_log, log_table
 from .arith import mat_adj, mat_mul, prime_divisors, valuation
 
 
@@ -131,8 +132,7 @@ class TransportCache:
     bits at s_j = w_0 + ... + w_(j-1): for moments m[k] in [0, p^n), A m is
     slot j of sum_k C[k] m[k], and a signed sum of fewer than 2^15 such
     products is read back with the bias 2^(w_j - 1) added to slot j.  L is
-    log<c t + d> mod p^n; for it the cache tables p^v_p(k) and the signed
-    inverse of k's unit part, each k < n.
+    log<c t + d> mod p^n, its terms read off padics.log_table(p, n, n).
     """
 
     def __init__(self, p: int, n: int):
@@ -149,17 +149,7 @@ class TransportCache:
         while len(widths) > 1:
             self._rounds.append(widths[::2])
             widths = [sum(widths[i:i + 2]) for i in range(0, len(widths), 2)]
-        extra = 1
-        while p ** extra <= n:
-            extra += 1
-        self.work = self.mod * p ** extra  # slack for the divisions by k in the log
-        # for k < n: p^e = p^v_p(k) and (-1)^(k+1) (k / p^e)^-1 mod work, so
-        # the log coefficient (-1)^(k+1) x^k / k is (x^k / p^e) times it
-        self._log_inverses = [None]
-        for k in range(1, n):
-            pe = p ** valuation(k, p)
-            inv = pow(k // pe, -1, self.work)
-            self._log_inverses.append((pe, inv if k % 2 else -inv))
+        self.work, self._log_terms = log_table(p, n, n)  # the L half
         self._cache = {}
         self._logs = {}
 
@@ -202,9 +192,8 @@ class TransportCache:
         logser = [self._log_unit(d % mod)]
         x = (c * dinv) % work
         xk = 1
-        for k in range(1, n):
+        for k, (pe, inv) in enumerate(self._log_terms, 1):
             xk = xk * x % work
-            pe, inv = self._log_inverses[k]
             if xk % pe:
                 raise ArithmeticError("log coefficient %d of %r is not integral" % (k, g))
             logser.append((xk // pe) * inv % mod)

@@ -14,18 +14,23 @@ Both types answer ``valuation()``, ``precision()``, ``p`` and ``shift(k)``
 through their own ``_coerce``.  So each function below has one body for Q_p
 and Q_p^2:
 
+- ``log_series_length(w, N, p)``, the first K with K w - ilog_p(K) >= N,
+  cuts every log series: the terms k >= K of log(1 + y), v(y) = w, vanish
+  mod p^N.  ``log_table(p, K, N)`` tables the terms k < K: M = p^(N + g)
+  for g = ilog_p(K - 1), and per k p^v_p(k) with the signed inverse of k's
+  unit part mod p^N; (y^k mod M) // p^v_p(k) times it is term k mod p^N.
+  ``iwasawa_log`` reads both, oms's kernels the table, and tate's
+  ``formal_log`` the cut, its terms obeying the same bound.
 - ``iwasawa_log`` writes x = p^v u and returns log(1 + y)/(p^2 - 1) for
   y = u^(p^2 - 1) - 1.  Every root of unity of Q_p or Q_p^2 has order
   dividing p^2 - 1, so this is the branch with log(p) = 0 and needs no
   Teichmueller lift.  Each type hands u as integer digits (a, b) to one
   kernel over Z_p[w]/(w^2 - eps), (a, 0) for Q_p, where a pair product is
-  one integer product.  It takes y mod p^(N + g) and sums
-  (-1)^(k+1) y^k/k in integers, y^k divided exactly by p^v_p(k), k's unit
-  part by its inverse: g, the largest v_p(k) of a term kept at v(y) = 1,
-  is the guard that keeps every term right mod p^N.  The log is known to
-  u's relative precision N, for Q_p^2 capped at ctx.N + 2 v(b): eps is
-  known to ctx.N digits, and capped arithmetic keeps no more of the
+  one integer product; it sums the table's terms at y mod M.  The log is
+  known to u's relative precision N, for Q_p^2 capped at ctx.N + 2 v(b):
+  eps is known to ctx.N digits, and capped arithmetic keeps no more of the
   product b b' eps.  A scalar-valued u (b = 0) keeps its N.
+- ``QuadExtContext.sqrt`` is the one square root, of a Q_p value.
 - ``exp_p`` sums x^k/k! up to the last k at which the lower bound
   v(x^k/k!) >= k v(x) - (k - 1)/(p - 1) is still below N (Legendre:
   v_p(k!) <= (k - 1)/(p - 1)).  The bound rises with k, but the exact
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import sqrt_mod_prime, valuation
 
@@ -61,23 +67,17 @@ class _Capped:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n: int):
         if n == 0:
             return self._coerce(1)
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative power %d: invert first" % n)
         out = None
         base = self
         while n:
@@ -162,17 +162,13 @@ class PadicScalar(_Capped):
     def precision(self) -> int:
         return self.N
 
-    def residue(self, k: int | None = None) -> int:
-        """The value as an integer mod p^k (requires v >= 0 and k <= N)."""
-        if k is None:
-            k = self.N
-        if k > self.N:
-            raise PrecisionError("only %d digits known" % self.N, self.N)
+    def residue(self) -> int:
+        """The value as an integer mod p^N (requires v >= 0)."""
         if self.is_zero():
             return 0
         if self.v < 0:
             raise ValueError("negative valuation, not a p-adic integer")
-        return (self.unit * self.p ** self.v) % self.p ** k
+        return (self.unit * self.p ** self.v) % self.p ** self.N
 
     def with_precision(self, N: int) -> "PadicScalar":
         if N > self.N:
@@ -369,15 +365,21 @@ class QuadExtContext:
         return QuadExtScalar(self, PadicScalar.from_int(self.p, a, N),
                              PadicScalar.from_int(self.p, b, N))
 
-    def sqrt_of_int(self, n: int, N: int) -> QuadExtScalar:
-        """A square root mod p^N of the integer n in F_p (n a p-adic unit)."""
-        p = self.p
-        if n % p == 0:
-            raise ValueError("only unit square roots supported")
-        if pow(n % p, (p - 1) // 2, p) == 1:
-            return self.embed(PadicScalar.from_int(p, _sqrt_int(n, p, N), N))
-        t = _sqrt_int(n * pow(self.eps, -1, p ** N), p, N)
-        return self.from_ints(0, t, N)
+    def sqrt(self, a: PadicScalar) -> QuadExtScalar:
+        """A square root in F_p of a in Q_p of even valuation 2j: p^j times
+        the Hensel root of a's unit part u, in Q_p if u is a residue mod p
+        and in Q_p w otherwise, known to a's relative precision."""
+        v, p = a.valuation(), self.p
+        if a.is_zero() or v % 2:
+            raise ValueError("%r has no square root in F_p: zero or odd "
+                             "valuation" % a)
+        N = a.N - v
+        if pow(a.unit, (p - 1) // 2, p) == 1:
+            root = self.embed(PadicScalar(p, 0, _sqrt_int(a.unit, p, N), N))
+        else:  # the unit over eps is a residue
+            t = _sqrt_int(a.unit * pow(self.eps, -1, p ** N), p, N)
+            root = self.from_ints(0, t, N)
+        return root.shift(v // 2)
 
 
 # -- integer-level kernels --------------------------------------------------
@@ -407,13 +409,29 @@ def _ilog(k: int, p: int) -> int:
     return e
 
 
-def _series_terms(w: int, N: int, p: int) -> int:
-    """The first K with K w - ilog_p(K) >= N: for v(y) = w, the terms
-    k >= K of log(1 + y) vanish mod p^N, as that bound rises with k."""
+def log_series_length(w: int, N: int, p: int) -> int:
+    """The first K with K w - ilog_p(K) >= N: for v(y) = w >= 1, the terms
+    k >= K of log(1 + y) = sum (-1)^(k+1) y^k/k vanish mod p^N, as that
+    bound rises with k."""
     K = 1
     while K * w - _ilog(K, p) < N:
         K += 1
     return K
+
+
+@lru_cache(maxsize=None)
+def log_table(p: int, K: int, N: int):
+    """(M, terms) for the terms k < K of log(1 + y) mod p^N, for v(y) >= 1:
+    M = p^(N + g) with g = ilog_p(K - 1), the largest v_p(k) of a term kept,
+    and terms[k - 1] = (p^e, (-1)^(k+1) (k/p^e)^-1 mod p^N), e = v_p(k).
+    Term k is then (y^k mod M) // p^e times its inverse, right mod p^N."""
+    mod = p ** N
+    terms = []
+    for k in range(1, K):
+        pe = p ** valuation(k, p)
+        inv = pow(k // pe, -1, mod)
+        terms.append((pe, inv if k % 2 else mod - inv))
+    return p ** (N + _ilog(K - 1, p)), tuple(terms)
 
 
 def _pair_pow(a: int, b: int, n: int, eps: int, m: int):
@@ -432,8 +450,7 @@ def _log_kernel(p: int, a: int, b: int, eps: int, N: int):
     """(la, lb) with la + lb w = iwasawa_log(a + b w) mod p^N, for a unit
     a + b w of Z_p[w]/(w^2 - eps) (see the module docstring)."""
     order = p * p - 1
-    guard = _ilog(_series_terms(1, N, p) - 1, p)
-    m = p ** (N + guard)
+    m, terms = log_table(p, log_series_length(1, N, p), N)
     mod = p ** N
     ya, yb = _pair_pow(a, b, order, eps, m)
     ya = (ya - 1) % m
@@ -444,20 +461,13 @@ def _log_kernel(p: int, a: int, b: int, eps: int, N: int):
         raise ArithmeticError("%r + %r w is not a unit mod %d" % (a, b, p))
     sa = sb = 0
     pa, pb = 1, 0
-    for k in range(1, _series_terms(w, N, p)):
+    for pe, inv in terms[:log_series_length(w, N, p) - 1]:
         if yb:
             pa, pb = (pa * ya + eps * pb * yb) % m, (pa * yb + pb * ya) % m
         else:
             pa = pa * ya % m
-        e, kk = 0, k
-        while kk % p == 0:
-            kk //= p
-            e += 1
-        inv = pow(kk, -1, mod)
-        if k % 2 == 0:
-            inv = -inv
-        sa += (pa // p ** e) * inv
-        sb += (pb // p ** e) * inv
+        sa += (pa // pe) * inv
+        sb += (pb // pe) * inv
     scale = pow(order, -1, mod)
     return sa * scale % mod, sb * scale % mod
 

@@ -38,6 +38,7 @@ from .padics import (
     PrecisionError,
     QuadExtContext,
     QuadExtScalar,
+    log_series_length,
 )
 
 
@@ -167,7 +168,10 @@ def on_curve(E: EllipticCurveData, P) -> bool:
 def formal_log(E: EllipticCurveData, P, prec: int):
     """Formal-group logarithm on E(F_p): lambda([m]P)/m for the least m >= 1
     pushing P into the formal group.  P = None (the origin) and torsion
-    points give 0."""
+    points give 0.  Term k of lambda(z) has valuation at least
+    k v(z) - v_p(k), as in log(1 + y), so lambda is cut by log_series_length
+    at prec + v_p(m) digits, dividing by m costing v_p(m): the result
+    claims at most prec digits, each backed (fewer if P's run out first)."""
     zero = PadicScalar.zero(E.p, prec)
     vdisc = valuation(E.disc, E.p)
     mbound = 4 * (E.p ** 2 + 2 * E.p + 2) * max(1, vdisc)
@@ -179,10 +183,11 @@ def formal_log(E: EllipticCurveData, P, prec: int):
         if (not xc.is_zero()) and xc.valuation() < 0 and yc.valuation() < 0:
             z = -xc / yc
             if z.valuation() >= 1:
-                length = prec + prec // max(E.p - 1, 1) + 4
+                length = log_series_length(z.valuation(),
+                                           prec + valuation(m, E.p), E.p) - 1
                 key = (E.a1, E.a2, E.a3, E.a4, E.a6)
                 lam = _eval_series((0,) + formal_log_series(key, length), z)
-                return lam * Fraction(1, m)
+                return lam * Fraction(1, m) + zero  # at most prec digits
         cur = curve_add((E.a1, E.a2, E.a3, E.a4), cur, P)
     raise RuntimeError("no multiple landed in the formal group")
 
@@ -202,7 +207,7 @@ def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
     c6q = -_eval_series(eisenstein_e6(depth), q)
     lam2 = (PadicScalar.from_int(E.p, E.c6, q.N) * c4q) / \
            (PadicScalar.from_int(E.p, E.c4, q.N) * c6q)
-    lam = _quad_sqrt(ctx, lam2)
+    lam = ctx.sqrt(lam2)
     residual = lam ** 4 * c4q - E.c4
     digits = min(residual.precision(), q.v * (depth + 1))
     if residual.valuation() < digits:
@@ -215,16 +220,6 @@ def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
         * Fraction(1, 3)
     t = (-r * E.a1 - E.a3) * Fraction(1, 2)
     return lam, r, s, t
-
-
-def _quad_sqrt(ctx: QuadExtContext, a: PadicScalar) -> QuadExtScalar:
-    """Square root of a scalar inside F_p (unit, possibly non-residue)."""
-    v = a.valuation()
-    if v % 2 != 0:
-        raise ValueError("odd valuation has no square root in F_p")
-    unit = a.shift(-v)
-    rel = unit.N
-    return ctx.sqrt_of_int(unit.residue(rel), rel).shift(v // 2)
 
 
 def log_conversion_constant(E: EllipticCurveData, q: PadicScalar,
@@ -263,7 +258,8 @@ def localize_short_point(E: EllipticCurveData, pt, ctx: QuadExtContext, prec: in
     xq = Fraction(pt.x - 3 * E.b2, 36)
     x = emb(xq)
     ys = emb(Fraction(pt.y, 216))
-    root = ctx.sqrt_of_int(pt.delta, prec - min(ys.valuation(), 0))
+    root = ctx.sqrt(PadicScalar.from_int(E.p, pt.delta,
+                                         prec - min(ys.valuation(), 0)))
     y = emb(-(E.a1 * xq + E.a3) / 2) + ys * root
     if not on_curve(E, (x, y)):
         raise ValueError("localized point is off the curve")

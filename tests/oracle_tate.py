@@ -104,10 +104,10 @@ def kappa_from_points(E: EllipticCurveData, q: PadicScalar,
     P = tate_to_curve_point(E, transform, tate_point(q, u0, depth))
     if not on_curve(E, P):
         raise ValueError("Tate parametrization image is off the curve")
-    kappa = formal_log(E, P, prec) / branch.log(u0)
+    kappa = formal_log(E, P, prec + 1) / branch.log(u0)
     u1 = ctx.embed(PadicScalar.from_fraction(E.p, Fraction(1 + E.p) ** 2, q.N))
     P1 = tate_to_curve_point(E, transform, tate_point(q, u1, depth))
-    kappa1 = formal_log(E, P1, prec) / branch.log(u1)
+    kappa1 = formal_log(E, P1, prec + 1) / branch.log(u1)
     agree = (kappa - kappa1).valuation()
     if agree < prec - 2:
         raise PrecisionError("conversion unstable: the two kappa agree to %d "

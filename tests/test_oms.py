@@ -400,7 +400,7 @@ def _reference_matrices(p, n, g):
     for _ in range(1, n):
         A.append(_schoolbook_mul(A[-1], phi, work))
     log_d = iwasawa_log(PadicScalar.from_int(p, d, n))
-    logser = [0 if log_d.is_zero() else log_d.residue(n)]
+    logser = [0 if log_d.is_zero() else log_d.with_precision(n).residue()]
     x = c * dinv % work
     for k in range(1, n):
         e = 0

@@ -13,6 +13,8 @@ from starkheegner.padics import (
     QuadExtScalar,
     exp_p,
     iwasawa_log,
+    log_series_length,
+    log_table,
     reconstruct_scalar,
     teichmuller,
 )
@@ -31,18 +33,18 @@ def S(x, prec=N, p=P):
 # ---------------------------------------------------------------- teichmuller
 
 def test_teichmuller_fixed_point():
-    assert teichmuller(S(1, 2)).residue(2) == 1
+    assert teichmuller(S(1, 2)).with_precision(2).residue() == 1
 
 
 def test_teichmuller_minus_one():
-    assert teichmuller(S(4, 2)).residue(2) == 24
+    assert teichmuller(S(4, 2)).with_precision(2).residue() == 24
 
 
 def test_teichmuller_of_two_brute_force():
     # oracle: the only x = 2 mod 5 with x^4 = 1 mod 25 among 2,7,12,17,22
     want = [x for x in range(2, 25, 5) if pow(x, 4, 25) == 1]
     assert want == [7]
-    assert teichmuller(S(2, 2)).residue(2) == 7
+    assert teichmuller(S(2, 2)).with_precision(2).residue() == 7
 
 
 def test_teichmuller_non_unit_rejected():
@@ -74,12 +76,12 @@ def test_teichmuller_quadratic_full_order():
 def test_log_forced_series_example():
     # log(1+5) = 5 - 25/2 + 125/3 - ... = 55 mod 125
     got = iwasawa_log(S(6, 3))
-    assert got.residue(3) == 55
+    assert got.with_precision(3).residue() == 55
 
 
 def test_exp_forced_series_example():
     got = exp_p(S(5, 3))
-    assert got.residue(3) == 81
+    assert got.with_precision(3).residue() == 81
 
 
 def test_exp_domain_error():
@@ -115,13 +117,35 @@ def test_exp_precision_is_backed_past_nonmonotone_terms():
     # first negligible term misses the 25th and is wrong in its last digit
     got = exp_p(PadicScalar.from_int(5, 5, 20))
     assert got.precision() == 20
-    assert got.residue(20) == _exact_exp(5, 5, 20)
+    assert got.with_precision(20).residue() == _exact_exp(5, 5, 20)
     for p in (3, 5, 7):
         for N in (10, 19, 20, 21, 30):
             for n in (p, 2 * p, p * p, (p - 1) * p):
                 got = exp_p(PadicScalar.from_int(p, n, N))
                 assert got.precision() == N
-                assert got.residue(N) == _exact_exp(p, n, N), (p, N, n)
+                assert got.with_precision(N).residue() == _exact_exp(p, n, N), (p, N, n)
+
+
+def test_log_table_reads_off_every_term_of_the_log():
+    # term k < K of log(1 + y), p | y, is (y^k mod M) // p^e times the
+    # table's inverse, mod p^N; with one guard digit fewer some term is wrong
+    rng = random.Random(35)
+    for p in (3, 5, 7, 11):
+        short_fails = False
+        for prec in range(1, 41):
+            K = log_series_length(1, prec, p)
+            M, terms = log_table(p, K, prec)
+            assert len(terms) == K - 1
+            for _ in range(3):
+                y = p * rng.randrange(1, p ** prec)
+                for k, (pe, inv) in enumerate(terms, 1):
+                    exact = Fraction((-1) ** (k + 1) * y ** k, k)
+                    got = pow(y, k, M) // pe * inv
+                    assert (got - exact).numerator % p ** prec == 0, (p, prec, y, k)
+                    if prec > p:
+                        short = pow(y, k, M // p) // pe * inv
+                        short_fails |= (short - exact).numerator % p ** prec != 0
+        assert short_fails, p
 
 
 # ------------------------------------------------------ log / exp on Q_p^2
@@ -254,10 +278,9 @@ def test_iwasawa_log_without_known_digits_raises():
 
 def test_precision_errors_carry_the_digits_known():
     x = S(7, 10)
-    for ask in (lambda: x.residue(11), lambda: x.with_precision(11)):
-        with pytest.raises(PrecisionError) as err:
-            ask()
-        assert err.value.achievable == 10
+    with pytest.raises(PrecisionError) as err:
+        x.with_precision(11)
+    assert err.value.achievable == 10
 
 
 def test_log_q_additive_on_quadratic_inputs():
@@ -335,8 +358,34 @@ def test_norm_lands_in_base_field():
 def test_sqrt_of_int():
     ctx = QuadExtContext(P, N)
     for n in (6, 13, 2, 11):
-        r = ctx.sqrt_of_int(n, N)
+        r = ctx.sqrt(PadicScalar.from_int(P, n, N))
         assert r * r == ctx.from_ints(n, 0, N)
+
+
+def test_sqrt_squares_back_to_every_even_valuation_input():
+    # at p = 5 the units include test_sqrt_of_int's 6, 13, 2 and 11
+    for p in (3, 5, 7, 11):
+        ctx = QuadExtContext(p, N)
+        residues = {n * n % p for n in range(1, p)}
+        units = [n for n in range(1, 3 * p) if n % p]
+        assert {n % p in residues for n in units} == {True, False}
+        for n in units:
+            for v in (-2, 0, 2, 4):
+                a = PadicScalar.from_int(p, n, N).shift(v)
+                r = ctx.sqrt(a)
+                assert r * r == ctx.embed(a), (p, n, v)
+                assert r.valuation() == v // 2
+                assert r.precision() == v // 2 + N
+                assert r.b.is_zero() == (n % p in residues)
+
+
+def test_sqrt_rejects_odd_valuation_and_zero():
+    for p in (3, 5, 7, 11):
+        ctx = QuadExtContext(p, N)
+        for a in (PadicScalar.from_int(p, p, N), PadicScalar.from_int(p, 2, N).shift(-3),
+                  PadicScalar.zero(p, N)):
+            with pytest.raises(ValueError):
+                ctx.sqrt(a)
 
 
 # ------------------------------------------------------- rational reconstruct

@@ -188,11 +188,11 @@ def _find_point(E, ctx):
         disc = lin * lin + 4 * rhs
         if disc.is_zero():
             continue
-        d0 = disc.a.residue(1) if disc.b.is_zero() else None
+        d0 = disc.a.with_precision(1).residue() if disc.b.is_zero() else None
         if d0 is None or d0 == 0:
             continue
         if pow(d0, (p - 1) // 2, p) == 1:
-            root = ctx.sqrt_of_int(disc.a.residue(disc.a.N), ctx.N)
+            root = ctx.sqrt(PadicScalar.from_int(p, disc.a.residue(), ctx.N))
             y = (root - lin) * Fraction(1, 2)
             if on_curve(E, (x, y)):
                 return (x, y)
@@ -346,6 +346,25 @@ def test_log_conversion_constant_matches_points_oracle():
             assert kappa.precision() == prec, (E.conductor, E.p, prec)
             assert (kappa - kappa_from_points(E, q, ctx, prec)).is_zero(), \
                 (E.conductor, E.p, prec)
+
+
+def test_formal_log_claims_only_digits_its_series_backs():
+    # Tate points carry about q's digits, past prec: every digit formal_log
+    # claims must survive summing its series 30 digits further
+    for E in kappa_curves():
+        for prec in (6, 20):
+            q = tate_parameter(E, prec + 12)
+            ctx = QuadExtContext(E.p, q.N)
+            depth = q.N // q.v + 2
+            transform = iso_tate_to_curve(E, q, ctx, depth)
+            for k in (1, 2, 3):
+                u = ctx.embed(PadicScalar.from_fraction(E.p, Fraction(1 + E.p) ** k, q.N))
+                P = tate_to_curve_point(E, transform, tate_point(q, u, depth))
+                got, far = formal_log(E, P, prec), formal_log(E, P, prec + 30)
+                case = (E.conductor, E.p, prec, k)
+                assert got.precision() == prec, case
+                assert far.precision() >= prec, case
+                assert (got - far).is_zero(), case
 
 
 def test_log_conversion_constant_rejects_wrong_q():
