@@ -379,11 +379,15 @@ def _require_twist(E: EllipticCurveData, delta: int):
         raise CurveError("twist not coprime to conductor")
 
 
+def twist_sign(w_n: int, conductor_n: int, delta: int) -> int:
+    """-w_N (delta | -N), the sign of L(E, chi_delta, s) at conductor N."""
+    return -w_n * kronecker(delta, -conductor_n)
+
+
 def sign_of_twist(E: EllipticCurveData, delta: int) -> int:
-    """Sign of the functional equation of L(E, chi_delta, s),
-    -w_N * (delta | -N), for fundamental delta coprime to N."""
+    """twist_sign of E, for fundamental delta coprime to N."""
     _require_twist(E, delta)
-    return -E.w_fricke * kronecker(delta, -E.conductor)
+    return twist_sign(E.w_fricke, E.conductor, delta)
 
 
 def _twist_series_data(E: EllipticCurveData, delta: int):

@@ -36,6 +36,7 @@ from .arith import (
     prime_discriminant_factors,
     prime_divisors,
 )
+from .curves import twist_sign
 from .quadforms import BQF, NarrowClassGroup
 
 
@@ -196,11 +197,9 @@ def attach_genus_data(chi: RingClassCharacter) -> RingClassCharacter:
 
 
 def order_by_sign(w_n: int, conductor_n: int, pair):
-    """Order the genus pair so sign(E, chi_{Delta1}) = -1, using
-    sign(E, psi) = -w_N * (Delta_psi | -N)."""
+    """Order the genus pair so that twist_sign(w_N, N, Delta1) = -1."""
     d1, d2 = pair
-    s1 = -w_n * kronecker(d1, -conductor_n)
-    s2 = -w_n * kronecker(d2, -conductor_n)
+    s1, s2 = (twist_sign(w_n, conductor_n, d) for d in pair)
     if s1 == s2:
         raise ValueError("genus pair signs agree; inconsistent input")
     return (d1, d2) if s1 == -1 else (d2, d1)

@@ -26,11 +26,12 @@ and Q_p^2:
   dividing p^2 - 1, so this is the branch with log(p) = 0 and needs no
   Teichmueller lift.  Each type hands u as integer digits (a, b) to one
   kernel over Z_p[w]/(w^2 - eps), (a, 0) for Q_p, where a pair product is
-  one integer product; it sums the table's terms at y mod M.  The log is
-  known to u's relative precision N, for Q_p^2 capped at ctx.N + 2 v(b):
-  eps is known to ctx.N digits, and capped arithmetic keeps no more of the
-  product b b' eps.  A scalar-valued u (b = 0) keeps its N.
-- ``QuadExtContext.sqrt`` is the one square root, of a Q_p value.
+  one integer product; it sums the table's terms at y mod M.
+- The w^2 rule: eps is right to ctx.N digits, so (p^k w)^2 = p^2k eps to
+  ctx.N + 2k (``_square_digits``).  So the log of u = a + b w is known to
+  u's relative precision capped at ctx.N + 2 v(b), none lost when b = 0,
+  and ``QuadExtContext.sqrt``, the one square root, of a Q_p value, to a's
+  relative precision capped at ctx.N when the root lies in Q_p w.
 - ``exp_p`` sums x^k/k! up to the last k at which the lower bound
   v(x^k/k!) >= k v(x) - (k - 1)/(p - 1) is still below N (Legendre:
   v_p(k!) <= (k - 1)/(p - 1)).  The bound rises with k, but the exact
@@ -174,9 +175,7 @@ class PadicScalar(_Capped):
         if N > self.N:
             raise PrecisionError("cannot raise precision from %d to %d"
                                  % (self.N, N), self.N)
-        if self.is_zero() or self.v >= N:
-            return PadicScalar.zero(self.p, N)
-        return PadicScalar(self.p, self.v, self.unit % self.p ** (N - self.v), N)
+        return PadicScalar(self.p, self.v, self.unit, N)  # zero if v >= N
 
     def shift(self, k: int) -> "PadicScalar":
         """The value times p^k, exactly: valuation and precision move by k."""
@@ -205,9 +204,7 @@ class PadicScalar(_Capped):
         if other is NotImplemented:
             return NotImplemented
         N = min(self.N, other.N)
-        if self.is_zero() and other.is_zero():
-            return PadicScalar.zero(self.p, N)
-        v0 = min(self.v, other.v)
+        v0 = min(self.v, other.v)  # >= N if both are zero
         if v0 >= N:
             return PadicScalar.zero(self.p, N)
         m = self.p ** (N - v0)
@@ -232,9 +229,7 @@ class PadicScalar(_Capped):
             return NotImplemented
         # relative precision of a product = min of relative precisions
         N = min(self.v + other.N, other.v + self.N)
-        if self.is_zero() or other.is_zero():
-            return PadicScalar.zero(self.p, N)
-        v = self.v + other.v
+        v = self.v + other.v  # >= N if either is zero
         if v >= N:
             return PadicScalar.zero(self.p, N)
         return PadicScalar(self.p, v, self.unit * other.unit, N)
@@ -288,13 +283,13 @@ class QuadExtScalar(_Capped):
         return QuadExtScalar(self.ctx, self.a.shift(k), self.b.shift(k))
 
     def _log_digits(self):
-        """(a, b, eps, N): the value over p^v is a + b w mod p^N, with N
-        capped at ctx.N + 2 v(b) (see the module docstring)."""
+        """(a, b, eps, N): the value over p^v is a + b w mod p^N, N capped by
+        the w^2 rule (see the module docstring)."""
         v = self.valuation()
         a, b = (0 if c.is_zero() else c.unit * c.p ** (c.v - v)
                 for c in (self.a, self.b))
         return (a, b, self.ctx.eps,
-                min(self.precision() - v, self.ctx.N + 2 * (self.b.v - v)))
+                min(self.precision() - v, self.ctx._square_digits(self.b.v - v)))
 
     def _from_log_digits(self, a: int, b: int, N: int) -> "QuadExtScalar":
         return self.ctx.from_ints(a, b, N)
@@ -365,10 +360,14 @@ class QuadExtContext:
         return QuadExtScalar(self, PadicScalar.from_int(self.p, a, N),
                              PadicScalar.from_int(self.p, b, N))
 
+    def _square_digits(self, k: int) -> int:
+        """Digits of (p^k w)^2 = p^2k eps: eps is right to N, no further."""
+        return self.N + 2 * k
+
     def sqrt(self, a: PadicScalar) -> QuadExtScalar:
         """A square root in F_p of a in Q_p of even valuation 2j: p^j times
         the Hensel root of a's unit part u, in Q_p if u is a residue mod p
-        and in Q_p w otherwise, known to a's relative precision."""
+        and in Q_p w otherwise, with the digits the w^2 rule backs."""
         v, p = a.valuation(), self.p
         if a.is_zero() or v % 2:
             raise ValueError("%r has no square root in F_p: zero or odd "
@@ -377,6 +376,7 @@ class QuadExtContext:
         if pow(a.unit, (p - 1) // 2, p) == 1:
             root = self.embed(PadicScalar(p, 0, _sqrt_int(a.unit, p, N), N))
         else:  # the unit over eps is a residue
+            N = min(N, self._square_digits(0))
             t = _sqrt_int(a.unit * pow(self.eps, -1, p ** N), p, N)
             root = self.from_ints(0, t, N)
         return root.shift(v // 2)

@@ -13,7 +13,10 @@ j(q) = j(E).  The tests measure kappa the long way, on Tate points
 (tests/oracle_tate.py).
 
 Each series is built exactly, in one pass, and evaluated at capped-precision
-p-adics, so precision loss only enters through the final evaluations:
+p-adics, so precision loss only enters through the final evaluations.  One
+rule cuts each: a q-series with integral coefficients cut after q^L is right
+to v(q) (L + 1) digits, so k digits need L = ceil(k / v(q)) - 1
+(``_last_power``), and no result claims more.  The series:
 
 - E4 and E6 are integer series, and Delta = (E4^3 - E6^2) / 1728 (this is
   q prod (1 - q^n)^24); q solves E4^3 - j Delta = 0, a series over Q.
@@ -44,7 +47,6 @@ from .padics import (
 
 # ---------------------------------------------------------------- Z-series
 
-@lru_cache(maxsize=None)
 def _sigma_series(k: int, length: int):
     """[0, sigma_k(1), ..., sigma_k(length)]"""
     out = [0] * (length + 1)
@@ -52,19 +54,15 @@ def _sigma_series(k: int, length: int):
         dk = d ** k
         for m in range(d, length + 1, d):
             out[m] += dk
-    return tuple(out)
+    return out
 
 
-@lru_cache(maxsize=None)
 def eisenstein_e4(length: int):
-    s3 = _sigma_series(3, length)
-    return tuple([1] + [240 * s3[n] for n in range(1, length + 1)])
+    return [1] + [240 * s for s in _sigma_series(3, length)[1:]]
 
 
-@lru_cache(maxsize=None)
 def eisenstein_e6(length: int):
-    s5 = _sigma_series(5, length)
-    return tuple([1] + [-504 * s5[n] for n in range(1, length + 1)])
+    return [1] + [-504 * s for s in _sigma_series(5, length)[1:]]
 
 
 def _poly_mul(a, b, length):
@@ -80,10 +78,17 @@ def _poly_mul(a, b, length):
     return out
 
 
+def _last_power(digits: int, vq: int) -> int:
+    """The least L with v(q) (L + 1) >= digits (see the module docstring)."""
+    return -(-digits // vq) - 1
+
+
 def _eval_series(coeffs, x):
     """Horner evaluation of an integer/Fraction coefficient series at x in
-    Q_p or Q_p^2; the coefficients are taken to 8 digits past x's."""
-    p, N = x.p, x.precision() + 8
+    Q_p or Q_p^2, the coefficients taken to x's precision N: x backs c_1 x
+    to N + v(c_1) digits and, as every x given here has v(x) >= 1, each
+    later integral term to at least N."""
+    p, N = x.p, x.precision()
     acc = PadicScalar.zero(p, N)
     for c in reversed(coeffs):
         acc = acc * x
@@ -95,31 +100,34 @@ def _eval_series(coeffs, x):
 # ------------------------------------------------------------ Tate parameter
 
 def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
-    """The Tate period q with j(q) = j(E), by Newton iteration on the exact
-    q-expansion E4^3 - j*Delta."""
+    """The Tate period q with j(q) = j(E), to prec + v(q) digits: Newton's
+    method on f = E4^3 - j Delta, run until f(q) vanishes to target digits.
+    f's coefficients have valuation >= -v(q) (the j), so q is carried to
+    target + v(q) digits; the root of f cut after q^L is right to
+    v(q) (L + 1) digits (the tail has valuation v(q) L, f' has -v(q))."""
     p = E.p
     vq = valuation(E.disc, p)
     if vq == 0:
         raise ValueError("good reduction at p; no Tate parameter")
     j = Fraction(E.c4 ** 3, E.disc)
-    work = prec + 3 * vq + 6
-    length = work // vq + 3
-    e4, e6 = list(eisenstein_e4(length)), list(eisenstein_e6(length))
+    target = prec + 2 * vq
+    length = _last_power(target, vq)
+    e4, e6 = eisenstein_e4(length), eisenstein_e6(length)
     e43 = _poly_mul(_poly_mul(e4, e4, length), e4, length)
     e62 = _poly_mul(e6, e6, length)
     # Delta = (E4^3 - E6^2) / 1728 = q prod (1 - q^n)^24
     coeffs = [a - j * Fraction(a - b, 1728) for a, b in zip(e43, e62)]
     dcoeffs = [n * coeffs[n] for n in range(1, len(coeffs))]
-    q = PadicScalar.from_fraction(p, 1 / j, work)
+    q = PadicScalar.from_fraction(p, 1 / j, target + vq)
     for _ in range(64):
         fval = _eval_series(coeffs, q)
-        if fval.is_zero() or fval.valuation() >= prec + 2 * vq:
+        if fval.is_zero() or fval.valuation() >= target:
             break
         q = q - fval / _eval_series(dcoeffs, q)
     else:
         raise PrecisionError("Newton's method for q did not converge: "
                              "E4^3 - j Delta has valuation %d < %d after 64 "
-                             "steps" % (fval.valuation(), prec + 2 * vq))
+                             "steps" % (fval.valuation(), target))
     if q.valuation() != vq:
         raise ArithmeticError("Tate period has valuation %d, not v(disc) = %d"
                               % (q.valuation(), vq))
@@ -157,8 +165,6 @@ def formal_log_series(curve_key, length: int):
 # ----------------------------------------------------- points over F_p / Q_p
 
 def on_curve(E: EllipticCurveData, P) -> bool:
-    if P is None:
-        return True
     x, y = P
     lhs = y * y + E.a1 * x * y + E.a3 * y
     rhs = (x * x + E.a2 * x + E.a4) * x + E.a6
@@ -197,22 +203,20 @@ def formal_log(E: EllipticCurveData, P, prec: int):
 def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
                       depth: int):
     """The Weierstrass transformation (lambda, r, s, t) carrying Tate-curve
-    coordinates to the minimal model of E.
-
+    coordinates to the minimal model of E, lambda (a unit, as c4(E) is) cut
+    to the v(q) (depth + 1) digits that E4 and E6 cut after q^depth back.
     A wrong q is caught by lambda^4 c4(q) = c4(E), which holds exactly when
-    j(q) = j(E): the residual must vanish to every digit it carries, and the
-    series cut after q^depth back v(q) (depth + 1) of them."""
+    j(q) = j(E): the residual must vanish to every digit lambda keeps."""
     # c4 and c6 of the Tate curve y^2 + xy = x^3 + a4(q) x + a6(q)
     c4q = _eval_series(eisenstein_e4(depth), q)
     c6q = -_eval_series(eisenstein_e6(depth), q)
     lam2 = (PadicScalar.from_int(E.p, E.c6, q.N) * c4q) / \
            (PadicScalar.from_int(E.p, E.c4, q.N) * c6q)
-    lam = ctx.sqrt(lam2)
+    lam = ctx.sqrt(lam2.with_precision(min(lam2.N, q.v * (depth + 1))))
     residual = lam ** 4 * c4q - E.c4
-    digits = min(residual.precision(), q.v * (depth + 1))
-    if residual.valuation() < digits:
-        raise ValueError("j(q) != j(E): lambda^4 c4(q) - c4(E) has valuation "
-                         "%d < %d" % (residual.valuation(), digits))
+    if not residual.is_zero():
+        raise ValueError("j(q) != j(E): lambda^4 c4(q) - c4(E) has valuation %d"
+                         " < %d" % (residual.valuation(), residual.precision()))
     # (x, y) = (lam^2 x' + r, lam^3 y' + s lam^2 x' + t) maps Tate -> E with
     # lam*1 = a1 + 2s, 0 = a2 - s a1 + 3r - s^2, 0 = a3 + r a1 + 2t
     s = (lam - E.a1) * Fraction(1, 2)
@@ -224,23 +228,15 @@ def iso_tate_to_curve(E: EllipticCurveData, q: PadicScalar, ctx: QuadExtContext,
 
 def log_conversion_constant(E: EllipticCurveData, q: PadicScalar,
                             ctx: QuadExtContext, prec: int) -> QuadExtScalar:
-    """kappa = 1/lambda, with formal_log(Phi_Tate(u)) = kappa * log_q(u):
-    converts Tate-side logarithms into minimal-model formal-group units.
-
-    The Tate curve's invariant differential dX/(2Y + X) is du/u (Silverman,
-    Advanced Topics in the Arithmetic of Elliptic Curves, V.1.1).  Under
-    x = lambda^2 X + r, y = lambda^3 Y + s lambda^2 X + t, the minimal
-    model's 2y + a1 x + a3 is lambda^3 (2Y + X) and dx is lambda^2 dX, so
-    omega_E = lambda^-1 du/u.  This is the constant the Darmon-Pollack route
-    (Israel J. Math. 2006) needs.  iso_tate_to_curve raises ValueError for
-    a q with j(q) != j(E)."""
-    lam = iso_tate_to_curve(E, q, ctx, prec // q.v + 2)[0]
+    """kappa = 1/lambda, with formal_log(Phi_Tate(u)) = kappa * log_q(u)
+    (see the module docstring), to prec digits, E4 and E6 cut for them.
+    iso_tate_to_curve raises ValueError for a q with j(q) != j(E)."""
+    lam = iso_tate_to_curve(E, q, ctx, _last_power(prec, q.v))[0]
     kappa = lam.inverse()
     if kappa.precision() < prec:
         raise PrecisionError("kappa = 1/lambda has %d of %d digits"
                              % (kappa.precision(), prec), kappa.precision())
-    return QuadExtScalar(ctx, kappa.a.with_precision(prec),
-                         kappa.b.with_precision(prec))
+    return kappa + ctx.from_ints(0, 0, prec)  # prec digits
 
 
 # ----------------------------------------------------------- localization
@@ -250,7 +246,8 @@ def localize_short_point(E: EllipticCurveData, pt, ctx: QuadExtContext, prec: in
     E(F_p), in minimal-model coordinates.  The model change is exact, in Q:
     x = (X - 3 b2)/36, y = -(a1 x + a3)/2 + (Y/216) sqrt(delta); these three
     rationals are embedded at prec, and sqrt(delta) is lifted to
-    prec - v(Y/216) digits when v(Y/216) < 0, so x and y keep every digit."""
+    prec - v(Y/216) digits when v(Y/216) < 0, at most ctx.N if delta is not a
+    square mod p (QuadExtContext.sqrt), so y keeps prec only if that is."""
 
     def emb(r):
         return ctx.embed(PadicScalar.from_fraction(E.p, r, prec))

@@ -37,6 +37,7 @@ from starkheegner.padics import (
 )
 from starkheegner.tate import (
     _eval_series,
+    _last_power,
     _poly_mul,
     _sigma_series,
     formal_log,
@@ -96,8 +97,9 @@ def tate_to_curve_point(E, transform, XY):
 def kappa_from_points(E: EllipticCurveData, q: PadicScalar,
                       ctx: QuadExtContext, prec: int):
     """kappa with formal_log(Phi_Tate(u)) = kappa * log_q(u), measured at
-    u = 1 + p and checked against u = (1 + p)^2."""
-    depth = prec // q.v + 2
+    u = 1 + p and checked against u = (1 + p)^2, the series cut for the
+    q.N digits of q read."""
+    depth = _last_power(q.N, q.v)
     transform = iso_tate_to_curve(E, q, ctx, depth)
     branch = LogBranch(q)
     u0 = ctx.embed(PadicScalar.from_int(E.p, 1 + E.p, q.N))

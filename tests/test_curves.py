@@ -202,6 +202,19 @@ def test_sh_hypothesis_failures():
         assert not ok and fails == ["c must be a positive integer"], (c, fails)
 
 
+def test_sh_hypothesis_names_each_remaining_failure():
+    # on 15x: 9 = 3^2 is no fundamental discriminant (and shares 3 with N),
+    # 2 is even, 49 = 7^2 is not squarefree, and 61 = 1 mod 3 and mod 5
+    # splits 3, as it should, but also p = 5
+    cases = {(9, 1): ["D is not a fundamental discriminant > 1",
+                      "D shares a factor with N"],
+             (13, 2): ["c must be odd"],
+             (13, 49): ["c must be squarefree"],
+             (61, 1): ["p = 5 is not inert in F"]}
+    for (D, c), want in cases.items():
+        assert check_sh_hypothesis(E15(), D, c) == (False, want), (D, c)
+
+
 # ----------------------------------------------------------------- L-values
 
 def test_l_derivative_37a():
@@ -290,6 +303,14 @@ def test_every_twist_in_use_is_accepted():
             complex_L_value(E, delta)
         else:
             complex_L_derivative(E, delta)
+
+
+def test_l_derivative_refuses_sign_plus_one():
+    # L(15x, 1) has sign +1, so its derivative at 1 is not the leading term
+    E = E15()
+    assert sign_of_twist(E, 1) == 1
+    with pytest.raises(CurveError, match="sign \\+1"):
+        complex_L_derivative(E, 1)
 
 
 def test_l_value_rank0():

@@ -305,6 +305,15 @@ def test_sign_matches_genus_positivity():
 
 # ------------------------------------------------------------ sign ordering
 
+def test_order_by_sign_rejects_a_pair_whose_signs_agree():
+    # D = 61 at N = 15 fails the hypothesis (5 splits), and its pair (1, 61)
+    # has (1 | -15) = (61 | -15) = 1: both twists have one sign
+    assert kronecker(1, -15) == kronecker(61, -15) == 1
+    for w_n in (1, -1):
+        with pytest.raises(ValueError, match="signs agree"):
+            order_by_sign(w_n, 15, (1, 61))
+
+
 def test_order_by_sign():
     # product of the two Kronecker values at -N is -1, so exactly one order
     N = 15

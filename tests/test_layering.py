@@ -5,7 +5,9 @@ package module, and the package modules import one another without a
 cycle, function-level imports included.  Only modsym takes the Manin step
 (segment -> generator index), so no other module reaches into P^1 for it,
 and only modsym splits a path into segments (segments_between) or moves a
-cusp (apply_moebius): the other modules read its Hecke walk.
+cusp (apply_moebius): the other modules read its Hecke walk.  Only padics
+reads w^2 (an attribute eps or eps_scalar), whose digits its w^2 rule
+bounds.
 No module uses assert, which python -O strips: invariants raise instead.
 No function, in the package, its tests or bench/, stores a local name
 (other than _) that it never reads, and no file of the package, of its
@@ -125,6 +127,20 @@ def _manin_step_calls(mod):
 def test_manin_step_only_in_modsym():
     bad = ["%s.py:%d" % (m, line) for m in MODULES if m != "modsym"
            for line in _manin_step_calls(m)]
+    assert not bad, bad
+
+
+def _w_square_loads(mod):
+    """Line numbers of loads of an attribute named eps or eps_scalar."""
+    tree = ast.parse((PKG / ("%s.py" % mod)).read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in ("eps", "eps_scalar")]
+
+
+def test_w_square_only_in_padics():
+    bad = ["%s.py:%d" % (m, line) for m in MODULES if m != "padics"
+           for line in _w_square_loads(m)]
     assert not bad, bad
 
 

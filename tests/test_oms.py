@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from starkheegner.oms import (
     lift_to_oms,
     specialize_weight2,
 )
-from starkheegner.padics import PadicScalar, iwasawa_log
+from starkheegner.padics import PadicScalar, PrecisionError, iwasawa_log
 
 from oracle_symbols import op_full, relation_residual_all
 
@@ -673,6 +674,37 @@ def test_symbol_rejects_fewer_than_one_moment():
             OMSymbol(sym.space, P, n_mom, E.a_p, 1)
         with pytest.raises(ValueError, match="at least one moment"):
             TransportCache(P, n_mom)
+
+
+def test_lift_refuses_a_non_integral_value():
+    E = E15()
+    sym = build_eigensymbol(E, 1, ManinSymbolSpace(15))
+    half = dataclasses.replace(sym, vector=[Fraction(v, 2) for v in sym.vector])
+    with pytest.raises(ValueError, match="is not integral"):
+        lift_to_oms(half, E.a_p, P, NMOM)
+
+
+def test_lift_refuses_the_wrong_eigenvalue():
+    # 15x has a_5 = +1: each sweep of -U_5 negates the zeroth moments, and
+    # the NMOM + 1 = 9 sweeps leave them negated
+    E = E15()
+    for sign in (1, -1):
+        sym = build_eigensymbol(E, sign, ManinSymbolSpace(15))
+        with pytest.raises(ValueError, match="zeroth moments drifted"):
+            lift_to_oms(sym, -E.a_p, P, NMOM)
+
+
+def test_lift_refuses_a_shortfall_and_names_the_certified_level(monkeypatch):
+    # the sweeps contract any start onto the lift, so the shortfall is made
+    # by reporting the relation residual as NMOM - 3: the lift is certified
+    # to that many digits only
+    E = E15()
+    sym = build_eigensymbol(E, 1, ManinSymbolSpace(15))
+    monkeypatch.setattr(OMSymbol, "relation_residual", lambda self: NMOM - 3)
+    with pytest.raises(PrecisionError, match="certified to %d of %d"
+                       % (NMOM - 3, NMOM)) as err:
+        lift_to_oms(sym, E.a_p, P, NMOM)
+    assert err.value.achievable == NMOM - 3
 
 
 def test_symbol_rejects_p_not_a_prime_divisor_of_N():

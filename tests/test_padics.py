@@ -379,6 +379,27 @@ def test_sqrt_squares_back_to_every_even_valuation_input():
                 assert r.b.is_zero() == (n % p in residues)
 
 
+def test_sqrt_claims_only_the_digits_eps_backs():
+    # eps = w^2 is right to ctx.N digits, so a root in Q_p w asked for more
+    # keeps ctx.N relative digits and one in Q_p keeps them all; every digit
+    # claimed survives a context 10 digits wider
+    for p in (3, 5, 7):
+        residues = {n * n % p for n in range(1, p)}
+        for N in (10, 20):
+            ctx, wide = QuadExtContext(p, N), QuadExtContext(p, N + 10)
+            for n in range(1, 3 * p):
+                if n % p == 0:
+                    continue
+                for v in (0, 2):
+                    a = PadicScalar.from_int(p, n, N + 8).shift(v)
+                    got = ctx.sqrt(a)
+                    far = wide.sqrt(PadicScalar.from_int(p, n, N + 10).shift(v))
+                    case = (p, N, n, v)
+                    assert got.precision() == v // 2 + (
+                        N + 8 if n % p in residues else N), case
+                    assert (got - far).is_zero(), case
+
+
 def test_sqrt_rejects_odd_valuation_and_zero():
     for p in (3, 5, 7, 11):
         ctx = QuadExtContext(p, N)

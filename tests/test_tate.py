@@ -300,7 +300,7 @@ def test_iso_tate_to_curve_checks_only_the_digits_its_depth_backs():
         with pytest.raises(ValueError, match="valuation %d < %d"
                            % (depth, depth + 1)):
             iso_tate_to_curve(E, wrong, ctx, depth)
-    # kappa to 6 digits reads E4 and E6 to depth 8 from this 21-digit q
+    # kappa to 6 digits reads E4 and E6 to depth 5 from this 21-digit q
     assert log_conversion_constant(E, q, ctx, 6).precision() == 6
 
 
@@ -448,3 +448,61 @@ def test_localize_short_point_on_a_twist_point_not_5_integral():
                               (y, (-3, 46678783982034812, 21)),
                               (log, (1, 19013513905743873, 25))):
         assert (new - ctx.embed(PadicScalar(5, v, unit, N))).is_zero()
+
+
+# ------------------------------------------------- digits claimed are backed
+
+def test_tate_parameter_and_kappa_claim_only_backed_digits():
+    # each agrees, on every digit it claims, with a run 30 digits longer
+    for E in kappa_curves():
+        for prec in (1, 6, 20, 38):
+            q = tate_parameter(E, prec)
+            far = tate_parameter(E, prec + 30)
+            assert q.precision() == prec + q.v, (E.conductor, E.p, prec)
+            assert (q - far).is_zero(), (E.conductor, E.p, prec)
+        for prec in (3, 6, 20, 38):
+            q, far = tate_parameter(E, prec + 2), tate_parameter(E, prec + 32)
+            kappa = log_conversion_constant(E, q, QuadExtContext(E.p, q.N), prec)
+            kappa_far = log_conversion_constant(E, far, QuadExtContext(E.p, far.N),
+                                                prec + 30)
+            assert kappa.precision() == prec, (E.conductor, E.p, prec)
+            assert (kappa - kappa_far).is_zero(), (E.conductor, E.p, prec)
+
+
+def test_iso_tate_to_curve_claims_only_the_digits_its_depth_backs():
+    # q to 44 digits on 15x, v(q) = 4: E4 and E6 cut after q^depth back
+    # 4 (depth + 1) digits of lambda, and r, s, t follow lambda; a map from
+    # q to 84 digits at depth 30 agrees on every digit claimed
+    E = E15()
+    q = tate_parameter(E, 40)
+    ctx = QuadExtContext(5, q.N)
+    far_q = tate_parameter(E, 80)
+    far = iso_tate_to_curve(E, far_q, QuadExtContext(5, far_q.N), 30)
+    assert (q.v, q.N, far[0].precision()) == (4, 44, 84)
+    for depth in (3, 5, 8):
+        transform = iso_tate_to_curve(E, q, ctx, depth)
+        for got, want in zip(transform, far):
+            assert (got - want).is_zero(), depth
+            assert got.precision() <= 4 * (depth + 1), depth
+        assert transform[0].precision() == 4 * (depth + 1), depth
+
+
+def test_localize_short_point_claims_only_backed_digits():
+    # the points of minimal-model x = -172/25 on E^(-247) and x = -133/52 on
+    # E^(13) of 15x.  -247 and 13 are non-squares mod 5, so sqrt(delta) has
+    # at most ctx.N digits; v(Y/216) is -3 for the first and 0 for the
+    # second, so its y keeps 30 digits only in a context of 33 or more
+    E = E15()
+    A, B = E.short_model()
+    cases = ((GlobalPoint(Fraction(-5817, 25), Fraction(24948, 125), -247),
+              Fraction(-172, 25), 3),
+             (GlobalPoint(Fraction(-1002, 13), Fraction(24786, 169), 13),
+              Fraction(-133, 52), 0))
+    for pt, x_min, lost in cases:
+        assert pt.on_short_model(A, B) and (pt.x - 3 * E.b2) / 36 == x_min
+        ref_x, ref_y = localize_short_point(E, pt, QuadExtContext(5, 80), 70)
+        for n in (30, 40):
+            x, y = localize_short_point(E, pt, QuadExtContext(5, n), 30)
+            assert (x - ref_x).is_zero() and (y - ref_y).is_zero(), (pt.delta, n)
+            assert x.precision() == 30, (pt.delta, n)
+            assert y.precision() == min(30, n - lost), (pt.delta, n)
