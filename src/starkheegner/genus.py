@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import (
     is_squarefree,
@@ -117,7 +118,7 @@ def enumerate_quadratic_chars(group: NarrowClassGroup):
         raise ValueError("genus characters need c odd and squarefree, not %d" % c)
     parts = prime_discriminant_factors(D)
     stars = [ell if ell % 4 == 1 else -ell for ell in prime_divisors(c)]
-    represented = [_represent_coprime(Q, 2 * D * c)[0] for Q in group.reps]
+    represented = [a for a, _ in _class_representatives(group)]
     pairs = {}
     for d1 in _subset_products(parts):
         d2 = D // d1
@@ -159,13 +160,19 @@ def _represent_coprime(Q: BQF, moduli: int):
     raise RuntimeError("no coprime representation found")  # pragma: no cover
 
 
+@lru_cache(maxsize=8)
+def _class_representatives(group: NarrowClassGroup):
+    """_represent_coprime(Q, 2 D c) of each class Q, searched once per group
+    for all three readers below (the last 8 groups are kept)."""
+    return tuple(_represent_coprime(Q, 2 * group.D * group.c) for Q in group.reps)
+
+
 def pushforward_class(group_c: NarrowClassGroup, group_f: NarrowClassGroup, idx: int) -> int:
     """Image of a class of O_c under Pic^+(O_c) -> Pic^+(O_f), f | c."""
     c, f = group_c.c, group_f.c
     if c % f != 0 or group_c.D != group_f.D:
         raise ValueError("no map O_%d -> O_%d, D = %d, %d" % (c, f, group_c.D, group_f.D))
-    Q = group_c.reps[idx]
-    a, Qa = _represent_coprime(Q, 2 * c * group_c.D)
+    a, Qa = _class_representatives(group_c)[idx]
     # Qa = (a, b, *): rescale the middle coefficient from disc Dc^2 to Df^2
     b = Qa.B
     m = 4 * a
@@ -188,8 +195,7 @@ def attach_genus_data(chi: RingClassCharacter) -> RingClassCharacter:
     """
     group = chi.group
     d1 = chi.genus_pair[0]
-    for i, Q in enumerate(group.reps):
-        a = _represent_coprime(Q, 2 * group.D * group.c)[0]
+    for i, (a, _) in enumerate(_class_representatives(group)):
         if chi(i) != kronecker(d1, a):
             raise ArithmeticError("character %r is not (%d | .) at class %d"
                                   % (chi.values, d1, i))

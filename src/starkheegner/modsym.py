@@ -6,7 +6,10 @@ the space, and the eigensymbols of a curve are found by exact kernel
 intersections.  An operator is a list of path matrices, and one walk,
 hecke_segments, splits each image m lifts[i]{0 -> oo} into unimodular
 segments (the Manin trick): the T_ell and W_oo matrices here and the U_p
-plan of oms all read it.
+plan of oms all read it.  It splits {x -> y} from x along a shortest chain,
+a Farey geodesic (segments_to_cusp).  No operator on the space or lift
+depends on the split: a vector satisfying the Manin relations is additive
+on paths, so every unimodular chain from x to y gives it one value.
 
 The relation matrix has integer rows with at most three non-zeros each,
 and linalg eliminates it sparsely over the integers (Cremona, Algorithms
@@ -27,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (is_prime, is_squarefree, lift_to_sl2, mat_inv, mat_mul,
-                    prime_divisors, primes_up_to)
+from .arith import (MAT_ID, is_prime, is_squarefree, lift_to_sl2, mat_inv,
+                    mat_mul, prime_divisors, primes_up_to)
 from .curves import EllipticCurveData
 from .linalg import kernel_basis, lincomb, matvec, rref
 
@@ -50,28 +53,30 @@ def apply_moebius(g, cusp):
 
 
 def segments_to_cusp(x):
-    """Decompose {oo -> x} into unimodular paths g{0 -> oo}.
-
-    Returns a list of matrices g in SL2(Z), one per continued-fraction
-    digit of x, made as the Euclid loop meets each convergent p_k/q_k:
-    g_k = (p_k, e p_(k-1); q_k, e q_(k-1)) with e = (-1)^(k+1), whose path
-    g_k{0 -> oo} runs from p_(k-1)/q_(k-1) to p_k/q_k (p_(-1)/q_(-1) = 1/0),
-    so that the paths chain oo -> x.
+    """Decompose {oo -> x} into unimodular paths g{0 -> oo}, a geodesic of
+    the Farey graph (Beardon, Hockman and Short, Geodesic continued
+    fractions, 2012): one g_k = (p_k, s p_(k-1); q_k, s q_(k-1)) per digit
+    a_k = floor(num/den + 1/2) of the nearest-integer continued fraction,
+    p_k = a_k p_(k-1) + e_k p_(k-2) with e_k the sign of the remainder
+    before, and s = +-1 making det 1; g_k{0 -> oo} runs from
+    p_(k-1)/q_(k-1) to p_k/q_k (p_(-1)/q_(-1) = 1/0).
     """
     if x is INF:
         return []
     # convergents p/q and their predecessors p1/q1, from p_(-1)/q_(-1) = 1/0
     p, q, p1, q1 = 1, 0, 0, 1
-    sign = -1
+    e = sign = 1
     segs = []
     num, den = x.numerator, x.denominator
     while den:
-        a, rem = divmod(num, den)
-        num, den = den, rem
-        p, p1 = a * p + p1, p
-        q, q1 = a * q + q1, q
+        a = (2 * num + den) // (2 * den)
+        rem = num - a * den
+        p, p1 = a * p + e * p1, p
+        q, q1 = a * q + e * q1, q
+        sign = -e * sign
         segs.append((p, sign * p1, q, sign * q1))
-        sign = -sign
+        e = 1 if rem > 0 else -1
+        num, den = den, abs(rem)
     if (p, q) != (x.numerator, x.denominator):
         raise ArithmeticError("last convergent %d/%d is not %s" % (p, q, x))
     return segs
@@ -191,17 +196,22 @@ class ManinSymbolSpace:
 
     def hecke_segments(self, paths, gens):
         """Yield (i, m, seg, sign) for each signed unimodular segment seg of
-        the path m lifts[i]{0 -> oo}, for i in gens and m in paths, in that
-        order.  A generator: the segments are made as the caller iterates,
-        inside the caller's call (bench/test_tracer.py reads
-        segments_between as called under OMSymbol.apply_up)."""
+        the path {x -> y} = m lifts[i]{0 -> oo}, for i in gens and m in
+        paths, in that order: seg = h^-1 g, sign +1, for g on the geodesic
+        {oo -> h y} and h in SL2(Z) with h x = oo (the identity if x = oo).
+        No operator on the space depends on the split (module docstring).
+        A generator: the segments are made as the caller iterates, inside
+        the caller's call (bench/test_tracer.py reads segments_between as
+        called under OMSymbol.apply_up)."""
         for i in gens:
             g = self.lifts[i]
             r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
             for m in paths:
-                for seg, sign in segments_between(apply_moebius(m, r),
-                                                  apply_moebius(m, s)):
-                    yield i, m, seg, sign
+                x, y = apply_moebius(m, r), apply_moebius(m, s)
+                h = MAT_ID if x is INF else lift_to_sl2(x.denominator, -x.numerator, 1)
+                back = mat_inv(h)
+                for seg, sign in segments_between(INF, apply_moebius(h, y)):
+                    yield i, m, mat_mul(back, seg), sign
 
     def _operator_matrix(self, paths):
         """Matrix of the operator on rref coordinates, built once per list

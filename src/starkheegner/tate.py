@@ -103,15 +103,15 @@ def tate_parameter(E: EllipticCurveData, prec: int) -> PadicScalar:
     """The Tate period q with j(q) = j(E), to prec + v(q) digits: Newton's
     method on f = E4^3 - j Delta, run until f(q) vanishes to target digits.
     f's coefficients have valuation >= -v(q) (the j), so q is carried to
-    target + v(q) digits; the root of f cut after q^L is right to
-    v(q) (L + 1) digits (the tail has valuation v(q) L, f' has -v(q))."""
+    target + v(q) digits; f cut after q^L has a root right to v(q) (L + 1)
+    digits (tail v(q) L, f' -v(q)), and L serves the prec + v(q) returned."""
     p = E.p
     vq = valuation(E.disc, p)
     if vq == 0:
         raise ValueError("good reduction at p; no Tate parameter")
     j = Fraction(E.c4 ** 3, E.disc)
     target = prec + 2 * vq
-    length = _last_power(target, vq)
+    length = _last_power(prec + vq, vq)
     e4, e6 = eisenstein_e4(length), eisenstein_e6(length)
     e43 = _poly_mul(_poly_mul(e4, e4, length), e4, length)
     e62 = _poly_mul(e6, e6, length)

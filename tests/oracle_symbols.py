@@ -6,7 +6,11 @@ read the rational symbol itself, to check it against facts it must satisfy:
 - P^1(Z/N) built by sorting each unit orbit, the reference for the
   package's one-scan P1List;
 - an operator applied to a full P^1-indexed vector, one Manin-trick row
-  per generator (the package builds only the pivot rows);
+  per generator (the package builds only the pivot rows), with each image
+  path split from its own end along a Farey geodesic, as the package
+  splits it, or as {oo -> y} - {oo -> x};
+- the regular continued-fraction chain {oo -> x}, the split the package
+  used before the nearest-integer one;
 - the filtration level of the Manin relations of an overconvergent
   symbol, both relations at every generator (the package checks one
   relation per orbit);
@@ -18,9 +22,11 @@ read the rational symbol itself, to check it against facts it must satisfy:
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from starkheegner.arith import kronecker, mat_mul
-from starkheegner.modsym import INF, ManinSymbolSpace, apply_moebius, segments_between
+from starkheegner.arith import kronecker, mat_adj, mat_mul
+from starkheegner.modsym import (INF, ManinSymbolSpace, apply_moebius, segments_between,
+                                 segments_to_cusp)
 from starkheegner.oms import Distribution
 from starkheegner.quadforms import stabilizer_gamma, totally_positive_unit
 
@@ -45,20 +51,75 @@ def p1_sorted_orbits(N: int):
     return reps, index
 
 
+def regular_cf_segments(x):
+    """{oo -> x} as unimodular paths g{0 -> oo}, one per digit of the
+    regular continued fraction of x: g_k = (p_k, e p_(k-1); q_k, e q_(k-1))
+    with e = (-1)^(k+1), the path from p_(k-1)/q_(k-1) to p_k/q_k."""
+    if x is INF:
+        return []
+    p, q, p1, q1 = 1, 0, 0, 1
+    sign = -1
+    segs = []
+    num, den = x.numerator, x.denominator
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        p, p1 = a * p + p1, p
+        q, q1 = a * q + q1, q
+        segs.append((p, sign * p1, q, sign * q1))
+        sign = -sign
+    if (p, q) != (x.numerator, x.denominator):
+        raise ArithmeticError("last convergent %d/%d is not %s" % (p, q, x))
+    return segs
+
+
+def split_from_end(x, y):
+    """{x -> y} as (g, +1) pairs: h in SL2(Z) with h x = oo, and g = h^-1 k
+    for k on the chain segments_to_cusp(h y).  Any h will do: T^j h moves
+    h y by j, which adds j to the first digit of its nearest-integer
+    continued fraction and so moves each k to T^j k."""
+    if x is INF:
+        return [(g, 1) for g in segments_to_cusp(y)]
+    p, q = x.numerator, x.denominator
+    a = -pow(p, -1, q)  # (a, b; q, -p) has det -a p - b q = 1
+    h = (a, (-1 - a * p) // q, q, -p)
+    return [(mat_mul(mat_adj(h), k), 1) for k in segments_to_cusp(apply_moebius(h, y))]
+
+
+@lru_cache(maxsize=64)
+def _manin_rows(space, paths, split):
+    """For each generator lifts[i], the signed count of each P^1 index over
+    the segments split(m r, m s) of the images {m r -> m s} of
+    lifts[i]{0 -> oo}, m in paths."""
+    rows = []
+    for g in space.lifts:
+        r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
+        row = {}
+        for m in paths:
+            for seg, sign in split(apply_moebius(m, r), apply_moebius(m, s)):
+                idx = space.p1.index_of_matrix(seg)
+                row[idx] = row.get(idx, 0) + sign
+        rows.append(row)
+    return rows
+
+
+def _op(space, vec, paths, split):
+    return [sum((c * vec[idx] for idx, c in row.items()), Fraction(0))
+            for row in _manin_rows(space, tuple(paths), split)]
+
+
 def op_full(space, vec, paths):
     """The operator with path matrices paths applied to the full
     P^1-indexed vector vec: for each generator lifts[i], the image of
     lifts[i]{0 -> oo} under each path matrix, split into unimodular
-    segments by the Manin trick and read on vec."""
-    out = []
-    for g in space.lifts:
-        r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
-        total = Fraction(0)
-        for m in paths:
-            for seg, sign in segments_between(apply_moebius(m, r), apply_moebius(m, s)):
-                total += sign * vec[space.p1.index_of_matrix(seg)]
-        out.append(total)
-    return out
+    segments from its own end (split_from_end) and read on vec."""
+    return _op(space, vec, paths, split_from_end)
+
+
+def op_full_from_infinity(space, vec, paths):
+    """op_full with each image {x -> y} split as {oo -> y} - {oo -> x}: the
+    same operator on vectors that satisfy the Manin relations."""
+    return _op(space, vec, paths, segments_between)
 
 
 def relation_residual_all(phi) -> int:

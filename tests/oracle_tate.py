@@ -67,7 +67,7 @@ class LogBranch:
 def tate_point(q, u: QuadExtScalar, depth: int):
     """(X, Y) on the Tate curve for the parameter u (not a power of q)."""
     ctx = u.ctx
-    one = ctx.from_ints(1, 0, u.precision() + 6)
+    one = ctx.from_ints(1, 0, u.precision())
     qe = ctx.embed(q)
     s1 = _sigma_series(1, depth)
     s1v = ctx.embed(_eval_series([0] + [s1[n] for n in range(1, depth + 1)],

@@ -28,7 +28,8 @@ from starkheegner.modsym import (
 from starkheegner.quadforms import HeegnerSystem
 
 from oracle_periods import real_periods
-from oracle_symbols import birch_sum, geodesic_period_sum, op_full, p1_sorted_orbits
+from oracle_symbols import (birch_sum, geodesic_period_sum, op_full, op_full_from_infinity,
+                            p1_sorted_orbits, regular_cf_segments)
 from test_linalg import dense_kernel_basis, dense_rref
 
 rng = random.Random(7)
@@ -97,6 +98,45 @@ def test_segments_chain_oo_to_the_cusp(x, r):
     assert [g for g, sign in pairs if sign == 1] == segs
     back = [g for g, sign in pairs if sign == -1]
     assert _chain_end(back) == r and back == segments_to_cusp(r)
+
+
+def _farey_distances(B, bound):
+    """Distance from oo in the Farey graph on oo and the fractions of
+    denominator at most B and absolute value at most bound, by
+    breadth-first search: p/q and r/s are neighbours when |ps - qr| = 1."""
+    frontier = [Fraction(a) for a in range(-bound, bound + 1)]
+    dist = dict.fromkeys(frontier, 1)
+    dist[INF] = 0
+    while frontier:
+        nxt = []
+        for x in frontier:
+            p, q = x.numerator, x.denominator
+            for e in (1, -1):
+                # p s - q r = e: s = e p^-1 mod q (s > 0), r = (p s - e)/q
+                for s in range(e * pow(p, -1, q) % q or q, B + 1, q):
+                    y = Fraction((p * s - e) // q, s)
+                    if abs(y) <= bound and y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def test_segments_follow_a_farey_geodesic():
+    # the chain of a/b has as many segments as the Farey-graph distance
+    # from oo to a/b, and no more than the regular continued-fraction
+    # chain.  Every geodesic from oo to x lies in the ladder of x, the
+    # Farey triangles that the line Re z = x crosses (Beardon, Hockman and
+    # Short, 2012), whose vertices have denominator at most that of x and
+    # lie within 1 of x; the search over those finds the distance
+    for b in range(1, 21):
+        dist = _farey_distances(b, 41)
+        for a in range(-40, 41):
+            x = Fraction(a, b)
+            if x.denominator == b:
+                segs = segments_to_cusp(x)
+                assert len(segs) == dist[x], x
+                assert len(segs) <= len(regular_cf_segments(x)), x
 
 
 # ----------------------------------------------------------------- the space
@@ -218,6 +258,25 @@ def test_hecke_segments_reproduce_the_reference_operator(N):
             idx = sp.p1.index_of_matrix(seg)
             pivot_rows[i][idx] = pivot_rows[i].get(idx, 0) + sign
         assert all(pivot_rows[i] == rows[i] for i in sp.pivots), (N, ell)
+
+
+@pytest.mark.parametrize("N", (15, 57, 115))
+def test_walk_is_the_operator_from_infinity_on_the_space(N):
+    # on every basis vector, each of which satisfies the Manin relations,
+    # the walk's operator (each image split from its own end) equals the
+    # operator split as {oo -> y} - {oo -> x}, in exact Fractions, for T_2,
+    # T_3 (U_3 at 15 and 57), U_p for each p | N and W_oo
+    sp = ManinSymbolSpace(N)
+    gens = range(len(sp.p1))
+    ops = [sp.hecke_paths(ell) for ell in sorted({2, 3, *prime_divisors(N)})]
+    for paths in ops + [[(-1, 0, 0, 1)]]:
+        rows = [{} for _ in gens]
+        for i, _, seg, sign in sp.hecke_segments(paths, gens):
+            idx = sp.p1.index_of_matrix(seg)
+            rows[i][idx] = rows[i].get(idx, 0) + sign
+        for k, b in enumerate(sp.basis):
+            got = [sum((c * b[idx] for idx, c in row.items()), Fraction(0)) for row in rows]
+            assert got == op_full_from_infinity(sp, b, paths), (N, paths[-1], k)
 
 
 def _relation_rows(sp):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starkheegner.arith import MAT_ID, mat_adj, mat_mul
+from starkheegner.arith import mat_adj, mat_mul
 from starkheegner.curves import EllipticCurveData
 from starkheegner.modsym import (
     INF,
@@ -27,7 +27,8 @@ from starkheegner.oms import (
 )
 from starkheegner.padics import PadicScalar, PrecisionError, iwasawa_log
 
-from oracle_symbols import op_full, relation_residual_all
+from oracle_symbols import (op_full, regular_cf_segments, relation_residual_all,
+                            split_from_end)
 
 P = 5
 NMOM = 8
@@ -414,13 +415,15 @@ def _reference_matrices(p, n, g):
             [[v % mod for v in row] for row in B])
 
 
-def _up_pieces(sp, g):
+def _up_pieces(sp, g, split=split_from_end):
     """(idx, value matrix, sign) for each piece of U_p at the generator g:
-    the path (1, a; 0, p) carries the value transport mat_adj of it."""
+    the path (1, a; 0, p) carries the value transport mat_adj of it.  Each
+    image path is split by ``split``: from its own end along a Farey
+    geodesic, as the package splits it, or (segments_between) as
+    {oo -> y} - {oo -> x}."""
     r, s = apply_moebius(g, Fraction(0)), apply_moebius(g, INF)
     for path in sp.hecke_paths(P):
-        for seg, sgn in segments_between(apply_moebius(path, r),
-                                         apply_moebius(path, s)):
+        for seg, sgn in split(apply_moebius(path, r), apply_moebius(path, s)):
             idx, gamma = sp.generator_of(seg)
             yield idx, mat_mul(mat_adj(path), gamma), sgn
 
@@ -650,14 +653,15 @@ def test_moments_outside_the_packed_range_are_rejected(bad):
 
 
 def test_plan_rejects_a_target_with_2_15_pieces():
-    # at N = 2 the identity path gives targets 0 and 1 one piece each and
-    # target 2 two: 2^15 paths overflow target 0's accumulator, and 2^15 - 1
-    # paths pass targets 0 and 1 and overflow target 2 (2^16 - 2 pieces)
+    # at N = 2 the path (2, 0; 0, 1) gives targets 0 and 1 one piece each
+    # and target 2 two: 2^15 paths overflow target 0's accumulator, and
+    # 2^15 - 1 paths pass targets 0 and 1 and overflow target 2 (2^16 - 2
+    # pieces)
     phi = OMSymbol(ManinSymbolSpace(2), 2, 3, 1, 1)
     with pytest.raises(ArithmeticError, match="target 0 has 32768 pieces"):
-        phi._plan_operator([MAT_ID] * (1 << 15))
+        phi._plan_operator([(2, 0, 0, 1)] * (1 << 15))
     with pytest.raises(ArithmeticError, match="target 2 has 65534 pieces"):
-        phi._plan_operator([MAT_ID] * ((1 << 15) - 1))
+        phi._plan_operator([(2, 0, 0, 1)] * ((1 << 15) - 1))
 
 
 def test_symbol_rejects_fewer_than_one_moment():
@@ -751,7 +755,7 @@ def test_grouped_up_sweep_matches_per_piece_transports():
 def test_up_sweep_does_one_product_per_source_and_matrix(E):
     # the plan holds one kernel, and a sweep does one product, per distinct
     # (source generator, value matrix) pair of the pieces of U_p; one
-    # product per (target, matrix) group would do 439 at N = 15 and 3,569
+    # product per (target, matrix) group would do 210 at N = 15 and 1,415
     # at N = 115.  A warm sweep looks no kernel up
     E = E()
     nmom = 10
@@ -801,13 +805,13 @@ def test_eigen_residual_leaves_the_symbol_as_it_was():
 # ------------------------------------------- paths by Horner's rule, against
 # one transport per segment
 
-def _per_segment_path(phi, cache, r, s):
-    """Phi{r -> s}, one transport per segment, in the kernel cache
-    ``cache``: the reference for eval_path's Horner rule.  The segments'
-    moments are summed as integers and reduced once, by the Distribution
-    built at the end (reduction is a ring map)."""
+def _per_segment_path(phi, cache, r, s, split=segments_between):
+    """Phi{r -> s}, one transport per segment of split(r, s), in the kernel
+    cache ``cache``: the reference for eval_path's Horner rule.  The
+    segments' moments are summed as integers and reduced once, by the
+    Distribution built at the end (reduction is a ring map)."""
     m, lam = [0] * phi.n, [0] * phi.n
-    for g, sign in segments_between(r, s):
+    for g, sign in split(r, s):
         idx, gamma = phi.space.generator_of(g)
         d = cache.transport(phi.values[idx], gamma)
         for j in range(phi.n):
@@ -848,6 +852,45 @@ def test_eval_path_by_horner_matches_per_segment_transports():
                 assert got.m == want.m, (E.conductor, n, r, s)
             fewer = len(phi.cache) <= len(ref) if n == 1 else len(phi.cache) < len(ref)
             assert fewer and len(ref) <= segments, (E.conductor, n)
+
+
+# --------------------------------------- the geodesic split, against chains
+# from infinity: a certified lift satisfies the Manin relations, on which
+# every unimodular decomposition of a path gives one value
+
+def _regular_between(r, s):
+    """{r -> s} as {oo -> s} - {oo -> r} on regular continued-fraction
+    chains, as (g, +-1) pairs."""
+    return ([(g, 1) for g in regular_cf_segments(s)]
+            + [(g, -1) for g in regular_cf_segments(r)])
+
+
+@pytest.mark.parametrize("E, nmom", ((E15, 10), (E15, 20), (E115, 10)),
+                         ids=("15-10", "15-20", "115-10"))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_certified_lift_reads_the_same_on_chains_from_infinity(E, nmom, sign):
+    # a_p^{-1} U_p written out piece by piece on the chains {oo -> y} -
+    # {oo -> x}, one transport per piece, fixes the lift to all n_mom
+    # digits; and eval_path at random paths with finite and infinite ends
+    # equals one transport per segment of regular continued-fraction chains
+    E = E()
+    sp = ManinSymbolSpace(E.conductor)
+    phi, cert = lift_to_oms(build_eigensymbol(E, sign, sp), E.a_p, P, nmom)
+    assert cert.converged and cert.relation_valuation == nmom
+    ref = TransportCache(P, nmom)
+    ap_inv = pow(E.a_p, -1, P ** nmom)
+    for g, value in zip(sp.lifts, phi.values):
+        total = Distribution(P, nmom)
+        for idx, value_mat, sgn in _up_pieces(sp, g, segments_between):
+            d = ref.transport(phi.values[idx], value_mat)
+            total = total + (d if sgn > 0 else d.scale(-1))
+        assert total.scale(ap_inv).t_difference_valuation(value) == nmom, g
+    rng = random.Random(E.conductor * nmom * sign)
+    x = _big_cusp(rng)
+    paths = [(_big_cusp(rng), _big_cusp(rng)) for _ in range(4)] + [(INF, x), (x, INF)]
+    for r, s in paths:
+        got = phi.eval_path(r, s)
+        assert got.m == _per_segment_path(phi, ref, r, s, _regular_between).m, (r, s)
 
 
 def test_symbol_operations_read_and_return_t_moments_only():
