@@ -573,13 +573,22 @@ def curve_add(coeffs, P, Q):
     (x1, y1), (x2, y2) = P, Q
     a1, a2, a3, a4 = coeffs
     if x1 == x2:
-        if y1 + y2 + a1 * x1 + a3 == 0:
+        if _plus(y1 + y2, (a1, x1), (a3, 1)) == 0:
             return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+        lam = (_plus(3 * x1 * x1, (2 * a2, x1), (a4, 1), (-a1, y1))
+               / _plus(2 * y1, (a1, x1), (a3, 1)))
     else:
         lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    return (x3, lam * (x1 - x3) - y1 - a1 * x3 - a3)
+    x3 = _plus(lam * lam, (a1, lam), (-a2, 1)) - x1 - x2
+    return (x3, _plus(lam * (x1 - x3) - y1, (-a1, x3), (-a3, 1)))
+
+
+def _plus(x, *terms):
+    """x + a*y for each (a, y) of terms in order, those with a = 0 left out."""
+    for a, y in terms:
+        if a:
+            x = x + a * y
+    return x
 
 
 def point_order_divides(A: int, B: int, xy, n: int) -> bool:

@@ -34,8 +34,9 @@ cached up to sign: g and -g give one Moebius map and one L, so they share
 a key and a kernel.
 
 A path {oo -> x} is evaluated by Horner's rule over its segments: each
-step transports the running sum by gamma_k^-1 gamma_(k+1), whose kernel the
-cache already holds.  This is exact, because transport is a monoid action
+step transports the running sum by gamma_k^-1 gamma_(k+1), a matrix fixed
+by g_k's generator and the integer step g_k^-1 g_(k+1), which the symbol
+keys its kernel by.  This is exact, because transport is a monoid action
 on the filtered moments: entry (j, k) of A has valuation at least k - j.
 For the same reason the Manin relations are checked once per orbit of S
 and of T on P^1(Z/N): the relations of one orbit are transports of each
@@ -311,6 +312,7 @@ class OMSymbol:
         self.lifts = space.lifts
         self.values = [Distribution(p, n_mom) for _ in range(len(space.p1))]
         self._up_plan = None
+        self._steps = {}  # eval_path's (i, sigma) -> (kernel of its delta, j)
 
     # ---------------------------------------------------------- evaluation
 
@@ -325,25 +327,36 @@ class OMSymbol:
     def eval_path(self, r, s) -> Distribution:
         """The t-moments of Phi{r -> s}: {oo -> s} minus {oo -> r}, each by
         Horner's rule over its segments g_k, generators (i_k, gamma_k):
-        A(gamma_0)(v_0 + A(delta_0)(v_1 + ...)), v_k = values[i_k].m,
-        delta_k = gamma_k^-1 gamma_(k+1), reduced each step.  Raises
-        ValueError for a value read with a moment outside [0, p^n)."""
+        A(gamma_0)(v_0 + A(delta_0)(v_1 + ...)), v_k = values[i_k].m, reduced
+        each step.  delta_k = gamma_k^-1 gamma_(k+1) is L_i sigma L_j^-1, L
+        the lifts, for i = i_k, sigma = g_k^-1 g_(k+1) and j = i_(k+1), the
+        P^1 index of L_i sigma: its kernel and j are kept by (i, sigma), so
+        generator_of runs only at each path's first segment and at each new
+        (i, sigma).  Raises ValueError for a moment outside [0, p^n)."""
         cache = self.cache
         moduli = _moduli(self.p, self.n)
+        values = [_in_range(v.m, cache.mod) for v in self.values]
         total = 0
         for x, op in ((s, add), (r, sub)):
-            acc = None
-            for g in reversed(segments_to_cusp(x)):
-                idx, gamma = self.space.generator_of(g)
-                v = _in_range(self.values[idx].m, cache.mod)
-                if acc is not None:
-                    C, _ = cache.matrices(mat_mul(mat_adj(gamma), nxt))
-                    step = _unpacked(sum(map(mul, C, acc)), cache)
-                    v = list(map(mod, map(add, v, step), moduli))
-                acc, nxt = v, gamma
-            if acc is not None:
-                C, _ = cache.matrices(nxt)
-                total = op(total, sum(map(mul, C, acc)))
+            segs = segments_to_cusp(x)
+            if not segs:
+                continue
+            i, gamma = self.space.generator_of(segs[0])
+            walk = []  # (kernel of delta_k, i_k)
+            for g, h in zip(segs, segs[1:]):
+                sigma = mat_mul(mat_adj(g), h)
+                got = self._steps.get((i, sigma))
+                if got is None:
+                    j, delta = self.space.generator_of(mat_mul(self.lifts[i], sigma))
+                    got = self._steps[i, sigma] = (cache.matrices(delta)[0], j)
+                walk.append((got[0], i))
+                i = got[1]
+            acc = values[i]
+            for C, i in reversed(walk):
+                step = _unpacked(sum(map(mul, C, acc)), cache)
+                acc = list(map(mod, map(add, values[i], step), moduli))
+            C, _ = cache.matrices(gamma)
+            total = op(total, sum(map(mul, C, acc)))
         return Distribution(self.p, self.n, _unpacked(total, cache, True))
 
     # ---------------------------------------------------------------- U_p

@@ -5,7 +5,8 @@ Everything here is exact integer arithmetic.  The reduced forms come from
 one sieve over B that factors every (disc - B^2)/4 at once, through the
 roots of B^2 = disc mod each odd prime up to sqrt(disc/4).  Indefinite
 reduction cycles decide SL2(Z)-equivalence (a form's class is the
-rho-cycle its reduction lands on; reduction returns forms, not matrices),
+rho-cycle its reduction lands on; rho steps run on (A, B, C) triples, and
+a class group builds BQFs only for its representatives),
 Dirichlet composition gives the group law one pair of classes at a time
 (the h^2 table is built only on request), and one period of the
 continued fraction of omega = (b + sqrt(D))/2 gives the fundamental unit:
@@ -77,41 +78,35 @@ class BQF:
         B2 = 2 * (self.A * a * b + self.C * c * d) + self.B * (a * d + b * c)
         return BQF(A2, B2, C2)
 
-    def inverse_form(self) -> "BQF":
-        return BQF(self.A, -self.B, self.C)
-
     def is_reduced(self) -> bool:
-        f = math.isqrt(self.disc)
-        B, absA = self.B, abs(self.A)
-        return 0 < B <= f and 2 * absA + B >= f + 1 and 2 * absA - B <= f
-
-    def reduction_step(self) -> "BQF":
-        """One step of the Gauss rho operator."""
-        f = math.isqrt(self.disc)
-        C = self.C
-        twoC = 2 * abs(C)
-        Bn = f - ((f + self.B) % twoC)
-        Cn = (Bn * Bn - self.disc) // (4 * C)
-        return BQF(C, Bn, Cn)
+        return _is_reduced(self.A, self.B, math.isqrt(self.disc))
 
     def reduce(self) -> "BQF":
         """The reduced form on this form's rho-path."""
-        form = self
-        for _ in range(10 ** 6):
-            if form.is_reduced():
-                return form
-            form = form.reduction_step()
-        raise RuntimeError("reduction did not terminate")  # pragma: no cover
+        if self.is_reduced():
+            return self
+        return BQF(*_reduce(self.tuple(), math.isqrt(self.disc)))
 
-    def cycle(self):
-        """The full rho-cycle of reduced forms equivalent to this one."""
-        start = self.reduce()
-        out = [start]
-        cur = start.reduction_step()
-        while cur != start:
-            out.append(cur)
-            cur = cur.reduction_step()
-        return out
+
+def _is_reduced(A: int, B: int, f: int) -> bool:
+    """Whether (A, B, *) of discriminant disc, f = isqrt(disc), is reduced."""
+    return 0 < B <= f and f + 1 - B <= 2 * abs(A) <= f + B
+
+
+def _rho(form, f: int):
+    """The Gauss rho step (C, B', C') of a triple (A, B, C), f = isqrt(disc):
+    B' = -B mod 2|C| in (f - 2|C|, f], B + B' = 2Ck, C' = A + k(Ck - B)."""
+    A, B, C = form
+    Bn = f - (f + B) % (2 * abs(C))
+    k = (B + Bn) // (2 * C)
+    return C, Bn, A + k * (C * k - B)
+
+
+def _reduce(form, f: int):
+    """The reduced triple on the rho-path of the triple form."""
+    while not _is_reduced(form[0], form[1], f):
+        form = _rho(form, f)
+    return form
 
 
 def principal_form(disc: int) -> BQF:
@@ -222,7 +217,8 @@ def reduced_forms(disc: int):
     odd prime l <= sqrt(disc/4) divides n(B) exactly when B is a root of
     B^2 = disc mod l (B = 0 if l | disc, +-sqrt_mod_prime otherwise; none if
     disc is a non-residue), so it is divided out of every n(B) in those two
-    classes of B mod l.  What is left of n(B) is 1 or a prime.
+    classes of B mod l.  What is left of n(B) is 1 or a prime.  A divisor
+    product stops growing past (f + B)/2, the largest reduced |A|.
     """
     f = math.isqrt(disc)
     b0 = 2 - disc % 2  # smallest positive B with the right parity
@@ -253,16 +249,22 @@ def reduced_forms(disc: int):
     for B, n, cofactor, fac in zip(bs, ns, rest, factors):
         if cofactor > 1:
             fac.append((cofactor, 1))
+        top = (f + B) // 2  # the largest reduced |A|
         divs = [1]
         for q, e in fac:
-            divs = [d * q ** k for d in divs for k in range(e + 1)]
+            for d in divs[:]:
+                for _ in range(e):
+                    d *= q
+                    if d > top:
+                        break
+                    divs.append(d)
         divs.sort()
         for absA in divs:
-            if 2 * absA + B >= f + 1 and 2 * absA - B <= f:
+            if 2 * absA + B > f:
                 absC = n // absA
-                for A, C in ((absA, -absC), (-absA, absC)):
-                    if math.gcd(math.gcd(A, B), C) == 1:
-                        out.append(BQF(A, B, C))
+                if math.gcd(math.gcd(absA, B), absC) == 1:
+                    out.append(BQF(absA, B, -absC))
+                    out.append(BQF(-absA, B, absC))
     return out
 
 
@@ -281,26 +283,22 @@ class NarrowClassGroup:
             raise ValueError("need c >= 1 coprime to D")
         self.D, self.c = D, c
         self.disc = D * c * c
-        forms = reduced_forms(self.disc)
-        seen = set()
-        cycles = []
-        for q in forms:
-            if q.tuple() in seen:
-                continue
-            cyc = q.cycle()
-            cycles.append(cyc)
-            seen.update(f.tuple() for f in cyc)
-        reps = [min(cyc, key=BQF.tuple) for cyc in cycles]
-        order = sorted(range(len(reps)), key=lambda i: reps[i].tuple())
-        self.reps = [reps[i] for i in order]
-        self._where = {}
-        for idx, i in enumerate(order):
-            for q in cycles[i]:
-                self._where[q.tuple()] = idx
+        f = math.isqrt(self.disc)
+        cycles, seen = [], set()  # the rho-cycles of the reduced triples
+        for q in reduced_forms(self.disc):
+            form, cyc = q.tuple(), []
+            while form not in seen:
+                seen.add(form)
+                cyc.append(form)
+                form = _rho(form, f)
+            if cyc:
+                cycles.append(cyc)
+        cycles.sort(key=min)
+        self.reps = [BQF(*min(cyc)) for cyc in cycles]
+        self._where = {form: idx for idx, cyc in enumerate(cycles) for form in cyc}
         self.order = len(self.reps)
         self.identity = self.class_of(principal_form(self.disc))
-        self.inverse = [self.class_of(self.reps[i].inverse_form())
-                        for i in range(self.order)]
+        self.inverse = [self._where[_reduce((q.A, -q.B, q.C), f)] for q in self.reps]
 
     def class_of(self, Q: BQF) -> int:
         if Q.disc != self.disc:

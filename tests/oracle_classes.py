@@ -8,6 +8,7 @@ pair.  This file does each the long way, to check them:
 - the reduced forms of a discriminant, with the divisors of each
   (disc - B^2)/4 from its trial-division factorization;
 
+- the class group by walking each rho-cycle with BQF objects;
 - a rho step that also returns its matrix, so reduction yields a witness g
   with Q1|g = Q2, and equivalence under Gamma0(M) follows by powers of a
   fundamental automorph;
@@ -28,6 +29,7 @@ from starkheegner.quadforms import (
     NarrowClassGroup,
     fundamental_unit,
     plus_unit,
+    reduced_forms,
     unit_norm,
 )
 
@@ -56,6 +58,38 @@ def reduced_forms_by_trial_division(disc: int):
                     if math.gcd(math.gcd(A, B), C) == 1:
                         out.append((A, B, C))
     return out
+
+
+# ------------------------------------------------------- class group
+
+def class_group_by_cycles(disc: int):
+    """(reps, where, class_of) of the narrow class group of disc, walked
+    with BQF objects: the rho-cycles of reduced_forms(disc) by rho_step
+    (the form action of a matrix), reps the least form of each cycle
+    sorted ascending, where each reduced form's index into reps, and
+    class_of reducing a form by rho_step until it is reduced."""
+    seen = set()
+    cycles = []
+    for q in reduced_forms(disc):
+        if q in seen:
+            continue
+        cyc = [q]
+        cur = rho_step(q)[0]
+        while cur != q:
+            cyc.append(cur)
+            cur = rho_step(cur)[0]
+        cycles.append(cyc)
+        seen.update(cyc)
+    cycles.sort(key=lambda cyc: min(r.tuple() for r in cyc))
+    reps = [min(cyc, key=BQF.tuple) for cyc in cycles]
+    where = {r: idx for idx, cyc in enumerate(cycles) for r in cyc}
+
+    def class_of(Q: BQF) -> int:
+        while not Q.is_reduced():
+            Q = rho_step(Q)[0]
+        return where[Q]
+
+    return reps, where, class_of
 
 
 # ------------------------------------------------------------- witnesses

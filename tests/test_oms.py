@@ -854,6 +854,49 @@ def test_eval_path_by_horner_matches_per_segment_transports():
             assert fewer and len(ref) <= segments, (E.conductor, n)
 
 
+def test_eval_path_memo_holds_kernels_not_values():
+    # eval_path keeps each Horner step's kernel by (generator, step); apply_up
+    # replaces the values between two calls on one symbol, and the second
+    # call still equals one transport per segment of the new values
+    rng = random.Random(29)
+    for E in (E15(), E115()):
+        sp = ManinSymbolSpace(E.conductor)
+        sym = build_eigensymbol(E, 1, sp)
+        n = 8
+        phi = OMSymbol(sp, P, n, E.a_p, 1)
+        phi.values = [Distribution(
+            P, n, [int(v)] + [rng.randrange(P ** (n - j)) for j in range(1, n)])
+            for v in sym.vector]
+        paths = [(_big_cusp(rng), _big_cusp(rng)) for _ in range(3)]
+        paths.append((INF, _big_cusp(rng)))
+        for _ in range(2):
+            ref = TransportCache(P, n)
+            for r, s in paths:
+                assert phi.eval_path(r, s).m == _per_segment_path(phi, ref, r, s).m, (r, s)
+            phi.apply_up()
+
+
+def test_warm_eval_path_finds_generators_only_at_path_ends(monkeypatch):
+    # on a warm symbol every Horner step is found by (generator, step), so
+    # generator_of runs once per finite path end, not once per segment
+    (phi, _), _ = _lift()
+    rng = random.Random(37)
+    paths = [(_big_cusp(rng), _big_cusp(rng)) for _ in range(3)]
+    paths.append((INF, _big_cusp(rng)))
+    cold = [phi.eval_path(r, s).m for r, s in paths]
+    calls = []
+    generator_of = ManinSymbolSpace.generator_of
+
+    def counted(self, g):
+        calls.append(g)
+        return generator_of(self, g)
+
+    monkeypatch.setattr(ManinSymbolSpace, "generator_of", counted)
+    assert [phi.eval_path(r, s).m for r, s in paths] == cold
+    ends = sum(x is not INF for path in paths for x in path)
+    assert 0 < len(calls) <= ends < sum(len(segments_between(r, s)) for r, s in paths)
+
+
 # --------------------------------------- the geodesic split, against chains
 # from infinity: a certified lift satisfies the Manin relations, on which
 # every unimodular decomposition of a path gives one value

@@ -33,6 +33,7 @@ from starkheegner.quadforms import (
 )
 
 from oracle_classes import (
+    class_group_by_cycles,
     forms_equivalent,
     fundamental_unit_with_preperiod,
     reduced_forms_by_trial_division,
@@ -223,6 +224,42 @@ def test_composition_well_defined_on_classes():
         q2 = q.apply(g)
         assert G.class_of(compose_forms(q2, G.reps[0])) == G.compose(
             G.class_of(q), 0)
+
+
+@pytest.mark.parametrize("D, c", ((13, 1), (13, 77), (13, 1463), (28, 1), (988, 1),
+                                  (17, 3), (40, 1)))
+def test_class_group_on_triples_matches_cycles_of_forms(D, c):
+    # the group walks its rho-cycles on (A, B, C) triples; the reference
+    # walks them with BQF objects: the same reps, identity, inverse, class
+    # of every reduced form, and composition table where h <= 24
+    G = NarrowClassGroup(D, c)
+    reps, where, class_of = class_group_by_cycles(G.disc)
+    assert G.reps == reps
+    assert G.identity == class_of(BQF(1, G.disc % 2, (G.disc % 2 - G.disc) // 4))
+    assert G.inverse == [class_of(BQF(q.A, -q.B, q.C)) for q in reps]
+    assert G._where == {q.tuple(): idx for q, idx in where.items()}
+    assert [G.class_of(q) for q in reduced_forms(G.disc)] == \
+        [where[q] for q in reduced_forms(G.disc)]
+    if G.order <= 24:
+        assert G.table == [[class_of(compose_forms(p, q)) for q in reps] for p in reps]
+
+
+def test_class_group_builds_forms_only_for_reduced_forms_and_classes(monkeypatch):
+    # the cycles, the class lookup and the inverses run on triples: past the
+    # reduced forms, only the h reps and a few forms for the identity are
+    # built (the walk with BQF objects built about 8,050 more here)
+    disc = 13 * 1463 ** 2
+    forms = len(reduced_forms(disc))
+    built = []
+    init = BQF.__init__
+
+    def counted(self, A, B, C):
+        built.append((A, B, C))
+        init(self, A, B, C)
+
+    monkeypatch.setattr(BQF, "__init__", counted)
+    G = NarrowClassGroup(13, 1463)
+    assert len(built) <= forms + 2 * G.order
 
 
 # ----------------------------------------------------- class number oracles
