@@ -19,6 +19,14 @@ hold Fraction entries.  The space keeps its rref basis as well as, for each
 P^1 index, the basis vectors that are non-zero there, so an operator matrix
 costs one product per non-zero rather than one per basis vector.
 
+The relation order (relation_order) writes each P^1 index's Manin
+relations once, as the (j, gamma) of lifts[k] S, lifts[k] T and lifts[k]
+T^2, and orders the indices so that values at a few generators fix the
+rest: each other index is solved from one relation whose reads come
+before it.  At N = 15, 77, 115 and 143, which have no elliptic points,
+that is exactly dim generators.  oms solves its U_p sweeps and checks its
+relations on that table.
+
 The Birch sums and the geodesic period sums over a class group, rational
 combinations of symbol values, are test oracles (tests/oracle_symbols.py):
 the pipeline integrates the overconvergent lift, not the rational symbol.
@@ -164,6 +172,7 @@ class ManinSymbolSpace:
                         (k, x.numerator if x.denominator == 1 else x))
         self.lifts = [self.p1.lift(i) for i in range(n)]
         self._operators = {}  # tuple of path matrices -> operator matrix
+        self._order = None
 
     # ------------------------------------------------------------ evaluation
 
@@ -180,6 +189,47 @@ class ManinSymbolSpace:
         if gamma[2] % self.N:
             raise ValueError("segment %r is not unimodular" % (g,))
         return idx, gamma
+
+    def relation_order(self):
+        """(relations, generators, derived), built once: the Manin relations
+        of each P^1 index and an order in which they fix every value from
+        those at the generators.
+
+        relations[k] holds (j, gamma) of lifts[k] S, lifts[k] T and
+        lifts[k] T^2 in turn, with lifts[k] w = gamma lifts[j], gamma in
+        Gamma0(N).  Index k anchors the relations v_k = -gamma.v_j for
+        relations[k][0] and v_k = -gamma.v_j - gamma'.v_j' for
+        relations[k][1:]; derived holds (k, those (j, gamma)) in solving
+        order, each j a generator or derived before k.  The order comes
+        from a worklist seeded with the least unknown index whenever it
+        runs dry: each index made known wakes only the relations that read
+        it, anchored at its S-, T^2- and T-images, and one whose reads are
+        all known derives its anchor.  A relation that reads its own
+        anchor (at an elliptic point) never fires, as its anchor is
+        unknown; the index is derived by its other relation or seeded."""
+        if self._order is None:
+            words = (self.S, self.T, mat_mul(self.T, self.T))
+            relations = [tuple(self.generator_of(mat_mul(g, w)) for w in words)
+                         for g in self.lifts]
+            known = [False] * len(relations)
+            generators, derived = [], []
+            for seed in range(len(known)):
+                if known[seed]:
+                    continue
+                known[seed] = True
+                generators.append(seed)
+                queue = [seed]
+                for x in queue:
+                    (js, _), (jt, _), (jt2, _) = relations[x]
+                    for k, reads in ((js, slice(0, 1)), (jt2, slice(1, 3)),
+                                     (jt, slice(1, 3))):
+                        terms = relations[k][reads]
+                        if not known[k] and all(known[j] for j, _ in terms):
+                            known[k] = True
+                            derived.append((k, terms))
+                            queue.append(k)
+            self._order = relations, generators, derived
+        return self._order
 
     # ------------------------------------------------------------- operators
     #

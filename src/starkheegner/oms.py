@@ -24,14 +24,27 @@ of one sum sum_k C[k] m[k].  Slot j is w_j = bitlen(n_mom p^(2 n_mom - j))
 [0, p^n_mom), and the 16 spare bits let a U_p sweep add and subtract fewer
 than 2^15 products in one integer per target, read back exactly with the
 bias 2^(w_j - 1) added to slot j.  A moment outside [0, p^n_mom) would
-carry into the next slot: it raises ValueError.
-A sweep does one product per (source generator, matrix) pair, grouped
-once from the segments of modsym's Hecke walk (hecke_segments): oms
-computes no cusp itself.  The plan holds the kernels C of its groups, so a
-warm sweep looks no kernel up.  L is the series log<c t + d>, its terms
-read off padics' log table, as iwasawa_log reads them.  Kernels are
-cached up to sign: g and -g give one Moebius map and one L, so they share
-a key and a kernel.
+carry into the next slot: it raises ValueError.  L is the series
+log<c t + d>, its terms read off padics' log table, as iwasawa_log reads
+them.  Kernels are cached up to sign: g and -g give one Moebius map and one
+L, so they share a key and a kernel.
+
+A sweep plans U_p only at the generators of modsym's relation order: one
+product per (source, matrix) pair, grouped once from the segments of
+modsym's Hecke walk (hecke_segments), so oms computes no cusp itself.
+Every other value is then solved, in the order's sequence, from the Manin
+relation anchored at it: v_k = -A(gamma) v_j, or -A(gamma) v_j -
+A(gamma') v_j', one signed packed sum of at most two products.  On a
+vector that satisfies the Manin relations this is the sweep planned on
+every P^1 index, since Phi | U_p satisfies them too and so equals, at each
+solved index, what its relation gives from the values before it.  On a
+vector that breaks them (the classical start, whose higher moments are
+zero, or a random one) it is another map: the solved values satisfy their
+anchoring relations, the swept ones need not.  Both maps fix the
+eigenlift, keep the zeroth moments of an eigensymbol and contract what
+lies above them (transports preserve the filtration), so n_mom + 1 sweeps
+of either reach the same lift.  The plan and the solving steps hold their
+kernels C, so a warm sweep looks no kernel up.
 
 A path {oo -> x} is evaluated by Horner's rule over its segments: each
 step transports the running sum by gamma_k^-1 gamma_(k+1), a matrix fixed
@@ -39,8 +52,9 @@ by g_k's generator and the integer step g_k^-1 g_(k+1), which the symbol
 keys its kernel by.  This is exact, because transport is a monoid action
 on the filtered moments: entry (j, k) of A has valuation at least k - j.
 For the same reason the Manin relations are checked once per orbit of S
-and of T on P^1(Z/N): the relations of one orbit are transports of each
-other, so they hold to one filtration level.
+and of T on P^1(Z/N), on the relation order's table: the relations of
+one orbit are transports of each other, so they hold to one filtration
+level.
 """
 
 from __future__ import annotations
@@ -312,14 +326,14 @@ class OMSymbol:
         self.lifts = space.lifts
         self.values = [Distribution(p, n_mom) for _ in range(len(space.p1))]
         self._up_plan = None
+        self._solve = None  # (generators, solving steps) of apply_up
         self._steps = {}  # eval_path's (i, sigma) -> (kernel of its delta, j)
 
     # ---------------------------------------------------------- evaluation
 
-    def eval_segment(self, g) -> Distribution:
-        """Phi on the unimodular path g{0 -> oo}: values[idx] transported by
-        gamma, for (idx, gamma) = space.generator_of(g)."""
-        idx, gamma = self.space.generator_of(g)
+    def _moved(self, idx, gamma) -> Distribution:
+        """Phi on the path gamma lifts[idx]{0 -> oo}: values[idx] transported
+        by gamma, t-moments only."""
         C, _ = self.cache.matrices(gamma)
         m = _in_range(self.values[idx].m, self.cache.mod)
         return Distribution(self.p, self.n, _unpacked(sum(map(mul, C, m)), self.cache))
@@ -361,12 +375,13 @@ class OMSymbol:
 
     # ---------------------------------------------------------------- U_p
 
-    def _plan_operator(self, paths):
+    def _plan_operator(self, paths, targets):
         """Transport plan for the operator given by the path matrices
-        ``paths`` (as from space.hecke_paths), grouped from the segments of
-        space.hecke_segments: for each source generator, a list of
-        (matrix-key, ((target, sign), ...)) with one entry per distinct
-        matrix that moves that source, in order of first use.
+        ``paths`` (as from space.hecke_paths) on the P^1 indices
+        ``targets``, grouped from the segments of space.hecke_segments: for
+        each source index, a list of (matrix-key, ((target, sign), ...))
+        with one entry per distinct matrix that moves that source, in order
+        of first use.
 
         The path matrix m carries the value transport mat_adj(m) (adjoint
         rule, m * mat_adj(m) = det(m) * I): for U_p, the path r -> (r + a)/p,
@@ -376,7 +391,7 @@ class OMSymbol:
         by_source = [{} for _ in self.lifts]
         received = [0] * len(self.lifts)
         pieces = {}  # one (target, sign) tuple each, shared, to keep the plan small
-        for target, m, seg, sgn in self.space.hecke_segments(paths, range(len(self.lifts))):
+        for target, m, seg, sgn in self.space.hecke_segments(paths, targets):
             idx, gamma = self.space.generator_of(seg)
             key = self.cache._key(mat_mul(value_mats[m], gamma))
             piece = pieces.setdefault((target, sgn), (target, sgn))
@@ -389,17 +404,25 @@ class OMSymbol:
                 for groups in by_source]
 
     def apply_up(self):
-        """One sweep Phi <- a_p^{-1} * (Phi | U_p) on the t-moments.  Each
-        matrix of a source's plan acts once on that source's value, and the
-        packed product is added or subtracted into the accumulator of every
-        target that uses it: the result of one transport per piece, exactly,
-        with a zero jet.  The first sweep builds the plan with its kernels
-        C in place of the keys, so later sweeps look none up.  Raises
-        ValueError for a moment outside [0, p^n)."""
+        """One sweep Phi <- a_p^{-1} * (Phi | U_p) on the t-moments, with a
+        zero jet.  U_p is planned only on the generators of
+        space.relation_order(): each matrix of a source's plan acts once on
+        that source's value, and the packed product is added or subtracted
+        into the accumulator of every generator that uses it.  Every other
+        value is then solved, in that order, from the relation anchored at
+        it, v_k = -sum A(gamma) v_j over at most two terms, as one signed
+        packed sum.  The first sweep builds the plan and the solving steps
+        with their kernels C in place of the matrices, so later sweeps look
+        none up.  Raises ValueError for a moment outside [0, p^n)."""
         cache = self.cache
         if self._up_plan is None:
+            _, generators, derived = self.space.relation_order()
+            plan = self._plan_operator(self.space.hecke_paths(self.p), generators)
             self._up_plan = [[(cache.matrices(key)[0], targets) for key, targets in groups]
-                             for groups in self._plan_operator(self.space.hecke_paths(self.p))]
+                             for groups in plan]
+            self._solve = generators, [
+                (k, tuple((cache.matrices(gamma)[0], j) for j, gamma in terms))
+                for k, terms in derived]
         acc = [0] * len(self.lifts)
         for value, groups in zip(self.values, self._up_plan):
             m = _in_range(value.m, cache.mod)
@@ -407,10 +430,17 @@ class OMSymbol:
                 x = sum(map(mul, C, m))
                 for target, sgn in targets:
                     acc[target] = acc[target] + x if sgn > 0 else acc[target] - x
-        ap_inv = self._ap_inv
-        self.values = [Distribution(self.p, self.n,
-                                    [ap_inv * y for y in _unpacked(x, cache, True)])
-                       for x in acc]
+        p, n, ap_inv = self.p, self.n, self._ap_inv
+        generators, derived = self._solve
+        values = acc  # each slot's sum is read once, then replaced by its value
+        for k in generators:
+            values[k] = Distribution(p, n, [ap_inv * y for y in _unpacked(acc[k], cache, True)])
+        for k, terms in derived:
+            x = 0
+            for C, j in terms:
+                x -= sum(map(mul, C, values[j].m))
+            values[k] = Distribution(p, n, _unpacked(x, cache, True))
+        self.values = values
 
     # ------------------------------------------------------------- checks
 
@@ -421,25 +451,26 @@ class OMSymbol:
         One 2-term relation R_i = Phi(g_i) + Phi(g_i S) is checked per
         S-orbit of P^1(Z/N), and one 3-term relation per T-orbit, each at
         its least index i, with values[i] as Phi(g_i) (a transport by the
-        identity).  That is exact: for j the S-image of i, g_i S = gamma g_j
-        with gamma in Gamma0(N), and R_j = A(gamma)^-1 R_i, since S^2 = -I
-        and -g acts as g.  A(gamma) and its inverse both preserve the
-        filtration (entry (j, k) has valuation >= k - j), so R_j and R_i
-        have one filtration valuation; so do the relations of a T-orbit.
-        Every generator appears in its orbit's relation."""
-        S, T = ManinSymbolSpace.S, ManinSymbolSpace.T
+        identity) and the other terms read off relations[i] of
+        space.relation_order(), the table apply_up solves from.  That is
+        exact: for j the S-image of i, g_i S = gamma g_j with gamma in
+        Gamma0(N), and R_j = A(gamma)^-1 R_i, since S^2 = -I and -g acts as
+        g.  A(gamma) and its inverse both preserve the filtration (entry
+        (j, k) has valuation >= k - j), so R_j and R_i have one filtration
+        valuation; so do the relations of a T-orbit.  Every P^1 index
+        appears in its orbit's relation."""
+        relations = self.space.relation_order()[0]
         worst = self.n
         zero = Distribution(self.p, self.n)
-        for words in ((S,), (T, mat_mul(T, T))):
+        for reads in (slice(0, 1), slice(1, 3)):  # k S; k T and k T^2
             checked = set()
-            for i, gi in enumerate(self.lifts):
+            for i, terms in enumerate(relations):
                 if i in checked:
                     continue
                 rel = self.values[i]
-                for w in words:
-                    g = mat_mul(gi, w)
-                    checked.add(self.space.generator_of(g)[0])
-                    rel = rel + self.eval_segment(g)
+                for j, gamma in terms[reads]:
+                    checked.add(j)
+                    rel = rel + self._moved(j, gamma)
                 worst = min(worst, rel.t_difference_valuation(zero))
         return worst
 

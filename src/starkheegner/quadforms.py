@@ -7,11 +7,12 @@ roots of B^2 = disc mod each odd prime up to sqrt(disc/4).  Indefinite
 reduction cycles decide SL2(Z)-equivalence (a form's class is the
 rho-cycle its reduction lands on; rho steps run on (A, B, C) triples, and
 a class group builds BQFs only for its representatives),
-Dirichlet composition gives the group law one pair of classes at a time
-(the h^2 table is built only on request), and one period of the
-continued fraction of omega = (b + sqrt(D))/2 gives the fundamental unit:
-with b the largest integer below sqrt(D) of D's parity, omega is reduced
-(omega > 1, -1 < conj(omega) < 0), so its expansion is purely periodic.
+Dirichlet composition gives the group law one pair of classes at a time,
+on the representatives' triples (the h^2 table is built only on request),
+and one period of the continued fraction of omega = (b + sqrt(D))/2 gives
+the fundamental unit: with b the largest integer below sqrt(D) of D's
+parity, omega is reduced (omega > 1, -1 < conj(omega) < 0), so its
+expansion is purely periodic.
 Real-embedding comparisons go through surd_sign, never floats.
 Heegner forms are built, not searched for: the cosets gamma*Gamma0(M)
 match P^1(Z/M) through gamma's first column and the Heegner conditions are
@@ -114,13 +115,10 @@ def principal_form(disc: int) -> BQF:
     return BQF(1, b, (b * b - disc) // 4)
 
 
-def compose_forms(Q1: BQF, Q2: BQF) -> BQF:
-    """Dirichlet composition of primitive forms of equal discriminant."""
-    if Q1.disc != Q2.disc:
-        raise ValueError("discriminant mismatch")
-    a1, b1, _ = Q1.tuple()
-    a2, b2, _ = Q2.tuple()
-    disc = Q1.disc
+def _compose(form1, form2, disc: int):
+    """Dirichlet composition of primitive triples of discriminant disc."""
+    a1, b1, _ = form1
+    a2, b2, _ = form2
     s = (b1 + b2) // 2
     g1, u1, v1 = xgcd(a1, a2)
     m, u2, w = xgcd(g1, s)
@@ -129,7 +127,7 @@ def compose_forms(Q1: BQF, Q2: BQF) -> BQF:
     num = u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + disc) // 2
     B3 = (num // m) % (2 * A3)
     C3 = (B3 * B3 - disc) // (4 * A3)
-    return BQF(A3, B3, C3)
+    return A3, B3, C3
 
 
 # ------------------------------------------------------------- units / Pell
@@ -294,7 +292,9 @@ class NarrowClassGroup:
             if cyc:
                 cycles.append(cyc)
         cycles.sort(key=min)
-        self.reps = [BQF(*min(cyc)) for cyc in cycles]
+        self._triples = [min(cyc) for cyc in cycles]
+        self._f = f
+        self.reps = [BQF(*form) for form in self._triples]
         self._where = {form: idx for idx, cyc in enumerate(cycles) for form in cyc}
         self.order = len(self.reps)
         self.identity = self.class_of(principal_form(self.disc))
@@ -306,8 +306,10 @@ class NarrowClassGroup:
         return self._where[Q.reduce().tuple()]
 
     def compose(self, i: int, j: int) -> int:
-        """Class of the product, by one composition and one reduction."""
-        return self.class_of(compose_forms(self.reps[i], self.reps[j]))
+        """Class of the product, by one composition and one reduction, both
+        on the representatives' triples."""
+        form = _compose(self._triples[i], self._triples[j], self.disc)
+        return self._where[_reduce(form, self._f)]
 
     @property
     def table(self):

@@ -8,7 +8,8 @@ pair.  This file does each the long way, to check them:
 - the reduced forms of a discriminant, with the divisors of each
   (disc - B^2)/4 from its trial-division factorization;
 
-- the class group by walking each rho-cycle with BQF objects;
+- the class group by walking each rho-cycle with BQF objects, and
+  Dirichlet composition of BQF objects;
 - a rho step that also returns its matrix, so reduction yields a witness g
   with Q1|g = Q2, and equivalence under Gamma0(M) follows by powers of a
   fundamental automorph;
@@ -22,7 +23,7 @@ pair.  This file does each the long way, to check them:
 
 import math
 
-from starkheegner.arith import MAT_ID, factorize, mat_adj, mat_inv, mat_mul, surd_sign
+from starkheegner.arith import MAT_ID, factorize, mat_adj, mat_inv, mat_mul, surd_sign, xgcd
 from starkheegner.genus import pushforward_class
 from starkheegner.quadforms import (
     BQF,
@@ -90,6 +91,26 @@ def class_group_by_cycles(disc: int):
         return where[Q]
 
     return reps, where, class_of
+
+
+def compose_forms(Q1: BQF, Q2: BQF) -> BQF:
+    """Dirichlet composition of primitive forms of equal discriminant, as a
+    validated BQF (the package composes the triples of class
+    representatives)."""
+    if Q1.disc != Q2.disc:
+        raise ValueError("discriminant mismatch")
+    a1, b1, _ = Q1.tuple()
+    a2, b2, _ = Q2.tuple()
+    disc = Q1.disc
+    s = (b1 + b2) // 2
+    g1, u1, v1 = xgcd(a1, a2)
+    m, u2, w = xgcd(g1, s)
+    u, v = u2 * u1, u2 * v1
+    A3 = a1 * a2 // (m * m)
+    num = u * a1 * b2 + v * a2 * b1 + w * (b1 * b2 + disc) // 2
+    B3 = (num // m) % (2 * A3)
+    C3 = (B3 * B3 - disc) // (4 * A3)
+    return BQF(A3, B3, C3)
 
 
 # ------------------------------------------------------------- witnesses

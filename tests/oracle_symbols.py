@@ -14,6 +14,9 @@ read the rational symbol itself, to check it against facts it must satisfy:
 - the filtration level of the Manin relations of an overconvergent
   symbol, both relations at every generator (the package checks one
   relation per orbit);
+- the a_p^-1 U_p sweep planned on every P^1 index (the package plans it
+  on the generators of its relation order and solves for the rest): the
+  same map on vectors that satisfy the Manin relations;
 - the Birch sum sum_a (delta|a) I{oo -> a/|delta|}, the rational behind
   L(E, chi_delta, 1);
 - the geodesic period sum over a class group, sum_sigma chi(sigma)
@@ -27,7 +30,7 @@ from functools import lru_cache
 from starkheegner.arith import kronecker, mat_adj, mat_mul
 from starkheegner.modsym import (INF, ManinSymbolSpace, apply_moebius, segments_between,
                                  segments_to_cusp)
-from starkheegner.oms import Distribution
+from starkheegner.oms import Distribution, TransportCache, _unpacked
 from starkheegner.quadforms import stabilizer_gamma, totally_positive_unit
 
 
@@ -122,6 +125,13 @@ def op_full_from_infinity(space, vec, paths):
     return _op(space, vec, paths, segments_between)
 
 
+def eval_segment(phi, g):
+    """The t-moments of the OMSymbol phi on the unimodular path g{0 -> oo}:
+    values[idx] transported by gamma, for (idx, gamma) =
+    space.generator_of(g)."""
+    return phi._moved(*phi.space.generator_of(g))
+
+
 def relation_residual_all(phi) -> int:
     """Smallest filtration level at which a Manin relation fails on the
     t-moments of the OMSymbol phi (n_mom if none does): the 2-term and the
@@ -131,13 +141,31 @@ def relation_residual_all(phi) -> int:
     worst = phi.n
     zero = Distribution(phi.p, phi.n)
     for gi in phi.lifts:
-        base = phi.eval_segment(gi)
-        two = base + phi.eval_segment(mat_mul(gi, S))
-        three = (base + phi.eval_segment(mat_mul(gi, T))
-                 + phi.eval_segment(mat_mul(gi, TT)))
+        base = eval_segment(phi, gi)
+        two = base + eval_segment(phi, mat_mul(gi, S))
+        three = (base + eval_segment(phi, mat_mul(gi, T))
+                 + eval_segment(phi, mat_mul(gi, TT)))
         worst = min(worst, two.t_difference_valuation(zero),
                     three.t_difference_valuation(zero))
     return worst
+
+
+def up_sweep_all_targets(phi):
+    """phi.values after one sweep Phi <- a_p^-1 (Phi | U_p), t-moments only,
+    with every P^1 index a target of the plan: one packed product per
+    (source, matrix) group, summed into each target, from kernels of a
+    cache of its own."""
+    cache = TransportCache(phi.p, phi.n)
+    plan = phi._plan_operator(phi.space.hecke_paths(phi.p), range(len(phi.lifts)))
+    acc = [0] * len(phi.lifts)
+    for value, groups in zip(phi.values, plan):
+        for key, targets in groups:
+            x = sum(c * y for c, y in zip(cache.matrices(key)[0], value.m))
+            for target, sgn in targets:
+                acc[target] += sgn * x
+    ap_inv = pow(phi.a_p, -1, phi.p ** phi.n)
+    return [Distribution(phi.p, phi.n, [ap_inv * y for y in _unpacked(x, cache, True)])
+            for x in acc]
 
 
 def birch_sum(symbol, delta: int) -> Fraction:

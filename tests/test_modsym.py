@@ -189,6 +189,40 @@ def test_operator_matrices_are_built_once():
     assert sp.atkin_lehner_infinity_matrix() is sp.atkin_lehner_infinity_matrix()
 
 
+@pytest.mark.parametrize("N, elliptic", [(15, False), (77, False), (115, False),
+                                         (143, False), (13, True), (37, True)])
+def test_relation_order_solves_each_index_once_from_earlier_values(N, elliptic):
+    # relations[k] holds (j, gamma) with lifts[k] w = gamma lifts[j] for w =
+    # S, T, T^2.  Every P^1 index is a generator or derived exactly once;
+    # a derivation reads its anchor's S-relation or its T-relation, only
+    # at indices known before it, and every vector of the space satisfies
+    # it.  Without elliptic points there are exactly dim generators; at
+    # N = 13 and 37 S or T fixes points of P^1(Z/N), whose relations read
+    # their own anchor and never fire, and there are at least dim
+    sp = ManinSymbolSpace(N)
+    relations, generators, derived = sp.relation_order()
+    assert sp.relation_order() is sp.relation_order()
+    words = (ManinSymbolSpace.S, ManinSymbolSpace.T,
+             mat_mul(ManinSymbolSpace.T, ManinSymbolSpace.T))
+    for k, terms in enumerate(relations):
+        for w, (j, gamma) in zip(words, terms):
+            assert gamma[2] % N == 0 and mat_mul(gamma, sp.lifts[j]) == mat_mul(sp.lifts[k], w)
+    fixed = [k for k, terms in enumerate(relations) if k in (terms[0][0], terms[1][0])]
+    assert bool(fixed) == elliptic, fixed
+    assert sorted(generators + [k for k, _ in derived]) == list(range(len(sp.p1)))
+    known = set(generators)
+    for k, terms in derived:
+        assert terms in (relations[k][:1], relations[k][1:]), k
+        assert all(j in known for j, _ in terms), k
+        known.add(k)
+        for b in sp.basis:
+            assert b[k] == -sum(b[j] for j, _ in terms), k
+    if elliptic:
+        assert len(generators) >= sp.dim
+    else:
+        assert len(generators) == sp.dim
+
+
 def test_hecke_commutativity():
     sp = ManinSymbolSpace(15)
     pairs = [(2, 7), (7, 11), (2, 11), (13, 2)]

@@ -27,8 +27,8 @@ from starkheegner.oms import (
 )
 from starkheegner.padics import PadicScalar, PrecisionError, iwasawa_log
 
-from oracle_symbols import (op_full, regular_cf_segments, relation_residual_all,
-                            split_from_end)
+from oracle_symbols import (eval_segment, op_full, regular_cf_segments,
+                            relation_residual_all, split_from_end, up_sweep_all_targets)
 
 P = 5
 NMOM = 8
@@ -40,6 +40,14 @@ def E15():
 
 def E115():
     return EllipticCurveData(0, 0, 1, 7, -11, conductor=115, p=5, label="115")
+
+
+def E37():
+    return EllipticCurveData(0, 0, 1, -1, 0, conductor=37, p=37, label="37a")
+
+
+def E26():
+    return EllipticCurveData(1, 0, 1, -5, -8, conductor=26, p=13, label="26a1")
 
 
 def _lift(sign=1, nmom=NMOM):
@@ -162,8 +170,10 @@ def test_lift_pair_certifies_both_signs():
         phi, want_cert = lift_to_oms(build_eigensymbol(E, sign, sp), E.a_p, P, 6)
         assert lifts[sign].sign == sign
         assert cert == want_cert
-        # every matrix of the U_p plan, and those of the relation check
-        plan = {key for groups in phi._plan_operator(sp.hecke_paths(P))
+        # every matrix of the U_p plan on the generators of the relation
+        # order, and those of the solving steps and the relation check
+        plan = {key for groups in phi._plan_operator(sp.hecke_paths(P),
+                                                     sp.relation_order()[1])
                 for key, _ in groups}
         assert cert.matrices_cached == len(phi.cache) > len(plan)
         assert [(v.m, v.lam) for v in lifts[sign].values] == \
@@ -306,7 +316,7 @@ def test_lift_is_hecke_eigen_through_the_sweep_plan(sign):
     E = E15()
     for ell in (2, 7, 11):
         acc = [[0] * nmom for _ in phi.lifts]
-        plan = phi._plan_operator(phi.space.hecke_paths(ell))
+        plan = phi._plan_operator(phi.space.hecke_paths(ell), range(len(phi.lifts)))
         for value, groups in zip(phi.values, plan):
             for key, targets in groups:
                 v = _matvec(_rows(phi.cache, phi.cache.matrices(key)[0]), value.m)
@@ -316,6 +326,30 @@ def test_lift_is_hecke_eigen_through_the_sweep_plan(sign):
             got = Distribution(P, nmom, got)
             assert got.t_difference_valuation(want.scale(E.ap(ell))) == nmom, \
                 (sign, ell, i)
+
+
+@pytest.mark.parametrize("E, nmom", ((E15, 10), (E15, 20), (E115, 6), (E37, 4), (E26, 4)),
+                         ids=("15-10", "15-20", "115-6", "37-4", "26-4"))
+def test_lift_is_n_mom_plus_one_sweeps_on_every_index(E, nmom):
+    # apply_up plans U_p on the generators of the relation order and
+    # solves the other values from the relations: on the classical start,
+    # whose higher moments break the relations, that is another map than
+    # the sweep planned on every P^1 index (tests/oracle_symbols.py), but
+    # both contract onto the one lift, and n_mom + 1 sweeps of either give
+    # it bit for bit at every value, for both signs; 37a at p = 37 has
+    # points of P^1(Z/37) fixed by S and by T
+    E = E()
+    p = E.p
+    sp = ManinSymbolSpace(E.conductor)
+    for sign in (1, -1):
+        sym = build_eigensymbol(E, sign, sp)
+        phi, cert = lift_to_oms(sym, E.a_p, p, nmom)
+        assert cert.converged
+        ref = OMSymbol(sp, p, nmom, E.a_p, sign)
+        ref.values = [Distribution(p, nmom, [int(v)] + [0] * (nmom - 1)) for v in sym.vector]
+        for _ in range(nmom + 1):
+            ref.values = up_sweep_all_targets(ref)
+        assert [v.m for v in phi.values] == [v.m for v in ref.values], sign
 
 
 def test_filtration_honesty_more_moments():
@@ -647,7 +681,7 @@ def test_moments_outside_the_packed_range_are_rejected(bad):
     for v in phi.values:
         v.m[n - 1] = -1 if bad == "low" else P ** n
     for call in (phi.apply_up, lambda: phi.eval_path(INF, Fraction(2, 7)),
-                 lambda: phi.eval_segment(sp.lifts[3])):
+                 lambda: eval_segment(phi, sp.lifts[3])):
         with pytest.raises(ValueError, match="outside"):
             call()
 
@@ -659,9 +693,9 @@ def test_plan_rejects_a_target_with_2_15_pieces():
     # pieces)
     phi = OMSymbol(ManinSymbolSpace(2), 2, 3, 1, 1)
     with pytest.raises(ArithmeticError, match="target 0 has 32768 pieces"):
-        phi._plan_operator([(2, 0, 0, 1)] * (1 << 15))
+        phi._plan_operator([(2, 0, 0, 1)] * (1 << 15), range(3))
     with pytest.raises(ArithmeticError, match="target 2 has 65534 pieces"):
-        phi._plan_operator([(2, 0, 0, 1)] * ((1 << 15) - 1))
+        phi._plan_operator([(2, 0, 0, 1)] * ((1 << 15) - 1), range(3))
 
 
 def test_symbol_rejects_fewer_than_one_moment():
@@ -722,51 +756,93 @@ def test_symbol_rejects_p_not_a_prime_divisor_of_N():
         OMSymbol(ManinSymbolSpace(45), 3, 4, 1, 1)
 
 
+def _per_piece_up(sp, ref, values, k, a_p):
+    """(a_p^{-1} * the sum of one transport per piece of U_p at lifts[k],
+    t-moments only, and the number of pieces), from ``values``."""
+    total = Distribution(ref.p, ref.n)
+    pieces = 0
+    for idx, value_mat, sgn in _up_pieces(sp, sp.lifts[k]):
+        d = ref.transport(values[idx], value_mat)
+        total = total + (d if sgn > 0 else d.scale(-1))
+        pieces += 1
+    return total.scale(pow(a_p, -1, ref.mod)), pieces
+
+
+def _random_classical(sp, rng):
+    """A random integral vector of the space: a combination of its basis
+    with coefficients in [-50, 50), denominators cleared."""
+    coeffs = [rng.randrange(-50, 50) for _ in sp.basis]
+    v = [sum(c * b[i] for c, b in zip(coeffs, sp.basis)) for i in range(len(sp.p1))]
+    den = math.lcm(*(x.denominator for x in v))
+    return [int(x * den) for x in v]
+
+
 def test_grouped_up_sweep_matches_per_piece_transports():
-    # one apply_up, from a random start that is no eigensymbol and has a
-    # random jet, equals a_p^{-1} * the sum of one transport per piece of U_p
-    # on the t-moments
+    # one apply_up, from a random start that is no eigensymbol, breaks the
+    # Manin relations and has a random jet, equals on the t-moments: at
+    # each generator of the relation order, a_p^{-1} * the sum of one
+    # transport per piece of U_p; at every other index, minus the sum of
+    # one transport of each new value its relation reads.  From a start
+    # that satisfies the relations (n_mom sweeps of a random classical
+    # symbol with random higher moments), every value is the per-piece sum
     rng = random.Random(13)
     for E, nmom in ((E15(), 6), (E115(), 6), (E15(), 20)):
         mod = P ** nmom
         sp = ManinSymbolSpace(E.conductor)
+        _, generators, derived = sp.relation_order()
+        ref = TransportCache(P, nmom)
         phi = OMSymbol(sp, P, nmom, E.a_p, 1)
         phi.values = [Distribution(P, nmom, [rng.randrange(mod) for _ in range(nmom)],
                                    [rng.randrange(mod) for _ in range(nmom)])
                       for _ in range(len(sp.p1))]
+        assert relation_residual_all(phi) == 0
         start = phi.values
-        ref = TransportCache(P, nmom)
-        ap_inv = pow(E.a_p, -1, mod)
-        want = []
-        pieces = 0
-        for g in sp.lifts:
-            total = Distribution(P, nmom)
-            for idx, value_mat, sgn in _up_pieces(sp, g):
-                d = ref.transport(start[idx], value_mat)
-                total = total + (d if sgn > 0 else d.scale(-1))
-                pieces += 1
-            want.append(total.scale(ap_inv))
         phi.apply_up()
+        pieces = 0
+        for k in generators:
+            want, count = _per_piece_up(sp, ref, start, k, E.a_p)
+            pieces += count
+            assert phi.values[k].m == want.m, (E.conductor, nmom, k)
+        for k, terms in derived:
+            want = Distribution(P, nmom)
+            for j, gamma in terms:
+                want = want + ref.transport(phi.values[j], gamma).scale(-1)
+            assert phi.values[k].m == want.m, (E.conductor, nmom, k)
         assert sum(len(groups) for groups in phi._up_plan) < pieces
-        assert [d.m for d in phi.values] == [d.m for d in want], (E.conductor, nmom)
+
+        phi.values = [Distribution(P, nmom, [x] + [rng.randrange(mod) for _ in range(1, nmom)])
+                      for x in _random_classical(sp, rng)]
+        for _ in range(nmom):
+            phi.apply_up()
+        assert relation_residual_all(phi) == nmom
+        start = phi.values
+        phi.apply_up()
+        assert [d.m for d in phi.values] == \
+            [_per_piece_up(sp, ref, start, k, E.a_p)[0].m for k in range(len(sp.p1))], \
+            (E.conductor, nmom)
 
 
-@pytest.mark.parametrize("E", (E15, E115), ids=("15", "115"))
-def test_up_sweep_does_one_product_per_source_and_matrix(E):
+@pytest.mark.parametrize("E, products", ((E15, (42, 26)), (E115, (183, 166))),
+                         ids=("15", "115"))
+def test_up_sweep_does_one_product_per_source_and_matrix(E, products):
     # the plan holds one kernel, and a sweep does one product, per distinct
-    # (source generator, value matrix) pair of the pieces of U_p; one
-    # product per (target, matrix) group would do 210 at N = 15 and 1,415
-    # at N = 115.  A warm sweep looks no kernel up
+    # (source, value matrix) pair of the pieces of U_p at the generators of
+    # the relation order, and one more per term of each solving step: 68
+    # at N = 15 and 349 at N = 115, where one product per (source, matrix)
+    # pair over every P^1 index would do 180 and 1,003.  A warm sweep looks
+    # no kernel up
     E = E()
     nmom = 10
     sp = ManinSymbolSpace(E.conductor)
+    _, generators, derived = sp.relation_order()
     phi = OMSymbol(sp, P, nmom, E.a_p, 1)
     rng = random.Random(7)
     phi.values = [Distribution(P, nmom, [rng.randrange(P ** nmom) for _ in range(nmom)])
                   for _ in range(len(sp.p1))]
     phi.apply_up()
-    want = len({(idx, phi.cache._key(value_mat))
-                for g in sp.lifts for idx, value_mat, _ in _up_pieces(sp, g)})
+    pairs = len({(idx, phi.cache._key(value_mat)) for k in generators
+                 for idx, value_mat, _ in _up_pieces(sp, sp.lifts[k])})
+    terms = sum(len(reads) for _, reads in derived)
     lookups = []
     kernels = phi.cache.matrices
 
@@ -777,7 +853,9 @@ def test_up_sweep_does_one_product_per_source_and_matrix(E):
     phi.cache.matrices = counted
     phi.apply_up()
     assert not lookups
-    assert want == sum(len(groups) for groups in phi._up_plan)
+    assert (pairs, terms) == products
+    assert pairs == sum(len(groups) for groups in phi._up_plan)
+    assert terms == sum(len(reads) for _, reads in phi._solve[1])
 
 
 def test_eigen_residual_leaves_the_symbol_as_it_was():
@@ -939,8 +1017,8 @@ def test_certified_lift_reads_the_same_on_chains_from_infinity(E, nmom, sign):
 def test_symbol_operations_read_and_return_t_moments_only():
     # apply_up and eval_path from values with random jets give the same
     # t-moments as from the same values with zero jets, and return a zero
-    # jet; eval_segment, which relation_residual reads, gives the t-moments
-    # of one transport of the value by gamma
+    # jet; eval_segment, through the transport relation_residual reads,
+    # gives the t-moments of one transport of the value by gamma
     rng = random.Random(31)
     for E in (E15(), E115()):
         sp = ManinSymbolSpace(E.conductor)
@@ -957,7 +1035,7 @@ def test_symbol_operations_read_and_return_t_moments_only():
                 for h in (g, mat_mul(g, ManinSymbolSpace.S),
                           mat_mul(g, ManinSymbolSpace.T)):
                     idx, gamma = sp.generator_of(h)
-                    got = phi.eval_segment(h)
+                    got = eval_segment(phi, h)
                     assert got.m == ref.transport(phi.values[idx], gamma).m, (n, h)
                     assert got.lam == zero, (n, h)
             x = _big_cusp(rng)

@@ -22,7 +22,6 @@ from starkheegner.quadforms import (
     HeegnerSystem,
     NarrowClassGroup,
     choose_delta,
-    compose_forms,
     fundamental_unit,
     heegner_representatives,
     narrow_class_number_oracle,
@@ -34,6 +33,7 @@ from starkheegner.quadforms import (
 
 from oracle_classes import (
     class_group_by_cycles,
+    compose_forms,
     forms_equivalent,
     fundamental_unit_with_preperiod,
     reduced_forms_by_trial_division,
@@ -242,6 +242,15 @@ def test_class_group_on_triples_matches_cycles_of_forms(D, c):
         [where[q] for q in reduced_forms(G.disc)]
     if G.order <= 24:
         assert G.table == [[class_of(compose_forms(p, q)) for q in reps] for p in reps]
+
+
+@pytest.mark.parametrize("D, c", ((13, 1), (13, 77), (13, 1463), (988, 1)))
+def test_compose_on_triples_is_the_class_of_compose_forms(D, c):
+    # compose reduces the composed triple of two representatives; the
+    # reference composes their BQFs with compose_forms and takes the class
+    # of the form: the same full table
+    G = NarrowClassGroup(D, c)
+    assert G.table == [[G.class_of(compose_forms(p, q)) for q in G.reps] for p in G.reps]
 
 
 def test_class_group_builds_forms_only_for_reduced_forms_and_classes(monkeypatch):
