@@ -393,7 +393,8 @@ def sign_of_twist(E: EllipticCurveData, delta: int) -> int:
 def _twist_series_data(E: EllipticCurveData, delta: int):
     """(A, L, terms): the scale A = sqrt(N delta^2)/(2 pi), the length L of
     the series, and (n, a_n chi_delta(n)) for each n <= L where that product
-    is non-zero.
+    is non-zero.  terms is an iterator, to be read once: the sums consume it
+    term by term, so no list of the terms is ever held.
 
     chi_delta(n) is read from the table of (delta | r) for 0 <= r < |delta|,
     at r = n mod |delta|: |delta| Kronecker symbols in place of one per
@@ -406,8 +407,8 @@ def _twist_series_data(E: EllipticCurveData, delta: int):
     an = E.an_list(L)
     q = abs(delta)
     chi = [kronecker(delta, r) for r in range(q)]
-    terms = [(n, a * chi[n % q]) for n, a in enumerate(an)
-             if a and chi[n % q]]
+    terms = ((n, a * chi[n % q]) for n, a in enumerate(an)
+             if a and chi[n % q])
     return A, L, terms
 
 

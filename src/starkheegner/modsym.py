@@ -103,28 +103,38 @@ class P1List:
     The representative of a point is the lexicographically least pair (c, d)
     of its orbit under the units of Z/N.  The scan runs over the pairs in
     lexicographic order, so the first pair it meets of each orbit is that
-    representative; it marks every unit multiple with the new index."""
+    representative; it marks every unit multiple with the new index.
+
+    The index is one flat list of N^2 slots, the slot of (c, d) at c*N + d
+    for 0 <= c, d < N.  A pair with gcd(c, d, N) > 1 is not in P^1(Z/N): its
+    slot stays None, and index() raises KeyError for it."""
 
     def __init__(self, N: int):
         self.N = N
         units = [u for u in range(N) if math.gcd(u, N) == 1]  # [0] at N = 1
-        index = {}
+        slots = [None] * (N * N)
         reps = []
         for c in range(N):
+            g = math.gcd(c, N)
             for d in range(N):
-                if (c, d) in index or math.gcd(math.gcd(c, d), N) != 1:
+                if slots[c * N + d] is not None or math.gcd(g, d) != 1:
                     continue
+                i = len(reps)
                 for u in units:
-                    index[(c * u) % N, (d * u) % N] = len(reps)
+                    slots[(c * u) % N * N + (d * u) % N] = i
                 reps.append((c, d))
         self.reps = reps
-        self._index = index
+        self._slots = slots
 
     def __len__(self):
         return len(self.reps)
 
     def index(self, c: int, d: int) -> int:
-        return self._index[(c % self.N, d % self.N)]
+        N = self.N
+        i = self._slots[c % N * N + d % N]
+        if i is None:
+            raise KeyError((c % N, d % N))
+        return i
 
     def index_of_matrix(self, g) -> int:
         return self.index(g[2], g[3])

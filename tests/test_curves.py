@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -275,8 +276,23 @@ def test_twist_series_reads_chi_from_one_period(monkeypatch):
 
     monkeypatch.setattr(curves, "kronecker", counted)
     _, L, terms = _twist_series_data(E15(), 1001)
-    assert len(terms) > 10000 and L > 20000
+    assert sum(1 for _ in terms) > 10000 and L > 20000
     assert len(calls) <= 1001
+
+
+def test_twist_series_is_summed_as_it_streams():
+    # with the a_n already built (the series data builds and keeps them),
+    # the sum holds the copy of a_0..a_L, 8 bytes each, and no list of its
+    # 14.5k non-zero terms
+    E = E15()
+    assert _twist_series_data(E, 1001)[1] == 22374
+    tracemalloc.start()
+    try:
+        complex_L_derivative(E, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
 
 
 @pytest.mark.parametrize("delta", [7, -1, 52, 117])
@@ -298,7 +314,7 @@ def test_every_twist_in_use_is_accepted():
     cases += [(E15(), d) for d in (1, 13, -7, -11, 1001, -91, -143, 77)]
     for E, delta in cases:
         A, L, terms = _twist_series_data(E, delta)
-        assert terms and L > A > 0
+        assert next(terms, None) is not None and L > A > 0
         if sign_of_twist(E, delta) == 1:
             complex_L_value(E, delta)
         else:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 
@@ -148,7 +149,35 @@ def test_p1_scan_matches_sorted_orbits():
         reps, index = p1_sorted_orbits(N)
         p1 = P1List(N)
         assert p1.reps == reps, N
-        assert p1._index == index, N
+        for (c, d), i in index.items():
+            assert p1.index(c, d) == i, (N, c, d)
+
+
+@pytest.mark.parametrize("N", [15, 115, 200])
+def test_p1_index_refuses_pairs_outside_p1(N):
+    # a pair with gcd(c, d, N) > 1 has an empty slot, which must never read
+    # as an index
+    p1 = P1List(N)
+    for c in range(N):
+        for d in range(N):
+            if math.gcd(math.gcd(c, d), N) > 1:
+                with pytest.raises(KeyError):
+                    p1.index(c, d)
+                with pytest.raises(KeyError):
+                    p1.index(c - N, d + 2 * N)
+
+
+def test_p1_build_peaks_under_16_bytes_a_slot():
+    # one flat table of N^2 slots: 8 bytes a pointer, and the index ints
+    # shared by each orbit; a dict keyed by every pair needs about 130
+    N = 575
+    tracemalloc.start()
+    try:
+        P1List(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * N * N, peak
 
 
 def test_level_one_space_is_one_point_and_no_symbol():
